@@ -7,7 +7,7 @@ graphs small enough to check every claim numerically.
 
 Submodules
 ----------
-special        Catalan numbers, Bessel functions, stationary-phase helper
+special        Catalan numbers, stationary-phase helper
 linalg         Hermitian/unitary eigenwork and Schroedinger evolution
 distributions  distances, moments, and entropy of discrete distributions
 datafiles      deterministic CSV/JSON output helpers

@@ -20,7 +20,12 @@ import numpy as np
 
 from walklab import graphs as _graphs
 from walklab.distributions import tvd
-from walklab.linalg import group_indices_by_phase, unitary_eigensystem
+from walklab.linalg import (
+    group_indices_by_phase,
+    hermiticity_defect,
+    unitarity_defect,
+    unitary_eigensystem,
+)
 
 __all__ = [
     "Coin",
@@ -59,7 +64,7 @@ class Coin:
         m = np.asarray(self.matrix, dtype=complex)
         if m.shape != (self.d, self.d):
             raise ValueError("coin matrix does not match its dimension")
-        defect = np.max(np.abs(m.conj().T @ m - np.eye(self.d)))
+        defect = unitarity_defect(m)
         if defect > COIN_TOL:
             raise ValueError(f"coin is not unitary (defect {defect:.2e})")
         object.__setattr__(self, "matrix", m)
@@ -240,7 +245,7 @@ class DensityState:
             raise ValueError("matrix does not match the basis shape")
         if abs(np.trace(m).real - 1.0) > 1e-9 or abs(np.trace(m).imag) > 1e-9:
             raise ValueError("density matrix must have unit trace")
-        if np.max(np.abs(m - m.conj().T)) > 1e-9:
+        if hermiticity_defect(m) > 1e-9:
             raise ValueError("density matrix must be Hermitian")
         object.__setattr__(self, "matrix", m)
 

@@ -15,7 +15,6 @@ import numpy as np
 
 from . import graphs as _graphs
 from . import linalg as _linalg
-from . import special as _special
 
 __all__ = [
     "Hamiltonian",
@@ -54,7 +53,7 @@ class Hamiltonian:
         m = np.asarray(self.matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("Hamiltonian must be square")
-        if np.max(np.abs(m - m.T)) > SYMMETRY_TOL:
+        if _linalg.hermiticity_defect(m) > SYMMETRY_TOL:
             raise ValueError("Hamiltonian must be symmetric")
         object.__setattr__(self, "matrix", m)
         labels = self.labels
@@ -125,7 +124,10 @@ def cycle_bessel_check(n, x, y, t):
     p = 2.0 * math.pi * k / n
     amp = np.mean(np.exp(2j * t * np.cos(p) + 1j * p * d))
     exact = float(abs(amp) ** 2)
-    approx = _special.bessel_j(abs(d), 2.0 * t) ** 2
+    # Imported here so that importing the package does not load scipy.special.
+    from scipy.special import jv
+
+    approx = float(jv(abs(d), 2.0 * t)) ** 2
     return BesselCheck(exact, approx, abs(exact - approx))
 
 

@@ -83,9 +83,11 @@ def _resolve_params(exp, given):
         kind = exp.schema[key].kind
         try:
             params[key] = _COERCE[kind](value)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise ValueError(
                 f"parameter {key}={value!r} is not a valid {kind}") from None
+        if kind == "float" and not math.isfinite(params[key]):
+            raise ValueError(f"parameter {key}={value!r} is not finite")
     for key, meta in exp.schema.items():
         params.setdefault(key, meta.default)
     return params
@@ -156,16 +158,11 @@ def list_experiments(file=None):
     print(f"\n{len(_REGISTRY)} experiments registered", file=file)
 
 
-def _graph_by_name(name, n):
-    if name == "cycle":
-        return graphs.cycle(n)
-    if name == "complete":
-        return graphs.complete(n)
-    if name == "hypercube":
-        return graphs.hypercube(n)
-    if name == "line":
-        return graphs.line(n)
-    raise ValueError(f"unknown graph family {name!r}")
+def _check_within(what, worst, budget):
+    """Raise ToleranceError unless worst <= budget, so that NaN fails."""
+    if not worst <= budget:
+        raise ToleranceError(
+            f"{what} off by {worst:.2e} (budget {budget:.0e})")
 
 
 @_register(
@@ -365,7 +362,7 @@ def _fixed_point(p, seed, csv_path):
      "n": Param("int", 8, "graph size parameter")},
 )
 def _szegedy_spectrum(p, seed, csv_path):
-    chain = classical.unbiased_chain(_graph_by_name(p["graph"], p["n"]))
+    chain = classical.unbiased_chain(graphs.build_graph(p["graph"], p["n"]))
     pmat = szegedy.from_markov_chain(chain)
     smap = szegedy.spectrum_map(pmat)
     rows = []
@@ -373,9 +370,7 @@ def _szegedy_spectrum(p, seed, csv_path):
         theta = 2.0 * math.acos(min(1.0, max(-1.0, float(lam))))
         rows.append((float(lam), abs(math.remainder(theta, 2.0 * math.pi))))
     datafiles.write_csv(csv_path, ["lambda_D", "phase_W"], rows)
-    if smap.pairing_error > 1e-8:
-        raise ToleranceError(
-            f"phase pairing off by {smap.pairing_error:.2e} (budget 1e-08)")
+    _check_within("phase pairing", smap.pairing_error, 1e-8)
     return {"pairing_error": smap.pairing_error,
             "residual_count": len(smap.residual_values)}
 
@@ -389,7 +384,7 @@ def _szegedy_spectrum(p, seed, csv_path):
      "k_max": Param("int", 4, "largest marked-set size")},
 )
 def _marked_gap(p, seed, csv_path):
-    chain = classical.unbiased_chain(_graph_by_name(p["graph"], p["n"]))
+    chain = classical.unbiased_chain(graphs.build_graph(p["graph"], p["n"]))
     pmat = szegedy.from_markov_chain(chain)
     rows = []
     worst = None
@@ -397,7 +392,8 @@ def _marked_gap(p, seed, csv_path):
         mc = szegedy.marked_modify(pmat, range(k))
         gap = szegedy.marked_phase_gap(pmat, range(k))
         rows.append((k, mc.norm, mc.bound, gap.phi0, gap.bound))
-        if mc.norm > mc.bound + 1e-10 or gap.phi0 < gap.bound - 1e-10:
+        if not (mc.norm <= mc.bound + 1e-10
+                and gap.phi0 >= gap.bound - 1e-10):
             worst = k
     datafiles.write_csv(csv_path, ["marked_count", "block_norm", "norm_bound",
                                    "phi0", "phase_bound"], rows)
@@ -477,9 +473,7 @@ def _ctqw_cycle(p, seed, csv_path):
         rows.append((d, check.exact, check.approx, check.difference))
     datafiles.write_csv(csv_path, ["position", "probability",
                                    "bessel_squared", "difference"], rows)
-    if worst > p["tolerance"]:
-        raise ToleranceError(
-            f"Bessel law off by {worst:.2e} (budget {p['tolerance']:.0e})")
+    _check_within("Bessel law", worst, p["tolerance"])
     return {"worst_difference": worst}
 
 
@@ -507,8 +501,7 @@ def _ctqw_hypercube(p, seed, csv_path):
     datafiles.write_csv(csv_path, ["t", "closed_form", "dense_probability"],
                         zip(times, closed, dense))
     worst = float(np.max(np.abs(closed - dense)))
-    if worst > 1e-10:
-        raise ToleranceError(f"closed form off by {worst:.2e}")
+    _check_within("closed form", worst, 1e-10)
     return {"worst_difference": worst}
 
 
@@ -532,9 +525,8 @@ def _glued_trees(p, seed, csv_path):
                                    "exit_probability"],
                         zip(times, np.abs(states[:, 0]) ** 2,
                             np.abs(states[:, -1]) ** 2))
-    if red.equivalence_error is not None and red.equivalence_error > 1e-8:
-        raise ToleranceError(
-            f"column reduction off by {red.equivalence_error:.2e}")
+    if red.equivalence_error is not None:
+        _check_within("column reduction", red.equivalence_error, 1e-8)
     return {"equivalence_error": red.equivalence_error,
             "peak_exit_probability": float(np.max(np.abs(states[:, -1]) ** 2))}
 
@@ -563,8 +555,7 @@ def _analog_search(p, seed, csv_path):
     datafiles.write_csv(csv_path, ["t", "closed_form", "dense_probability"],
                         zip(times, closed, dense))
     worst = float(np.max(np.abs(closed - dense)))
-    if worst > 1e-9:
-        raise ToleranceError(f"two-level closed form off by {worst:.2e}")
+    _check_within("two-level closed form", worst, 1e-9)
     return {"worst_difference": worst, "certain_success_time": t_star}
 
 

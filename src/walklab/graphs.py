@@ -16,6 +16,7 @@ Canonical orders:
   before (q+1)-element ones.
 """
 
+import inspect
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -306,6 +307,10 @@ def build_graph(family, *args, **kwargs):
         builder = _FAMILIES[family]
     except KeyError:
         raise ValueError(f"unknown graph family {family!r}") from None
+    try:
+        inspect.signature(builder).bind(*args, **kwargs)
+    except TypeError as err:
+        raise ValueError(f"graph family {family!r}: {err}") from None
     return builder(*args, **kwargs)
 
 

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from walklab import graphs as _graphs
+from walklab import linalg as _linalg
 
 __all__ = [
     "EdgeBasis",
@@ -36,6 +37,8 @@ __all__ = [
     "complete_graph_search",
     "StarSearchResult",
     "star_graph_search",
+    "star_coins",
+    "star_invariant_vectors",
 ]
 
 
@@ -155,8 +158,7 @@ def sqw_build(g, coins):
             raise ValueError(f"vertex {l} has no edges to scatter into")
         local = coins[l] if not isinstance(coins, LocalCoin) else coins
         m = local.matrix(d)
-        defect = np.max(np.abs(m.conj().T @ m - np.eye(d)))
-        if defect > 1e-10:
+        if _linalg.unitarity_defect(m) > 1e-10:
             raise ValueError(f"local map at vertex {l} is not unitary")
         for ki, k in enumerate(around):
             col = basis.index[(k, l)]
@@ -173,10 +175,6 @@ class InvariantBasis:
     labels: tuple
     vectors: np.ndarray = field(compare=False)
     reduced: np.ndarray = field(compare=False)
-
-
-def _round_half_up(x):
-    return int(math.floor(x + 0.5))
 
 
 def reduce_complete_graph(n, k, phase):
@@ -246,8 +244,8 @@ def complete_graph_search(n, k, steps="auto"):
         touching = [i for i, lab in enumerate(red.labels) if "m" in lab]
         return float((np.abs(psi[touching]) ** 2).sum())
 
-    target = _round_half_up(math.pi / (2.0 * math.sqrt(2.0)) * math.sqrt(n / k)) \
-        if steps == "auto" else int(steps)
+    target = math.floor(math.pi / (2.0 * math.sqrt(2.0)) * math.sqrt(n / k)
+                        + 0.5) if steps == "auto" else int(steps)
     lo = max(0, int(math.floor(0.8 * target)))
     hi = int(math.ceil(1.2 * target)) + 1
     window = {m: success_at(m) for m in range(lo, hi)}
@@ -296,7 +294,7 @@ def star_graph_search(n, r0):
                     math.sqrt((n - 2.0) / (2.0 * n)),
                     -math.sqrt((n - 2.0) / (2.0 * n)), 0.0])
     delta = math.sqrt(2.0 * (1.0 - r0) / (3.0 - r0))
-    opt = _round_half_up(math.pi / delta * math.sqrt(n / 8.0))
+    opt = math.floor(math.pi / delta * math.sqrt(n / 8.0) + 0.5)
     hi = int(math.ceil(1.2 * opt))
     trajectory = np.empty((hi + 1, 5))
     trajectory[0] = psi

@@ -1,9 +1,9 @@
 """Special functions used across the walk modules.
 
-Catalan numbers (with their generating function and asymptotics), integer-order
-Bessel functions of the first kind, and the leading-order stationary-phase
-evaluation of oscillatory integrals.  Everything here is plain 64-bit floating
-point except the Catalan numbers, which are exact integers.
+Catalan numbers (with their generating function and asymptotics) and the
+leading-order stationary-phase evaluation of oscillatory integrals.
+Everything here is plain 64-bit floating point except the Catalan numbers,
+which are exact integers.
 """
 
 import cmath
@@ -15,7 +15,6 @@ __all__ = [
     "catalan_generating_function",
     "catalan_asymptotic",
     "catalan_square_tail_sum",
-    "bessel_j",
     "stationary_phase_p2",
 ]
 
@@ -73,112 +72,6 @@ def catalan_square_tail_sum(m):
         ck = catalan(k)
         total += Fraction(ck * ck, 16**k)
     return float(total)
-
-
-def bessel_j(n, x):
-    """Bessel function of the first kind J_n(x) for integer order.
-
-    Parameters
-    ----------
-    n : int
-        Order, any sign.
-    x : float
-        Argument, |x| <= 1e4.
-
-    Returns
-    -------
-    float
-        J_n(x), accurate to better than 1e-10 absolutely for |x| <= 100.
-
-    Notes
-    -----
-    Small arguments use the ascending power series, whose terms never grow
-    large there.  Everything else goes through Miller's downward recurrence
-    normalized with J_0 + 2 J_2 + 2 J_4 + ... = 1, which is stable for any
-    order because J_k is the minimal solution of the three-term recurrence
-    above the turning point k ~ x.
-    """
-    n = int(n)
-    if abs(x) > 1e4:
-        raise ValueError("argument out of supported range |x| <= 1e4")
-    # Reduce to n >= 0, x >= 0 using J_{-n}(x) = (-1)^n J_n(x) and
-    # J_n(-x) = (-1)^n J_n(x).
-    sign = 1.0
-    if n < 0:
-        n = -n
-        if n % 2 == 1:
-            sign = -sign
-    if x < 0.0:
-        x = -x
-        if n % 2 == 1:
-            sign = -sign
-    if x == 0.0:
-        return 1.0 if n == 0 else 0.0
-    if x <= 12.0:
-        return sign * _bessel_series(n, x)
-    return sign * _bessel_miller(n, x)
-
-
-def _bessel_series(n, x):
-    # Ascending series sum_k (-1)^k (x/2)^{n+2k} / (k! (n+k)!).  For x <= 12
-    # the largest term is modest, so no cancellation trouble.
-    half = 0.5 * x
-    try:
-        term = half**n / math.factorial(n)
-    except OverflowError:
-        return 0.0
-    if term == 0.0:
-        return 0.0
-    total = term
-    k = 0
-    while True:
-        k += 1
-        term *= -(half * half) / (k * (n + k))
-        total += term
-        if abs(term) < 1e-17 * (abs(total) + 1e-30) or k > 300:
-            return total
-
-
-def _bessel_miller(n, x):
-    # Downward recurrence from well above both the order and the turning
-    # point, normalized by the even-order sum identity.  The starting offset
-    # is bumped until two runs agree, which keeps the result trustworthy for
-    # arguments up to 1e4 without tuning constants.
-    top = max(n, int(x))
-    offset = 20 + int(2.0 * top**0.34)
-    value = _miller_pass(n, x, top + offset)
-    for _ in range(6):
-        offset += 20
-        again = _miller_pass(n, x, top + offset)
-        if abs(again - value) <= 1e-13:
-            return again
-        value = again
-    return value
-
-
-def _miller_pass(n, x, start):
-    if start % 2 == 1:
-        start += 1
-    jp = 0.0
-    jc = 1e-30
-    norm = 0.0
-    result = 0.0
-    for k in range(start, 0, -1):
-        jm = (2.0 * k / x) * jc - jp
-        jp = jc
-        jc = jm
-        if abs(jc) > 1e250:
-            jc *= 1e-250
-            jp *= 1e-250
-            norm *= 1e-250
-            result *= 1e-250
-        if (k - 1) % 2 == 0 and k - 1 > 0:
-            norm += jc
-        if k - 1 == n:
-            result = jc
-    # After the loop jc holds the unnormalized J_0 and norm the even orders
-    # from J_2 up, so J_0 + 2(J_2 + J_4 + ...) rescales everything to 1.
-    return result / (2.0 * norm + jc)
 
 
 def stationary_phase_p2(g_a, phi_a, phi2_a, m):

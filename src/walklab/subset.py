@@ -30,10 +30,6 @@ __all__ = [
 ]
 
 
-def _round_half_up(x):
-    return int(math.floor(x + 0.5))
-
-
 class SubsetWalk:
     """Dense simulation machinery for one problem instance."""
 
@@ -133,8 +129,8 @@ def subset_walk_run(n, q, k, f, prop, schedule="auto"):
     formulas assume N, q much larger than k.
     """
     if schedule == "auto":
-        tau1 = max(1, _round_half_up(math.pi / 2.0 * math.sqrt(q / k)))
-        tau2 = max(1, _round_half_up(math.pi / 4.0 * (n / q) ** (k / 2.0)))
+        tau1 = max(1, math.floor(math.pi / 2.0 * math.sqrt(q / k) + 0.5))
+        tau2 = max(1, math.floor(math.pi / 4.0 * (n / q) ** (k / 2.0) + 0.5))
     else:
         tau1, tau2 = (int(t) for t in schedule)
         if tau1 < 0 or tau2 < 0:

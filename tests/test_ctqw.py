@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -71,6 +72,17 @@ class TestCycleWavefront:
         check = ctqw.cycle_bessel_check(64, 3, 3, 0.0)
         assert abs(check.exact - 1.0) < 1e-12
         assert abs(check.approx - 1.0) < 1e-12
+
+    def test_bessel_j0_of_2_against_series_oracle(self):
+        # J_0(2) = sum_k (-1)^k / (k!)^2; alternating with decreasing terms,
+        # so the truncation error is below the first omitted term.  Squaring
+        # keeps that bound: |a^2 - b^2| = |a - b| |a + b| with a + b < 1.
+        total = Fraction(0)
+        for k in range(0, 26):
+            total += Fraction((-1) ** k, math.factorial(k) ** 2)
+        bound = 1.0 / math.factorial(26) ** 2
+        approx = ctqw.cycle_bessel_check(64, 0, 0, 1.0).approx
+        assert abs(approx - float(total ** 2)) <= bound + 1e-14
 
     def test_exact_route_matches_dense_evolution(self):
         check = ctqw.cycle_bessel_check(60, 5, 9, 3.0)

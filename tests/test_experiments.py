@@ -1,10 +1,13 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import walklab
 from walklab import experiments
 from walklab.datafiles import read_csv
 from walklab.experiments import ExperimentSpec, run
@@ -56,12 +59,18 @@ class TestExitCodes:
         assert run(spec) == 2
 
     def test_malformed_parameter_value(self, tmp_path):
-        spec = ExperimentSpec("grover", {"n": "many"}, None, str(tmp_path))
-        assert run(spec) == 2
+        for name, params in [("grover", {"n": "many"}),
+                             ("grover", {"n": float("inf")}),
+                             ("analog-search", {"t_max": "nan"}),
+                             ("analog-search", {"t_max": "inf"})]:
+            spec = ExperimentSpec(name, params, None, str(tmp_path))
+            assert run(spec) == 2, params
 
     def test_invalid_parameter_value(self, tmp_path):
-        spec = ExperimentSpec("mixing", {"n": "6"}, None, str(tmp_path))
-        assert run(spec) == 2
+        for name, params in [("mixing", {"n": "6"}),
+                             ("marked-gap", {"graph": "m_partite"})]:
+            spec = ExperimentSpec(name, params, None, str(tmp_path))
+            assert run(spec) == 2, params
 
     def test_missing_seed(self, tmp_path):
         assert run(ExperimentSpec("nand", {}, None, str(tmp_path))) == 2
@@ -72,6 +81,11 @@ class TestExitCodes:
                                "tolerance": "1e-30"},
                               None, str(tmp_path))
         assert run(spec) == 3
+
+    def test_gate_fails_closed_on_nan(self):
+        experiments._check_within("residual", 1.0, 1.0)
+        with pytest.raises(experiments.ToleranceError):
+            experiments._check_within("residual", float("nan"), 1.0)
 
 
 class TestMetadataAndDeterminism:
@@ -257,8 +271,12 @@ class TestSamplingExperiments:
 
 
 def module_cli(args, cwd):
+    # The child runs in cwd, so a relative PYTHONPATH would not find walklab.
+    src = str(Path(walklab.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
     return subprocess.run([sys.executable, "-m", "walklab.experiments", *args],
-                          capture_output=True, text=True, cwd=cwd)
+                          capture_output=True, text=True, cwd=cwd, env=env)
 
 
 class TestCommandLine:

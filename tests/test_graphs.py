@@ -29,6 +29,8 @@ def test_build_graph_dispatch():
     assert len(g.edges) == 12
     with pytest.raises(ValueError):
         G.build_graph("moebius", 3)
+    with pytest.raises(ValueError, match="complete_bipartite"):
+        G.build_graph("complete_bipartite", 3)
 
 
 def test_m_partite_counts():

@@ -4,12 +4,8 @@ from itertools import product
 
 import numpy as np
 import pytest
-import scipy.special
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from walklab.special import (
-    bessel_j,
     catalan,
     catalan_asymptotic,
     catalan_generating_function,
@@ -109,62 +105,6 @@ def test_catalan_generating_function_is_series_sum():
         (4.0 * x) ** n / (n**1.5 * math.sqrt(math.pi)) for n in range(60, 400)
     )
     assert abs(catalan_generating_function(x) - partial) <= tail + 1e-12
-
-
-def test_bessel_at_zero():
-    assert bessel_j(0, 0.0) == 1.0
-    assert bessel_j(1, 0.0) == 0.0
-    assert bessel_j(7, 0.0) == 0.0
-
-
-def test_bessel_j0_of_2_against_series_oracle():
-    # J_0(2) = sum_k (-1)^k / (k!)^2; alternating with decreasing terms,
-    # so the truncation error is below the first omitted term.
-    total = Fraction(0)
-    for k in range(0, 26):
-        total += Fraction((-1) ** k, math.factorial(k) ** 2)
-    bound = 1.0 / math.factorial(26) ** 2
-    assert abs(bessel_j(0, 2.0) - float(total)) <= bound + 1e-14
-
-
-def test_bessel_against_scipy_grid():
-    xs = [0.05, 0.5, 1.0, 3.0, 7.0, 11.9, 12.1, 20.0, 47.3, 99.5, 100.0]
-    worst = 0.0
-    for n in range(0, 30):
-        for x in xs:
-            worst = max(worst, abs(bessel_j(n, x) - scipy.special.jv(n, x)))
-    assert worst < 1e-10
-
-
-def test_bessel_large_argument_against_scipy():
-    for n, x in [(0, 500.0), (3, 1234.5), (10, 9999.0), (150, 200.0), (40, 35.0)]:
-        assert abs(bessel_j(n, x) - scipy.special.jv(n, x)) < 1e-10
-
-
-def test_bessel_symmetries():
-    rng = np.random.default_rng(7)
-    for _ in range(100):
-        n = int(rng.integers(0, 40))
-        x = float(rng.uniform(0.1, 60.0))
-        ref = bessel_j(n, x)
-        assert bessel_j(-n, x) == pytest.approx((-1.0) ** n * ref, abs=1e-13)
-        assert bessel_j(n, -x) == pytest.approx((-1.0) ** n * ref, abs=1e-13)
-
-
-def test_bessel_out_of_range():
-    with pytest.raises(ValueError):
-        bessel_j(0, 2e4)
-
-
-@settings(max_examples=150, deadline=None)
-@given(
-    n=st.integers(min_value=1, max_value=50),
-    x=st.floats(min_value=0.1, max_value=50.0, allow_nan=False),
-)
-def test_bessel_recurrence(n, x):
-    lhs = bessel_j(n - 1, x) + bessel_j(n + 1, x)
-    rhs = (2.0 * n / x) * bessel_j(n, x)
-    assert abs(lhs - rhs) < 1e-8
 
 
 def test_stationary_phase_zero_prefactor():
