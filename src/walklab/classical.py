@@ -196,6 +196,8 @@ def line_walk_binomial(m):
 
 def line_walk_gaussian(m, positions):
     """Parity-aware Gaussian approximation of the m-step line walk."""
+    if m < 1:
+        raise ValueError("the Gaussian approximation needs at least one step")
     x = np.asarray(positions, dtype=float)
     parity = 1.0 + (-1.0) ** (m - np.asarray(positions))
     return parity / math.sqrt(2.0 * math.pi * m) * np.exp(-x * x / (2.0 * m))
@@ -406,6 +408,8 @@ def telescoping_partition_estimate(model, betas, samples_per_level, rng,
     mean; ratios are expected to stay above 1/2 for a gentle schedule, and
     the caller can inspect ``alpha_floor`` to verify it.
     """
+    if samples_per_level < 1:
+        raise ValueError("need at least one sample per level")
     betas = list(betas)
     if len(betas) < 2:
         raise ValueError("need at least a starting and a final beta")

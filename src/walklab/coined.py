@@ -21,6 +21,7 @@ import numpy as np
 from walklab import graphs as _graphs
 from walklab.distributions import tvd
 from walklab.linalg import (
+    dephased_probabilities,
     group_indices_by_phase,
     hermiticity_defect,
     unitarity_defect,
@@ -312,17 +313,17 @@ def quantum_limit_dist(op, psi0):
     groups eigenvalues whose phases agree within 1e-8, and keeps only the
     interference inside each degenerate group.
     """
-    psi = op.check_state(psi0).ravel()
-    values, vectors = unitary_eigensystem(op.dense())
-    amplitudes = vectors.conj().T @ psi
-    pi = np.zeros(op.n)
-    for group in group_indices_by_phase(values):
-        contrib = vectors[:, group] @ amplitudes[group]
-        pi += (np.abs(contrib) ** 2).reshape(op.n, op.d).sum(axis=1)
-    return pi
+    psi = op.check_state(psi0)
+    return _limit_positions(op, *unitary_eigensystem(op.dense()), psi)
 
 
-QuantumMixing = namedtuple("QuantumMixing", "steps bound")
+def _limit_positions(op, values, vectors, psi):
+    groups = group_indices_by_phase(values)
+    probs = dephased_probabilities(vectors, groups, psi.ravel())
+    return probs.reshape(op.n, op.d).sum(axis=1)
+
+
+QuantumMixing = namedtuple("QuantumMixing", "steps bound distances")
 
 
 def quantum_mixing_time(op, psi0, eps, t_max):
@@ -331,26 +332,29 @@ def quantum_mixing_time(op, psi0, eps, t_max):
 
     Also reports the spectral upper bound on that distance, evaluated at
     the returned T: twice the sum of |a_i|^2 / |lambda_i - lambda_j| over
-    eigenvalue pairs with distinct phases, divided by T.
+    eigenvalue pairs with distinct phases, divided by T; and the distance
+    itself at every horizon 1..t_max.
     """
     psi = op.check_state(psi0)
-    pi = quantum_limit_dist(op, psi)
     values, vectors = unitary_eigensystem(op.dense())
+    pi = _limit_positions(op, values, vectors, psi)
     amp2 = np.abs(vectors.conj().T @ psi.ravel()) ** 2
     gaps = np.abs(values[:, None] - values[None, :])
     distinct = gaps > 1e-8
     pair_sum = float((amp2[:, None] / np.where(distinct, gaps, 1.0))[distinct].sum())
     acc = np.zeros(op.n)
+    distances = np.empty(t_max)
     last_bad = 0
     for t in range(1, t_max + 1):
         acc += position_distribution(psi)
-        if tvd(acc / t, pi) > eps:
+        distances[t - 1] = tvd(acc / t, pi)
+        if distances[t - 1] > eps:
             last_bad = t
         psi = op.step(psi)
     if last_bad == t_max:
         raise RuntimeError(f"time average not within {eps} by horizon {t_max}")
     steps = last_bad + 1 if last_bad else 0
-    return QuantumMixing(steps, 2.0 * pair_sum / max(steps, 1))
+    return QuantumMixing(steps, 2.0 * pair_sum / max(steps, 1), distances)
 
 
 HittingAnalysis = namedtuple("HittingAnalysis", "one_shot first_hit concurrent")
@@ -368,6 +372,8 @@ def hitting_analysis(op, psi0, target, m_max, p=0.5):
     psi = op.check_state(psi0)
     if not 0 <= target < op.n:
         raise ValueError("target is not a vertex")
+    if m_max < 0:
+        raise ValueError("step count must be nonnegative")
     one_shot = np.empty(m_max + 1)
     walker = psi.copy()
     for t in range(m_max + 1):

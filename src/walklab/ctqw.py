@@ -38,7 +38,6 @@ __all__ = [
 ]
 
 SYMMETRY_TOL = 1e-12
-ENERGY_GROUP_TOL = 1e-8
 NAND_SENTINEL = 1e12
 
 
@@ -131,17 +130,6 @@ def cycle_bessel_check(n, x, y, t):
     return BesselCheck(exact, approx, abs(exact - approx))
 
 
-def _energy_groups(values, tol=ENERGY_GROUP_TOL):
-    order = np.argsort(values)
-    groups = [[order[0]]]
-    for i in order[1:]:
-        if values[i] - values[groups[-1][-1]] <= tol:
-            groups[-1].append(i)
-        else:
-            groups.append([i])
-    return groups
-
-
 def ctqw_limiting(h, start):
     """Limiting time-averaged distribution from the given start vertex.
 
@@ -152,11 +140,8 @@ def ctqw_limiting(h, start):
     if not 0 <= start < h.dim:
         raise ValueError("start vertex out of range")
     values, vectors = _linalg.eig_hermitian(h.matrix)
-    pi = np.zeros(h.dim)
-    for group in _energy_groups(values):
-        block = vectors[:, group]
-        pi += np.abs(block @ block[start].conj()) ** 2
-    return pi
+    return _linalg.dephased_probabilities(
+        vectors, _linalg.group_indices_by_phase(values), np.eye(h.dim)[start])
 
 
 TimeAverage = namedtuple("TimeAverage", "distribution quadrature_error")
@@ -347,6 +332,8 @@ def hard_nand_instance(depth, rng, value=None):
     node is forced to children (1, 1).  On balanced trees these
     instances drive the randomized evaluator to its N^0.753 scaling.
     """
+    if depth < 0:
+        raise ValueError("tree depth must be nonnegative")
     if value is None:
         value = int(rng.integers(2))
     if depth == 0:

@@ -74,7 +74,7 @@ def read_csv(path):
 
 
 def write_metadata(path, name, params, seed, started, duration_s, outputs, **extra):
-    """Write the JSON sidecar describing one experiment run."""
+    """Write the JSON sidecar of one run; NaN or inf raises before opening."""
     record = {
         "name": name,
         "params": params,
@@ -84,7 +84,7 @@ def write_metadata(path, name, params, seed, started, duration_s, outputs, **ext
         "outputs": list(outputs),
     }
     record.update(extra)
+    text = json.dumps(record, indent=2, sort_keys=False, allow_nan=False)
     with open(path, "w") as fh:
-        json.dump(record, fh, indent=2, sort_keys=False)
-        fh.write("\n")
+        fh.write(text + "\n")
     return record

@@ -122,17 +122,21 @@ def run(spec):
         return 3
     duration = time.perf_counter() - clock
     meta_path = _outpath(spec, "json")
-    datafiles.write_metadata(
-        meta_path, spec.name, params, spec.seed, started, duration,
-        [csv_path],
-        description=exp.description,
-        versions={
-            "python": sys.version.split()[0],
-            "numpy": np.__version__,
-            "walklab": _package_version(),
-        },
-        **extra,
-    )
+    try:
+        datafiles.write_metadata(
+            meta_path, spec.name, params, spec.seed, started, duration,
+            [csv_path],
+            description=exp.description,
+            versions={
+                "python": sys.version.split()[0],
+                "numpy": np.__version__,
+                "walklab": _package_version(),
+            },
+            **extra,
+        )
+    except ValueError as err:
+        print(f"numerical check failed: {err}", file=sys.stderr)
+        return 3
     print(f"{spec.name}: wrote {csv_path} and {meta_path} "
           f"in {duration:.2f}s")
     return 0
@@ -192,10 +196,8 @@ def _hadamard_line(p, seed, csv_path):
     positions = coined.line_positions(op)
     datafiles.write_csv(csv_path, ["position", "probability"],
                         zip(positions, dist))
-    x = positions.astype(float)
-    mean = float(dist @ x)
-    return {"mean": mean,
-            "spread": float(math.sqrt(dist @ x ** 2 - mean ** 2))}
+    stats = distributions.dist_stats(positions, dist)
+    return {"mean": stats.mean, "spread": math.sqrt(stats.variance)}
 
 
 @_register(
@@ -204,6 +206,8 @@ def _hadamard_line(p, seed, csv_path):
     {"m_max": Param("int", 100, "largest step count")},
 )
 def _entropy_series(p, seed, csv_path):
+    if p["m_max"] < 0:
+        raise ValueError("largest step count must be nonnegative")
     op = coined.line_operator(p["m_max"])
     psi = coined.line_start(op)
     rows = []
@@ -229,10 +233,12 @@ def _entropy_series(p, seed, csv_path):
      "projectors": Param("str", "both", "coin, position, both, or edge-phase")},
 )
 def _decoherence_sweep(p, seed, csv_path):
+    if p["points"] < 1:
+        raise ValueError("need at least one unitarity rate")
     m = p["m"]
     op = coined.line_operator(m)
     rho0 = coined.DensityState.from_pure(coined.line_start(op))
-    positions = coined.line_positions(op).astype(float)
+    positions = coined.line_positions(op)
     bpos, bprobs = classical.line_walk_binomial(m)
     binom = np.zeros(op.n)
     binom[op.n // 2 + bpos] = bprobs
@@ -240,9 +246,9 @@ def _decoherence_sweep(p, seed, csv_path):
     for rate in np.linspace(0.0, 1.0, p["points"]):
         out = coined.decohere_evolve(op, float(rate), p["projectors"], rho0, m)
         dist = coined.position_distribution(out)
-        mean = float(dist @ positions)
-        spread = math.sqrt(max(dist @ positions ** 2 - mean ** 2, 0.0))
-        rows.append((float(rate), spread, distributions.tvd(dist, binom)))
+        stats = distributions.dist_stats(positions, dist)
+        rows.append((float(rate), math.sqrt(max(stats.variance, 0.0)),
+                     distributions.tvd(dist, binom)))
     datafiles.write_csv(csv_path, ["unitarity", "spread", "tvd_from_binomial"],
                         rows)
     return {"steps": m}
@@ -274,19 +280,10 @@ def _absorbing_boundary(p, seed, csv_path):
 def _complete_graph_search(p, seed, csv_path):
     n, k = p["n"], p["k"]
     summary = scattering.complete_graph_search(n, k)
-    red = scattering.reduce_complete_graph(n, k, math.pi)
-    sizes = np.array([np.count_nonzero(red.vectors[:, i])
-                      for i in range(len(red.labels))], dtype=float)
-    psi = np.sqrt(sizes / (n * (n - 1.0)))
-    touching = [i for i, lab in enumerate(red.labels) if "m" in lab]
-    horizon = int(math.ceil(1.2 * summary.steps)) + 1
-    rows = []
-    for step in range(horizon + 1):
-        probs = np.abs(psi) ** 2
-        rows.append((step, *probs, float(probs[touching].sum())))
-        psi = red.reduced @ psi
+    rows = [(step, *probs, success) for step, (probs, success)
+            in enumerate(zip(summary.probabilities, summary.successes))]
     datafiles.write_csv(csv_path,
-                        ["step"] + [f"prob_{lab}" for lab in red.labels]
+                        ["step"] + [f"prob_{lab}" for lab in summary.labels]
                         + ["success"], rows)
     return {"opt_steps": summary.steps, "best_steps": summary.best_steps,
             "success_at_opt": summary.success}
@@ -342,6 +339,8 @@ def _grover(p, seed, csv_path):
      "base": Param("str", "identity", "identity or grover base algorithm")},
 )
 def _fixed_point(p, seed, csv_path):
+    if p["levels"] < 0:
+        raise ValueError("recursion level must be nonnegative")
     rows = []
     f0 = None
     for level in range(p["levels"] + 1):
@@ -384,6 +383,8 @@ def _szegedy_spectrum(p, seed, csv_path):
      "k_max": Param("int", 4, "largest marked-set size")},
 )
 def _marked_gap(p, seed, csv_path):
+    if p["k_max"] < 1:
+        raise ValueError("need at least one marked vertex")
     chain = classical.unbiased_chain(graphs.build_graph(p["graph"], p["n"]))
     pmat = szegedy.from_markov_chain(chain)
     rows = []
@@ -439,8 +440,8 @@ def _subset_find(p, seed, csv_path):
      "grid": Param("int", 2001, "grid points for the scan")},
 )
 def _cost_table(p, seed, csv_path):
-    if p["grid"] < 2:
-        raise ValueError("grid needs at least two points")
+    if p["grid"] < 2 or p["k_max"] < 1:
+        raise ValueError("need k_max >= 1 and a grid of at least two points")
     mus = np.linspace(0.0, 1.0, p["grid"])
     rows = []
     for variant, k_lo in (("subset", 1), ("clique", 2), ("recursive_clique", 3)):
@@ -465,6 +466,8 @@ def _cost_table(p, seed, csv_path):
      "tolerance": Param("float", 5e-3, "allowed exact-vs-Bessel gap")},
 )
 def _ctqw_cycle(p, seed, csv_path):
+    if p["d_max"] < 0:
+        raise ValueError("largest displacement must be nonnegative")
     rows = []
     worst = 0.0
     for d in range(p["d_max"] + 1):
@@ -544,9 +547,9 @@ def _analog_search(p, seed, csv_path):
     n, m = p["n"], p["marked"]
     if p["points"] < 2:
         raise ValueError("need at least two time samples")
+    h = ctqw.search_hamiltonian(graphs.complete(n), 1.0 / n, range(m))
     t_star = math.pi / (2.0 * math.sqrt(m / n))
     t_max = p["t_max"] if p["t_max"] > 0 else 1.25 * t_star
-    h = ctqw.search_hamiltonian(graphs.complete(n), 1.0 / n, range(m))
     times = np.linspace(0.0, t_max, p["points"])
     psi0 = np.full(n, 1.0 / math.sqrt(n))
     states = linalg.evolve_many(h.matrix, times, psi0)
@@ -640,6 +643,8 @@ def _annealing(p, seed, csv_path):
     bits = p["bits"]
     if bits < 1 or bits > 16:
         raise ValueError("bit count must be between 1 and 16")
+    if p["runs"] < 1:
+        raise ValueError("need at least one annealing run")
     rng = np.random.default_rng(seed)
     energies = rng.normal(size=2 ** bits)
     model = classical.EnergyModel(
@@ -674,31 +679,23 @@ def _mixing(p, seed, csv_path):
     n = p["n"]
     if n % 2 == 0:
         raise ValueError("even cycles are periodic; use an odd length")
+    if p["eps"] <= 0:
+        raise ValueError("distance threshold must be positive")
     chain = classical.unbiased_chain(graphs.cycle(n))
-    p0 = np.zeros(n)
-    p0[0] = 1.0
+    p0 = np.eye(n)[0]
     pi_cl = np.full(n, 1.0 / n)
     op = coined.CoinedWalkOperator(graphs.cycle(n), coined.coin("hadamard"))
-    psi = np.zeros((n, 2), dtype=complex)
-    psi[0, 0] = 1.0 / math.sqrt(2.0)
-    psi[0, 1] = 1j / math.sqrt(2.0)
-    pi_q = coined.quantum_limit_dist(op, psi)
-    acc = np.zeros(n)
-    dist_cl = p0.copy()
+    psi0 = np.zeros((n, 2), dtype=complex)
+    psi0[0] = np.array([1.0, 1j]) / math.sqrt(2.0)
+    qres = coined.quantum_mixing_time(op, psi0, p["eps"], p["t_max"])
+    dist_cl = p0
     rows = []
-    for t in range(1, p["t_max"] + 1):
+    for t, quantum in enumerate(qres.distances, start=1):
         dist_cl = chain.matrix @ dist_cl
-        acc += coined.position_distribution(psi)
-        psi = op.step(psi)
-        rows.append((t, distributions.tvd(dist_cl, pi_cl),
-                     distributions.tvd(acc / t, pi_q)))
+        rows.append((t, distributions.tvd(dist_cl, pi_cl), quantum))
     datafiles.write_csv(csv_path, ["t", "classical_distance",
                                    "quantum_average_distance"], rows)
     mres = classical.mixing_time(chain, p0, p["eps"])
-    psi0 = np.zeros((n, 2), dtype=complex)
-    psi0[0, 0] = 1.0 / math.sqrt(2.0)
-    psi0[0, 1] = 1j / math.sqrt(2.0)
-    qres = coined.quantum_mixing_time(op, psi0, p["eps"], p["t_max"])
     return {"classical_mixing_time": mres[0],
             "classical_lower_bound": mres[1],
             "quantum_mixing_time": qres.steps,

@@ -29,6 +29,8 @@ __all__ = [
     "abstract_search_analyze",
 ]
 
+PAIRING_TOL = 1e-8
+
 
 class Oracle:
     """Conditional phase oracle for a marked subset, with a query ledger.
@@ -216,7 +218,7 @@ class AbstractSearchResult:
     target_overlap: float = 0.0
 
 
-def abstract_search_analyze(v, target, pairing_tol=1e-8):
+def abstract_search_analyze(v, target):
     v = np.asarray(v)
     if np.iscomplexobj(v) and np.max(np.abs(v.imag)) > 0:
         raise ValueError("the driving operator must be real")
@@ -226,7 +228,7 @@ def abstract_search_analyze(v, target, pairing_tol=1e-8):
         raise ValueError("target index out of range")
     values, vectors = _linalg.unitary_eigensystem(v)
     phases = np.angle(values)
-    ones = np.flatnonzero(np.abs(phases) <= pairing_tol)
+    ones = np.flatnonzero(np.abs(phases) <= PAIRING_TOL)
     if len(ones) != 1:
         raise ValueError("the +1 eigenspace must be one-dimensional")
     psi_init = vectors[:, ones[0]].real
@@ -235,16 +237,16 @@ def abstract_search_analyze(v, target, pairing_tol=1e-8):
         psi_init = -psi_init
     a = float(psi_init[target])
 
-    minus = np.flatnonzero(np.abs(np.abs(phases) - math.pi) <= pairing_tol)
+    minus = np.flatnonzero(np.abs(np.abs(phases) - math.pi) <= PAIRING_TOL)
     big_a = math.sqrt(float(np.sum(np.abs(vectors[target, minus]) ** 2)))
 
-    pos = np.flatnonzero((phases > pairing_tol)
-                         & (phases < math.pi - pairing_tol))
+    pos = np.flatnonzero((phases > PAIRING_TOL)
+                         & (phases < math.pi - PAIRING_TOL))
     pair_phases = np.sort(phases[pos])
     order = np.argsort(phases[pos])
     pair_coefficients = np.abs(vectors[target, pos][order])
 
-    u = v @ (np.eye(n) - 2.0 * np.outer(np.eye(n)[target], np.eye(n)[target]))
+    u = v * np.where(np.arange(n) == target, -1.0, 1.0)
     uvalues, uvectors = _linalg.unitary_eigensystem(u)
     uphases = np.angle(uvalues)
     positive = np.flatnonzero(uphases > 1e-12)

@@ -16,11 +16,13 @@ __all__ = [
     "evolve_many",
     "unitary_eigensystem",
     "group_indices_by_phase",
+    "dephased_probabilities",
     "random_hermitian",
     "random_unitary",
 ]
 
 HERMITIAN_TOL = 1e-8
+UNITARY_TOL = 1e-8
 
 
 def hermiticity_defect(a):
@@ -34,15 +36,13 @@ def unitarity_defect(u):
     return float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
 
 
-def eig_hermitian(h, tol=HERMITIAN_TOL):
+def eig_hermitian(h):
     """Eigendecomposition of a Hermitian matrix.
 
     Parameters
     ----------
     h : array_like
-        Square matrix, Hermitian within ``tol``.
-    tol : float
-        Largest tolerated hermiticity defect.
+        Square matrix, Hermitian within ``HERMITIAN_TOL``.
 
     Returns
     -------
@@ -53,26 +53,15 @@ def eig_hermitian(h, tol=HERMITIAN_TOL):
     """
     h = np.asarray(h)
     defect = hermiticity_defect(h)
-    if defect > tol:
+    if defect > HERMITIAN_TOL:
         raise ValueError(f"matrix is not Hermitian (defect {defect:.3g})")
     values, vectors = np.linalg.eigh(h)
     return values, vectors
 
 
-def evolve_hermitian(h, t, psi, decomposition=None):
-    """Apply exp(-i h t) to the state vector ``psi``.
-
-    A precomputed ``(values, vectors)`` pair from :func:`eig_hermitian` may be
-    passed to avoid repeating the diagonalization.
-    """
-    psi = np.asarray(psi, dtype=complex)
-    if decomposition is None:
-        decomposition = eig_hermitian(h)
-    values, vectors = decomposition
-    if psi.shape[0] != vectors.shape[0]:
-        raise ValueError("state dimension does not match the Hamiltonian")
-    coeffs = vectors.conj().T @ psi
-    return vectors @ (np.exp(-1j * values * t) * coeffs)
+def evolve_hermitian(h, t, psi):
+    """Apply exp(-i h t) to the state vector ``psi``."""
+    return evolve_many(h, [t], psi)[0]
 
 
 def evolve_many(h, times, psi):
@@ -90,7 +79,7 @@ def evolve_many(h, times, psi):
     return (phases * coeffs) @ vectors.T
 
 
-def unitary_eigensystem(u, tol=1e-8):
+def unitary_eigensystem(u):
     """Eigenvalues and an orthonormal eigenbasis of a unitary matrix.
 
     numpy's general eigensolver does not return orthogonal eigenvectors for
@@ -107,7 +96,7 @@ def unitary_eigensystem(u, tol=1e-8):
     """
     u = np.asarray(u, dtype=complex)
     defect = unitarity_defect(u)
-    if defect > tol:
+    if defect > UNITARY_TOL:
         raise ValueError(f"matrix is not unitary (defect {defect:.3g})")
     t, z = scipy.linalg.schur(u, output="complex")
     off = np.max(np.abs(t - np.diag(np.diag(t)))) if t.size else 0.0
@@ -117,17 +106,17 @@ def unitary_eigensystem(u, tol=1e-8):
 
 
 def group_indices_by_phase(values, tol=1e-8):
-    """Partition indices of unit-circle values into equality groups.
+    """Partition eigenvalue indices into groups of equal eigenvalues.
 
-    Two eigenvalues belong to one group when they agree within ``tol`` in
-    chordal distance, with transitive closure along the sorted circle so that
-    clusters straddling the branch cut are not split.
+    Unit-circle values are sorted by angle, real values along the line, and
+    neighbours within ``tol`` chain into one group.  A cluster straddling the
+    circle's branch cut is merged back; on the line this never fires.
     """
     values = np.asarray(values)
     n = len(values)
     if n == 0:
         return []
-    order = np.argsort(np.angle(values))
+    order = np.argsort(values if np.isrealobj(values) else np.angle(values))
     groups = [[order[0]]]
     for idx in order[1:]:
         if abs(values[idx] - values[groups[-1][-1]]) <= tol:
@@ -138,6 +127,20 @@ def group_indices_by_phase(values, tol=1e-8):
     if len(groups) > 1 and abs(values[groups[0][0]] - values[groups[-1][-1]]) <= tol:
         groups[0] = groups.pop() + groups[0]
     return [np.array(g) for g in groups]
+
+
+def dephased_probabilities(vectors, groups, psi):
+    """Long-time average of |<x|psi(t)>|^2 for every basis vector x.
+
+    ``groups`` partitions the orthonormal eigenbasis ``vectors`` into
+    degenerate levels (see :func:`group_indices_by_phase`); cross terms
+    between levels average out, leaving the interference inside each.
+    """
+    amplitudes = vectors.conj().T @ psi
+    probs = np.zeros(vectors.shape[0])
+    for group in groups:
+        probs += np.abs(vectors[:, group] @ amplitudes[group]) ** 2
+    return probs
 
 
 def random_hermitian(n, rng, scale=1.0):

@@ -215,8 +215,8 @@ def reduce_complete_graph(n, k, phase):
     return InvariantBasis(labels, vectors, reduced)
 
 
-GraphSearchResult = namedtuple("GraphSearchResult",
-                               "success steps best_steps best_success")
+GraphSearchResult = namedtuple("GraphSearchResult", "success steps best_steps "
+                               "best_success labels probabilities successes")
 
 
 def _uniform_reduced_start(n, k, labels):
@@ -234,24 +234,25 @@ def complete_graph_search(n, k, steps="auto"):
     evolution exactly.  Success is the probability that the measured edge
     touches a marked vertex.  With steps="auto" the asymptotic optimum
     round(pi/(2 sqrt 2) sqrt(n/k)) is used; the empirically best step
-    count in a +-20% window is reported alongside.
+    count in a +-20% window is reported alongside, with the class labels,
+    class probabilities and success at steps 0 to one past the window.
     """
     red = reduce_complete_graph(n, k, math.pi)
-    psi0 = _uniform_reduced_start(n, k, red.labels)
-
-    def success_at(m):
-        psi = np.linalg.matrix_power(red.reduced, m) @ psi0
-        touching = [i for i, lab in enumerate(red.labels) if "m" in lab]
-        return float((np.abs(psi[touching]) ** 2).sum())
-
     target = math.floor(math.pi / (2.0 * math.sqrt(2.0)) * math.sqrt(n / k)
                         + 0.5) if steps == "auto" else int(steps)
     lo = max(0, int(math.floor(0.8 * target)))
     hi = int(math.ceil(1.2 * target)) + 1
-    window = {m: success_at(m) for m in range(lo, hi)}
-    best = max(window, key=window.get)
-    return GraphSearchResult(window.get(target, success_at(target)), target,
-                             best, window[best])
+    psi = _uniform_reduced_start(n, k, red.labels)
+    probabilities = np.empty((hi + 1, len(red.labels)))
+    for m in range(hi + 1):
+        probabilities[m] = np.abs(psi) ** 2
+        psi = red.reduced @ psi
+    touching = [i for i, lab in enumerate(red.labels) if "m" in lab]
+    successes = probabilities[:, touching].sum(axis=1)
+    best = lo + int(np.argmax(successes[lo:hi]))
+    return GraphSearchResult(float(successes[target]), target, best,
+                             float(successes[best]), red.labels,
+                             probabilities, successes)
 
 
 StarSearchResult = namedtuple("StarSearchResult",

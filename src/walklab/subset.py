@@ -21,7 +21,6 @@ import numpy as np
 
 __all__ = [
     "SubsetWalk",
-    "build_walk",
     "SubsetWalkResult",
     "subset_walk_run",
     "CostEstimate",
@@ -109,10 +108,6 @@ class SubsetWalk:
         return state
 
 
-def build_walk(n, q, f, prop, k):
-    return SubsetWalk(n, q, f, prop, k)
-
-
 SubsetWalkResult = namedtuple(
     "SubsetWalkResult",
     "success queries tau1 tau2 best_tau1 best_tau2 best_success")
@@ -128,6 +123,7 @@ def subset_walk_run(n, q, k, f, prop, schedule="auto"):
     best schedule in a +-2 window is reported alongside, since the
     formulas assume N, q much larger than k.
     """
+    walk = SubsetWalk(n, q, f, prop, k)
     if schedule == "auto":
         tau1 = max(1, math.floor(math.pi / 2.0 * math.sqrt(q / k) + 0.5))
         tau2 = max(1, math.floor(math.pi / 4.0 * (n / q) ** (k / 2.0) + 0.5))
@@ -135,7 +131,6 @@ def subset_walk_run(n, q, k, f, prop, schedule="auto"):
         tau1, tau2 = (int(t) for t in schedule)
         if tau1 < 0 or tau2 < 0:
             raise ValueError("schedule entries must be nonnegative")
-    walk = SubsetWalk(n, q, f, prop, k)
     state = walk.run(tau1, tau2)
     success = walk.success(state)
     queries = walk.queries

@@ -33,6 +33,8 @@ __all__ = [
     "marked_phase_gap",
 ]
 
+OVERLAP_TOL = 1e-10
+
 
 def _check_row_stochastic(p):
     p = np.asarray(p, dtype=float)
@@ -205,7 +207,7 @@ class PhaseGap:
     bound: float
 
 
-def marked_phase_gap(p, marked, overlap_tol=1e-10):
+def marked_phase_gap(p, marked):
     """Smallest rotating eigenphase the walk of the frozen chain shows to
     the uniform unmarked state, against the guarantee 2 sqrt(delta eps).
 
@@ -227,7 +229,7 @@ def marked_phase_gap(p, marked, overlap_tol=1e-10):
     start = walk.isometry @ o
     values, vectors = _linalg.unitary_eigensystem(walk.w)
     overlaps = np.abs(vectors.conj().T @ start)
-    busy = overlaps > overlap_tol
+    busy = overlaps > OVERLAP_TOL
     phases = np.abs(np.angle(values[busy]))
     rotating = phases[phases > 1e-9]
     phi0 = float(rotating.min()) if rotating.size else 0.0

@@ -275,6 +275,10 @@ def test_quantum_mixing_and_bound():
         acc += cw.position_distribution(walker)
         walker = op.step(walker)
     assert tvd(acc / res.steps, pi) <= res.bound
+    assert res.distances.shape == (3000,)
+    assert abs(res.distances[res.steps - 1] - tvd(acc / res.steps, pi)) < 1e-12
+    assert res.distances[res.steps - 2] > 0.05
+    assert np.all(res.distances[res.steps - 1:] <= 0.05)
     looser = cw.quantum_mixing_time(op, psi, 0.1, 3000)
     assert looser.steps <= res.steps
     assert cw.quantum_mixing_time(op, psi, 2.0, 10).steps == 0

@@ -67,10 +67,28 @@ class TestExitCodes:
             assert run(spec) == 2, params
 
     def test_invalid_parameter_value(self, tmp_path):
-        for name, params in [("mixing", {"n": "6"}),
-                             ("marked-gap", {"graph": "m_partite"})]:
-            spec = ExperimentSpec(name, params, None, str(tmp_path))
-            assert run(spec) == 2, params
+        for name, params, seed in [
+                ("mixing", {"n": "6"}, None),
+                ("marked-gap", {"graph": "m_partite"}, None),
+                ("mixing", {"eps": "0"}, None),
+                ("analog-search", {"marked": "0"}, None),
+                ("annealing", {"runs": "0"}, 1),
+                ("mcmc-partition", {"samples": "0"}, 1),
+                ("subset-find", {"q": "0"}, 1),
+                ("subset-find", {"k": "0"}, 1),
+                ("hitting", {"horizon": "-1"}, None),
+                ("nand", {"depth": "-1"}, 1),
+                ("line-walk", {"m": "0"}, None),
+                # requests whose table would have no rows
+                ("decoherence-sweep", {"points": "0"}, None),
+                ("entropy-series", {"m_max": "-1"}, None),
+                ("fixed-point", {"levels": "-1"}, None),
+                ("marked-gap", {"k_max": "0"}, None),
+                ("cost-table", {"k_max": "0"}, None),
+                ("ctqw-cycle", {"d_max": "-1"}, None)]:
+            spec = ExperimentSpec(name, params, seed, str(tmp_path))
+            assert run(spec) == 2, (name, params)
+        assert not list(tmp_path.glob("*.csv"))
 
     def test_missing_seed(self, tmp_path):
         assert run(ExperimentSpec("nand", {}, None, str(tmp_path))) == 2
@@ -81,6 +99,13 @@ class TestExitCodes:
                                "tolerance": "1e-30"},
                               None, str(tmp_path))
         assert run(spec) == 3
+
+    def test_non_finite_result_leaves_no_sidecar(self, tmp_path, monkeypatch):
+        exp = experiments.catalog()["line-walk"]
+        monkeypatch.setitem(experiments._REGISTRY, "line-walk", exp._replace(
+            func=lambda params, seed, csv_path: {"x": float("nan")}))
+        assert run(ExperimentSpec("line-walk", {}, None, str(tmp_path))) == 3
+        assert not list(tmp_path.glob("*.json"))
 
     def test_gate_fails_closed_on_nan(self):
         experiments._check_within("residual", 1.0, 1.0)

@@ -1,0 +1,50 @@
+"""Golden outputs: every experiment at its defaults reproduces the stored
+reference CSV of the benchmark's ``defaults`` workload within its pinned
+tolerance, and writes a strict-JSON sidecar.
+
+The references, the checker and the workload list live in ``perfbench/``;
+this test loads ``check.py`` and ``workloads.py`` by file path and only reads
+them.  Stochastic experiments run at the seed the benchmark gives them in
+workload seed 0, which the references cover.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from walklab import experiments
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+check = _load("check")
+workloads = _load("workloads")
+DEFAULTS = workloads.WORKLOADS["defaults"]
+
+
+@pytest.fixture(scope="module")
+def checker():
+    return check.RunChecker(check.Reference("defaults"))
+
+
+@pytest.mark.parametrize("index", range(len(DEFAULTS)),
+                         ids=[label for label, _, _ in DEFAULTS])
+def test_default_run_matches_reference(tmp_path, checker, index):
+    label, name, params = DEFAULTS[index]
+    seed = (workloads.run_seed(0, index)
+            if experiments.catalog()[name].needs_seed else None)
+    status = experiments.run(
+        experiments.ExperimentSpec(name, params, seed, str(tmp_path)))
+    stem = tmp_path / (name if seed is None else f"{name}-s{seed}")
+    reason = checker.check(label, seed, status, stem.with_suffix(".csv"),
+                           stem.with_suffix(".json"))
+    assert reason is None, reason

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from walklab.linalg import (
+    dephased_probabilities,
     eig_hermitian,
     evolve_hermitian,
     evolve_many,
@@ -163,3 +164,21 @@ def test_phase_grouping_across_branch_cut():
     values = np.array([np.exp(1j * (np.pi - 1e-10)), np.exp(-1j * (np.pi - 1e-10))])
     groups = group_indices_by_phase(values, tol=1e-8)
     assert len(groups) == 1
+
+
+def test_energy_grouping_sorts_along_the_line():
+    # all three share angle 0, so only sorting by value brings 0 and 1e-12
+    # next to each other
+    groups = group_indices_by_phase(np.array([0.0, 5.0, 1e-12]), tol=1e-8)
+    assert sorted(sorted(g.tolist()) for g in groups) == [[0, 2], [1]]
+    assert len(group_indices_by_phase(np.array([-1.0, 1.0]))) == 2
+
+
+def test_dephasing_keeps_only_same_level_interference():
+    psi = np.array([1.0, 0.0])
+    values, vectors = eig_hermitian(SIGMA_X)
+    probs = dephased_probabilities(vectors, group_indices_by_phase(values), psi)
+    assert np.allclose(probs, [0.5, 0.5], atol=1e-12)
+    values, vectors = eig_hermitian(np.zeros((2, 2)))
+    probs = dephased_probabilities(vectors, group_indices_by_phase(values), psi)
+    assert np.allclose(probs, [1.0, 0.0], atol=1e-12)

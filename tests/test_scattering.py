@@ -261,6 +261,21 @@ class TestCompleteGraphSearch:
             expected = math.atan(math.sqrt(k * (2 * n - k - 2)) / (n - k - 1))
             assert abs(theta - expected) < 1e-9
 
+    def test_trajectory_matches_matrix_powers(self):
+        n, k = 50, 2
+        res = sc.complete_graph_search(n, k)
+        red = sc.reduce_complete_graph(n, k, math.pi)
+        psi0 = np.sqrt(np.count_nonzero(red.vectors, axis=0) / (n * (n - 1)))
+        touching = [i for i, lab in enumerate(red.labels) if "m" in lab]
+        assert res.labels == red.labels
+        assert len(res.successes) == math.ceil(1.2 * res.steps) + 2
+        for m, probs in enumerate(res.probabilities):
+            want = np.abs(np.linalg.matrix_power(red.reduced, m) @ psi0) ** 2
+            assert np.max(np.abs(probs - want)) < 1e-12
+            assert abs(res.successes[m] - want[touching].sum()) < 1e-12
+        assert res.success == res.successes[res.steps]
+        assert res.best_success == max(res.successes[int(0.8 * res.steps):-1])
+
     def test_explicit_step_count_respected(self):
         res = sc.complete_graph_search(36, 1, steps=3)
         assert res.steps == 3
