@@ -187,6 +187,8 @@ def line_walk_binomial(m):
     Returns (positions -m..m, probabilities); odd-parity positions carry
     probability zero.
     """
+    if m < 0:
+        raise ValueError(f"step count must be nonnegative, got {m}")
     positions = np.arange(-m, m + 1)
     probs = np.zeros(2 * m + 1)
     for k in range(m + 1):
@@ -358,6 +360,8 @@ def metropolis_chain(model, beta, steps, rng, start=None):
     """
     if beta < 0:
         raise ValueError("inverse temperature must be nonnegative")
+    if steps < 0:
+        raise ValueError(f"Metropolis step count must be nonnegative, got {steps}")
     rng = np.random.default_rng(rng)
     state = int(rng.integers(model.num_states)) if start is None else start
     samples = np.empty(steps + 1, dtype=np.int64)

@@ -125,9 +125,12 @@ class CoinedWalkOperator:
     """Shift-after-coin step operator on a colored regular graph.
 
     The coin may be a single ``Coin`` shared by every vertex or a sequence
-    with one ``Coin`` per vertex.  The step is always applied structurally
-    (coin blocks, then the color permutations); ``dense`` materializes the
-    matrix for spectral work.
+    with one ``Coin`` per vertex.  ``step`` is the one structural
+    application of the walk unitary (coin blocks, then the color
+    permutations as a single gather) and acts on states of shape
+    (..., n, d), so a batch of states or the rows of a density matrix step
+    together.  ``dense`` materializes the matrix for spectral work; it is
+    built independently of ``step`` and serves as its check.
     """
 
     def __init__(self, graph, coins, coloring=None):
@@ -141,6 +144,11 @@ class CoinedWalkOperator:
         for c in range(self.d):
             if len(set(nxt[:, c].tolist())) != self.n:
                 raise ValueError(f"color {c} is not a permutation")
+        # flat basis v*d + c: entry nxt[v, c]*d + c of the shifted state is
+        # entry v*d + c of the coined one
+        nd = self.n * self.d
+        self._source = np.empty(nd, dtype=np.intp)
+        self._source[(nxt * self.d + np.arange(self.d)).ravel()] = np.arange(nd)
         if isinstance(coins, Coin):
             if coins.d != self.d:
                 raise ValueError("coin dimension does not match the coloring")
@@ -154,15 +162,14 @@ class CoinedWalkOperator:
             self._coins = np.stack([c.matrix for c in coins])
 
     def step(self, state):
-        """One application of the walk unitary."""
+        """One application of the walk unitary to a state of shape
+        (..., n, d); leading axes are a batch that steps independently."""
         if self._coin is not None:
-            mixed = state @ self._coin.T
+            mixed = state.reshape(-1, self.d) @ self._coin.T
         else:
-            mixed = np.einsum("vcd,vd->vc", self._coins, state)
-        out = np.empty_like(mixed)
-        for c in range(self.d):
-            out[self.coloring.next_vertex[:, c], c] = mixed[:, c]
-        return out
+            mixed = np.einsum("vcd,...vd->...vc", self._coins, state)
+        flat = mixed.reshape(-1, self._source.size)
+        return flat[:, self._source].reshape(state.shape)
 
     def dense(self):
         """The step operator as an (n d) x (n d) matrix, basis v*d + c."""
@@ -335,6 +342,8 @@ def quantum_mixing_time(op, psi0, eps, t_max):
     eigenvalue pairs with distinct phases, divided by T; and the distance
     itself at every horizon 1..t_max.
     """
+    if t_max < 1:
+        raise ValueError(f"horizon t_max must be at least 1, got {t_max}")
     psi = op.check_state(psi0)
     values, vectors = unitary_eigensystem(op.dense())
     pi = _limit_positions(op, values, vectors, psi)
@@ -374,20 +383,15 @@ def hitting_analysis(op, psi0, target, m_max, p=0.5):
         raise ValueError("target is not a vertex")
     if m_max < 0:
         raise ValueError("step count must be nonnegative")
+    # the free walker and the monitored one step together as a batch of two
     one_shot = np.empty(m_max + 1)
-    walker = psi.copy()
-    for t in range(m_max + 1):
-        one_shot[t] = float((np.abs(walker[target]) ** 2).sum())
-        if t < m_max:
-            walker = op.step(walker)
     first_hit = np.empty(m_max + 1)
-    monitored = psi.copy()
-    first_hit[0] = float((np.abs(monitored[target]) ** 2).sum())
-    monitored[target] = 0.0
-    for t in range(1, m_max + 1):
-        monitored = op.step(monitored)
-        first_hit[t] = float((np.abs(monitored[target]) ** 2).sum())
-        monitored[target] = 0.0
+    pair = np.stack([psi, psi])
+    for t in range(m_max + 1):
+        if t:
+            pair = op.step(pair)
+        one_shot[t], first_hit[t] = (np.abs(pair[:, target]) ** 2).sum(axis=1)
+        pair[1, target] = 0.0
     reached = np.flatnonzero(np.cumsum(one_shot) >= p)
     if reached.size == 0:
         raise RuntimeError(f"accumulated probability never reaches {p} "
@@ -458,22 +462,12 @@ def decohere_evolve(op, p, projectors, rho0, m):
     if projectors in ("coin", "both", "edge-phase"):
         keep *= c[:, None] == c[None, :]
     factor = (p + (1.0 - p) * keep).reshape(n, d, n, d)
-    # conjugation by the step operator applied structurally: coin blocks on
-    # both sides, then the color permutations on both indices
-    nxt = op.coloring.next_vertex
+    # conjugation by the step operator: U acts on the column index of
+    # conj(rho) to give rho U^dagger, then on the row index
     rho = rho0.matrix.reshape(n, d, n, d)
     for _ in range(m):
-        if op._coin is not None:
-            rho = np.einsum("ac,vcwb->vawb", op._coin, rho)
-            rho = np.einsum("vawc,bc->vawb", rho, op._coin.conj())
-        else:
-            rho = np.einsum("vac,vcwb->vawb", op._coins, rho)
-            rho = np.einsum("vawc,wbc->vawb", rho, op._coins.conj())
-        shifted = np.empty_like(rho)
-        for a in range(d):
-            for b in range(d):
-                shifted[nxt[:, a][:, None], a, nxt[:, b][None, :], b] = rho[:, a, :, b]
-        rho = shifted * factor
+        rho = op.step(rho.conj()).conj()
+        rho = op.step(rho.transpose(2, 3, 0, 1)).transpose(2, 3, 0, 1) * factor
     flat = rho.reshape(n * d, n * d)
     flat = 0.5 * (flat + flat.conj().T)
     result = DensityState((n, d), flat)

@@ -298,10 +298,8 @@ def _complete_graph_search(p, seed, csv_path):
 )
 def _star_search(p, seed, csv_path):
     res = scattering.star_graph_search(p["n"], p["r0"])
-    rows = []
-    for step, c in enumerate(res.trajectory):
-        triangle = float(c[0] ** 2 + c[1] ** 2 + c[4] ** 2)
-        rows.append((step, *c, triangle))
+    rows = [(step, *c, triangle) for step, (c, triangle)
+            in enumerate(zip(res.trajectory, res.triangle_series))]
     datafiles.write_csv(csv_path,
                         ["step", "hub_to_special", "special_to_hub",
                          "hub_to_plain", "plain_to_hub", "extra_edge",

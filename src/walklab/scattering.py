@@ -255,8 +255,8 @@ def complete_graph_search(n, k, steps="auto"):
                              probabilities, successes)
 
 
-StarSearchResult = namedtuple("StarSearchResult",
-                              "opt_steps best_steps trajectory triangle_probability")
+StarSearchResult = namedtuple("StarSearchResult", "opt_steps best_steps "
+                              "trajectory triangle_probability triangle_series")
 
 
 def star_graph_search(n, r0):
@@ -267,8 +267,9 @@ def star_graph_search(n, r0):
     r0.  Evolution stays in a five-dimensional invariant subspace: hub to
     special spikes, back, hub to plain spikes, back, and the extra edge
     itself.  Returns the asymptotic optimal step count, the best count in
-    a +-20% window, the reduced trajectory up to the optimum, and the
-    probability on the three triangle edges at the optimum.
+    a +-20% window, the reduced trajectory up to the optimum, the
+    probability on the three triangle edges at the optimum, and that
+    probability at every step up to the optimum.
     """
     if n < 3:
         raise ValueError("need at least three spikes")
@@ -307,7 +308,7 @@ def star_graph_search(n, r0):
     lo = max(0, int(math.floor(0.8 * opt)))
     best = lo + int(np.argmax(triangle[lo : hi + 1]))
     return StarSearchResult(opt, best, trajectory[: opt + 1],
-                            float(triangle[opt]))
+                            float(triangle[opt]), triangle[: opt + 1])
 
 
 def star_coins(n, r0):

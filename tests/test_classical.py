@@ -325,6 +325,12 @@ def test_metropolis_rejects_negative_beta():
         cl.metropolis_chain(model, -0.1, 10, 0)
 
 
+def test_metropolis_rejects_negative_step_count():
+    model = cl.EnergyModel(2, lambda s: float(s), lambda s, r: 1 - s)
+    with pytest.raises(ValueError, match="step count"):
+        cl.metropolis_chain(model, 1.0, -1, 0)
+
+
 def test_annealing_finds_quadratic_minimum():
     model = cl.EnergyModel(16, lambda s: 0.5 * (s - 5) ** 2,
                            lambda s, r: (s + (1 if r.random() < 0.5 else -1)) % 16)

@@ -426,19 +426,28 @@ def test_edge_phase_equals_both():
     assert np.max(np.abs(a.matrix - b.matrix)) < 1e-14
 
 
+def random_unitary_coin(rng, d):
+    z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    return cw.Coin(d, np.linalg.qr(z)[0])
+
+
 def test_structured_channel_matches_dense_superoperator():
-    op = cycle_walk(5)
-    rho0 = cw.DensityState.from_pure(localized(op))
-    got = cw.decohere_evolve(op, 0.6, "coin", rho0, 4)
-    u = op.dense()
-    nd = op.n * op.d
-    c = np.arange(nd) % op.d
-    keep = (c[:, None] == c[None, :]).astype(float)
-    rho = rho0.matrix
-    for _ in range(4):
-        rho = u @ rho @ u.conj().T
-        rho = 0.6 * rho + 0.4 * rho * keep
-    assert np.max(np.abs(got.matrix - rho)) < 1e-12
+    rng = np.random.default_rng(429)
+    g = graphs.hypercube(3)
+    per_vertex = cw.CoinedWalkOperator(
+        g, [random_unitary_coin(rng, 3) for _ in range(g.n)])
+    for op in (cycle_walk(5), per_vertex):
+        rho0 = cw.DensityState.from_pure(localized(op))
+        got = cw.decohere_evolve(op, 0.6, "coin", rho0, 4)
+        u = op.dense()
+        nd = op.n * op.d
+        c = np.arange(nd) % op.d
+        keep = (c[:, None] == c[None, :]).astype(float)
+        rho = rho0.matrix
+        for _ in range(4):
+            rho = u @ rho @ u.conj().T
+            rho = 0.6 * rho + 0.4 * rho * keep
+        assert np.max(np.abs(got.matrix - rho)) < 1e-12
 
 
 def test_partial_decoherence_maximizes_entropy():
@@ -516,6 +525,7 @@ def random_walk_operator(rng):
 
 def test_random_walk_operator_properties():
     rng = np.random.default_rng(515)
+    batch_rng = np.random.default_rng(516)
     for _ in range(110):
         op = random_walk_operator(rng)
         u = op.dense()
@@ -525,6 +535,13 @@ def test_random_walk_operator_properties():
         stepped = op.step(psi)
         assert np.allclose(stepped.ravel(), u @ psi.ravel(), atol=1e-10)
         assert abs(np.linalg.norm(stepped) - 1.0) < 1e-10
+        shape = (3, op.n, op.d)
+        batch = batch_rng.normal(size=shape) + 1j * batch_rng.normal(size=shape)
+        batch_stepped = op.step(batch)
+        assert batch_stepped.shape == shape
+        for row, got in zip(batch, batch_stepped):
+            assert np.max(np.abs(got - op.step(row))) < 1e-13
+            assert np.allclose(got.ravel(), u @ row.ravel(), atol=1e-10)
 
 
 def test_shift_alone_is_a_permutation():

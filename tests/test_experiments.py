@@ -79,6 +79,10 @@ class TestExitCodes:
                 ("hitting", {"horizon": "-1"}, None),
                 ("nand", {"depth": "-1"}, 1),
                 ("line-walk", {"m": "0"}, None),
+                ("line-walk", {"m": "-1"}, None),
+                ("annealing", {"inner": "-1"}, 1),
+                ("mixing", {"t_max": "-1"}, None),
+                ("mixing", {"t_max": "0"}, None),
                 # requests whose table would have no rows
                 ("decoherence-sweep", {"points": "0"}, None),
                 ("entropy-series", {"m_max": "-1"}, None),
@@ -295,13 +299,17 @@ class TestSamplingExperiments:
         assert 0.0 <= meta["hit_fraction"] <= 1.0
 
 
-def module_cli(args, cwd):
+def python_child(args, cwd):
     # The child runs in cwd, so a relative PYTHONPATH would not find walklab.
     src = str(Path(walklab.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
-    return subprocess.run([sys.executable, "-m", "walklab.experiments", *args],
+    return subprocess.run([sys.executable, *args],
                           capture_output=True, text=True, cwd=cwd, env=env)
+
+
+def module_cli(args, cwd):
+    return python_child(["-m", "walklab.experiments", *args], cwd)
 
 
 class TestCommandLine:
@@ -342,3 +350,8 @@ class TestCommandLine:
         proc = module_cli(["run", "line-walk", "--out",
                            str(tmp_path / "nope")], tmp_path)
         assert proc.returncode == 2
+
+    def test_decoherence_demo_runs(self, tmp_path):
+        demo = Path(__file__).resolve().parents[1] / "demos" / "03_decoherence.py"
+        proc = python_child([str(demo)], tmp_path)
+        assert proc.returncode == 0, proc.stderr

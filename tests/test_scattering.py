@@ -293,6 +293,8 @@ class TestStarSearch:
     def test_triangle_probability_splits_in_thirds(self):
         res = sc.star_graph_search(400, 0.0)
         assert res.triangle_probability >= 0.95
+        assert len(res.triangle_series) == res.opt_steps + 1
+        assert res.triangle_series[-1] == res.triangle_probability
         last = res.trajectory[-1]
         for comp in (last[0] ** 2, last[1] ** 2, last[4] ** 2):
             assert abs(comp - 1 / 3) < 0.05
