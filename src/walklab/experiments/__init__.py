@@ -57,6 +57,22 @@ Param = namedtuple("Param", "kind default help")
 _COERCE = {"int": int, "float": float, "str": str}
 _REGISTRY = {}
 
+# Largest graph the Szegedy experiments accept: the walk lives on n^2 vertex
+# pairs, and the compressed spectra still hold n^2 x 2n arrays.
+SZEGEDY_MAX_VERTICES = 128
+
+# Vertex count of each one-size graph family, so that an oversized Szegedy
+# request is refused before its edge list is built.  The exponential ones
+# cap the exponent: 2**64 is already over any limit.
+_VERTEX_COUNTS = {
+    "line": lambda n: n,
+    "cycle": lambda n: n,
+    "complete": lambda n: n,
+    "star_extra_edge": lambda n: n + 1,
+    "hypercube": lambda n: 2 ** min(n, 64),
+    "glued_trees": lambda n: 3 * 2 ** (min(n, 64) - 1) - 2,
+}
+
 
 def _register(name, description, schema, needs_seed=False):
     def wrap(func):
@@ -351,6 +367,21 @@ def _fixed_point(p, seed, csv_path):
     return {"base_failure": f0}
 
 
+def _szegedy_chain(p):
+    """Row-stochastic unbiased chain on the requested graph, refused before
+    the graph is built when it is over the size limit."""
+    family, n = p["graph"], p["n"]
+    if family not in _VERTEX_COUNTS:
+        raise ValueError(f"the Szegedy walk takes a graph family among "
+                         f"{', '.join(_VERTEX_COUNTS)}, not {family!r}")
+    count = _VERTEX_COUNTS[family](n)
+    if count > SZEGEDY_MAX_VERTICES:
+        raise ValueError(f"{family} n={n} has {count} vertices; the "
+                         f"Szegedy walk takes at most {SZEGEDY_MAX_VERTICES}")
+    g = graphs.build_graph(family, n)
+    return szegedy.from_markov_chain(classical.unbiased_chain(g))
+
+
 @_register(
     "szegedy-spectrum",
     "Eigenvalues of a chain's discriminant against the eigenphases of its "
@@ -359,9 +390,7 @@ def _fixed_point(p, seed, csv_path):
      "n": Param("int", 8, "graph size parameter")},
 )
 def _szegedy_spectrum(p, seed, csv_path):
-    chain = classical.unbiased_chain(graphs.build_graph(p["graph"], p["n"]))
-    pmat = szegedy.from_markov_chain(chain)
-    smap = szegedy.spectrum_map(pmat)
+    smap = szegedy.spectrum_map(_szegedy_chain(p))
     rows = []
     for lam in smap.d_values:
         theta = 2.0 * math.acos(min(1.0, max(-1.0, float(lam))))
@@ -369,7 +398,8 @@ def _szegedy_spectrum(p, seed, csv_path):
     datafiles.write_csv(csv_path, ["lambda_D", "phase_W"], rows)
     _check_within("phase pairing", smap.pairing_error, 1e-8)
     return {"pairing_error": smap.pairing_error,
-            "residual_count": len(smap.residual_values)}
+            "residual_count": len(smap.residual_values),
+            "invariance_residual": smap.invariance_residual}
 
 
 @_register(
@@ -383,13 +413,14 @@ def _szegedy_spectrum(p, seed, csv_path):
 def _marked_gap(p, seed, csv_path):
     if p["k_max"] < 1:
         raise ValueError("need at least one marked vertex")
-    chain = classical.unbiased_chain(graphs.build_graph(p["graph"], p["n"]))
-    pmat = szegedy.from_markov_chain(chain)
+    pmat = _szegedy_chain(p)
     rows = []
     worst = None
+    invariance = 0.0
     for k in range(1, p["k_max"] + 1):
         mc = szegedy.marked_modify(pmat, range(k))
         gap = szegedy.marked_phase_gap(pmat, range(k))
+        invariance = max(invariance, gap.invariance_residual)
         rows.append((k, mc.norm, mc.bound, gap.phi0, gap.bound))
         if not (mc.norm <= mc.bound + 1e-10
                 and gap.phi0 >= gap.bound - 1e-10):
@@ -398,7 +429,7 @@ def _marked_gap(p, seed, csv_path):
                                    "phi0", "phase_bound"], rows)
     if worst is not None:
         raise ToleranceError(f"spectral bound violated at {worst} marked")
-    return {}
+    return {"invariance_residual": invariance}
 
 
 @_register(
@@ -711,6 +742,9 @@ def _hitting(p, seed, csv_path):
     dim = p["dim"]
     if not 2 <= dim <= 8:
         raise ValueError("dimension must be between 2 and 8")
+    if p["horizon"] < dim:
+        raise ValueError(f"horizon {p['horizon']} is shorter than the {dim} "
+                         "steps to the antipodal corner")
     target = 2 ** dim - 1
     chain = classical.unbiased_chain(graphs.hypercube(dim))
     f = classical.first_hit_distribution(chain, 0, target, p["horizon"])

@@ -8,6 +8,15 @@ makes quantized chains useful: a marked-vertex decision problem that a
 classical chain solves in 1/(delta eps) steps shows up here as a phase
 gap of order sqrt(delta eps).
 
+The spectra never need the n^2 x n^2 walk.  With T the isometry and S
+the swap, span{T, S T} is invariant under W and has dimension at most 2n;
+on its complement W is the identity.  ``spectrum_map`` and
+``marked_phase_gap`` therefore diagonalize the compressed block Q^T W Q on
+an orthonormal basis Q of that span, applying W structurally, and check
+the invariance residual max|W Q - Q B| before they trust it.
+``szegedy_build`` still forms the dense walk, as the reference the tests
+hold the compressed spectra against.
+
 The classical_walks module keeps column-stochastic matrices; transpose
 at this boundary (``from_markov_chain`` does it for you).
 """
@@ -34,6 +43,10 @@ __all__ = [
 ]
 
 OVERLAP_TOL = 1e-10
+INVARIANCE_TOL = 1e-10
+# a discriminant eigenvalue with |lambda| < 1 - PAIR_CUT gives the walk a
+# rotating phase pair; the prediction and the compressed basis share it
+PAIR_CUT = 1e-12
 
 
 def _check_row_stochastic(p):
@@ -80,37 +93,101 @@ class TwoRegisterWalk:
         return (np.abs(np.asarray(state).reshape(self.n, self.n)) ** 2).sum(axis=1)
 
 
+def _lift(p):
+    """sqrt(P) and the register swap, the two pieces the walk is made of.
+
+    The isometry T maps |x> to |x>|row x of sqrt(P)>; ``_t_apply`` and
+    ``_t_adjoint`` apply it and its transpose from sqrt(P).  The swap S
+    acts on the doubled register as the index permutation v -> v[swap].
+    """
+    n = p.shape[0]
+    return np.sqrt(p), np.arange(n * n).reshape(n, n).T.ravel()
+
+
+def _t_apply(root, c):
+    """T c for coefficient columns c of shape (n, m)."""
+    n = root.shape[0]
+    return (root[:, :, None] * c[:, None, :]).reshape(n * n, c.shape[1])
+
+
+def _t_adjoint(root, v):
+    """T^T v for columns v of shape (n * n, m)."""
+    n = root.shape[0]
+    return np.einsum("xy,xym->xm", root, v.reshape(n, n, -1))
+
+
 def szegedy_build(p):
     p = _check_row_stochastic(p)
     n = p.shape[0]
-    t = np.zeros((n * n, n))
-    for x in range(n):
-        t[x * n : (x + 1) * n, x] = np.sqrt(p[x])
+    root, swap = _lift(p)
+    t = _t_apply(root, np.eye(n))
     r1 = 2.0 * (t @ t.T) - np.eye(n * n)
-    swap = np.arange(n * n).reshape(n, n).T.ravel()
     r2 = r1[np.ix_(swap, swap)]
     return TwoRegisterWalk(p, t, r1, r2, swap, r2 @ r1)
+
+
+def _invariant_block(p):
+    """The walk compressed to span{T, S T}.
+
+    Every discriminant eigenpair (lam, v) gives the unit vector T v and,
+    when |lam| < 1, the unit vector (S T v - lam T v) / sqrt(1 - lam^2);
+    together they form an orthonormal basis Q.  W = S R1 S R1 with
+    R1 u = 2 T (T^T u) - u is applied to Q without forming W.
+
+    Returns sqrt(P), Q, B = Q^T W Q and the invariance residual
+    max|W Q - Q B|; raises RuntimeError when that residual is over
+    ``INVARIANCE_TOL`` or not finite.
+    """
+    root, swap = _lift(p)
+    lams, vecs = _linalg.eig_hermitian(discriminant(p))
+    tv = _t_apply(root, vecs)
+    rotating = np.abs(lams) < 1.0 - PAIR_CUT
+    lam = lams[rotating]
+    partner = tv[swap][:, rotating] - lam * tv[:, rotating]
+    q = np.hstack([tv, partner / np.sqrt(1.0 - lam ** 2)])
+
+    def r1(u):
+        return 2.0 * _t_apply(root, _t_adjoint(root, u)) - u
+
+    wq = r1(r1(q)[swap])[swap]
+    b = q.T @ wq
+    residual = float(np.max(np.abs(wq - q @ b)))
+    if not residual <= INVARIANCE_TOL:
+        raise RuntimeError(f"span{{T, ST}} is not invariant under the walk "
+                           f"(residual {residual:.3g})")
+    return root, q, b, residual
 
 
 @dataclass(frozen=True)
 class SpectrumMap:
     """Correspondence between discriminant eigenvalues and walk
     eigenphases.  For every |lambda| < 1 the walk picks up the conjugate
-    phase pair +-2 arccos(lambda); everything else sits at +-1."""
+    phase pair +-2 arccos(lambda); everything else sits at +-1.
+    ``invariance_residual`` is max|W Q - Q B| of the compression the walk
+    eigenvalues came from."""
 
     d_values: np.ndarray = field(compare=False)
     predicted_phases: np.ndarray = field(compare=False)
     pairing_error: float = 0.0
     residual_values: np.ndarray = field(default=None, compare=False)
+    invariance_residual: float = 0.0
 
 
 def spectrum_map(p):
-    walk = szegedy_build(p)
+    """Pair the phases predicted from the discriminant with the walk's.
+
+    The walk eigenvalues are those of the compressed block plus one +1 for
+    every dimension outside span{T, S T}; ``residual_values`` holds the
+    ones no prediction claimed.
+    """
+    p = _check_row_stochastic(p)
+    n = p.shape[0]
     d_values = np.sort(np.linalg.eigvalsh(discriminant(p)))[::-1]
-    w_values, _ = _linalg.unitary_eigensystem(walk.w)
+    _, q, b, invariance = _invariant_block(p)
+    w_values, _ = _linalg.unitary_eigensystem(b)
     predicted = []
     for lam in d_values:
-        if abs(lam) < 1.0 - 1e-12:
+        if abs(lam) < 1.0 - PAIR_CUT:
             theta = math.acos(lam)
             predicted.append(np.exp(2j * theta))
             predicted.append(np.exp(-2j * theta))
@@ -121,8 +198,10 @@ def spectrum_map(p):
         pick = int(np.argmin(dists))
         worst = max(worst, float(dists[pick]))
         available.pop(pick)
-    residual = w_values[available]
-    return SpectrumMap(d_values, np.angle(np.asarray(predicted)), worst, residual)
+    residual = np.concatenate([w_values[available],
+                               np.ones(n * n - q.shape[1], dtype=complex)])
+    return SpectrumMap(d_values, np.angle(np.asarray(predicted)), worst,
+                       residual, invariance)
 
 
 @dataclass(frozen=True)
@@ -205,6 +284,7 @@ def classical_hit_probability(chain, t):
 class PhaseGap:
     phi0: float
     bound: float
+    invariance_residual: float = 0.0
 
 
 def marked_phase_gap(p, marked):
@@ -222,15 +302,15 @@ def marked_phase_gap(p, marked):
     if not marked:
         return PhaseGap(0.0, 0.0)
     mc = marked_modify(p, marked)
-    walk = szegedy_build(mc.p_prime)
+    root, q, b, invariance = _invariant_block(mc.p_prime)
     unmarked = mc.unmarked
-    o = np.zeros(n)
+    o = np.zeros((n, 1))
     o[unmarked] = 1.0 / math.sqrt(len(unmarked))
-    start = walk.isometry @ o
-    values, vectors = _linalg.unitary_eigensystem(walk.w)
+    start = q.T @ _t_apply(root, o)[:, 0]
+    values, vectors = _linalg.unitary_eigensystem(b)
     overlaps = np.abs(vectors.conj().T @ start)
     busy = overlaps > OVERLAP_TOL
     phases = np.abs(np.angle(values[busy]))
     rotating = phases[phases > 1e-9]
     phi0 = float(rotating.min()) if rotating.size else 0.0
-    return PhaseGap(phi0, 2.0 * math.sqrt(mc.delta * mc.epsilon))
+    return PhaseGap(phi0, 2.0 * math.sqrt(mc.delta * mc.epsilon), invariance)

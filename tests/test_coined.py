@@ -516,9 +516,13 @@ def random_walk_operator(rng):
         options.append("walsh_hadamard")
     kind = options[rng.integers(len(options))]
     if rng.random() < 0.25:
-        coins = [cw.coin(kind, d) if rng.random() < 0.5
-                 else cw.coin("reflective", d, phase=float(rng.uniform(0, 2 * math.pi)))
-                 for _ in range(g.n)]
+        # random unitary coins are not symmetric, so a coin applied as its
+        # transpose shows up here
+        makers = [lambda: cw.coin(kind, d),
+                  lambda: cw.coin("reflective", d,
+                                  phase=float(rng.uniform(0, 2 * math.pi))),
+                  lambda: random_unitary_coin(rng, d)]
+        coins = [makers[rng.integers(3)]() for _ in range(g.n)]
         return cw.CoinedWalkOperator(g, coins, coloring)
     return cw.CoinedWalkOperator(g, cw.coin(kind, d), coloring)
 

@@ -83,6 +83,10 @@ class TestExitCodes:
                 ("annealing", {"inner": "-1"}, 1),
                 ("mixing", {"t_max": "-1"}, None),
                 ("mixing", {"t_max": "0"}, None),
+                ("hitting", {"horizon": "0"}, None),
+                # over the Szegedy size limit (256 vertices)
+                ("szegedy-spectrum", {"graph": "hypercube", "n": "8"}, None),
+                ("marked-gap", {"graph": "hypercube", "n": "8"}, None),
                 # requests whose table would have no rows
                 ("decoherence-sweep", {"points": "0"}, None),
                 ("entropy-series", {"m_max": "-1"}, None),
@@ -93,6 +97,20 @@ class TestExitCodes:
             spec = ExperimentSpec(name, params, seed, str(tmp_path))
             assert run(spec) == 2, (name, params)
         assert not list(tmp_path.glob("*.csv"))
+
+    def test_oversized_szegedy_graph_refused_before_it_is_built(
+            self, tmp_path, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("graph built")
+        monkeypatch.setattr(experiments.graphs, "build_graph", refuse)
+        for name, params in [("szegedy-spectrum",
+                              {"graph": "complete", "n": "100000"}),
+                             ("szegedy-spectrum",
+                              {"graph": "hypercube", "n": "30"}),
+                             ("marked-gap", {"graph": "line", "n": "129"})]:
+            spec = ExperimentSpec(name, params, None, str(tmp_path))
+            assert run(spec) == 2, (name, params)
+        assert not list(tmp_path.iterdir())
 
     def test_missing_seed(self, tmp_path):
         assert run(ExperimentSpec("nand", {}, None, str(tmp_path))) == 2
@@ -238,15 +256,29 @@ class TestSpectralExperiments:
                                     {"graph": "cycle", "n": 6})
         assert header == ["lambda_D", "phase_W"]
         assert meta["pairing_error"] < 1e-8
+        assert meta["residual_count"] == 36 - 2 * 4
+        assert 0.0 <= meta["invariance_residual"] <= 1e-10
         top = max(rows, key=lambda r: r[0])
         assert abs(top[0] - 1.0) < 1e-12 and abs(top[1]) < 1e-8
 
     def test_marked_gap_bounds_hold(self, tmp_path):
-        _, _, rows = run_ok(tmp_path, "marked-gap",
-                            {"graph": "complete", "n": 8, "k_max": 3})
+        meta, header, rows = run_ok(tmp_path, "marked-gap",
+                                    {"graph": "complete", "n": 8, "k_max": 3})
+        assert header == ["marked_count", "block_norm", "norm_bound", "phi0",
+                          "phase_bound"]
+        assert 0.0 <= meta["invariance_residual"] <= 1e-10
         for row in rows:
             assert row[1] <= row[2] + 1e-10
             assert row[3] >= row[4] - 1e-10
+
+    def test_broken_invariance_exits_3_without_output(self, tmp_path,
+                                                     monkeypatch):
+        lift = experiments.szegedy._lift
+        monkeypatch.setattr(experiments.szegedy, "_lift",
+                            lambda p: (lift(p)[0] + 1e-6, lift(p)[1]))
+        for name in ("szegedy-spectrum", "marked-gap"):
+            assert run(ExperimentSpec(name, {}, None, str(tmp_path))) == 3
+        assert not list(tmp_path.iterdir())
 
 
 class TestContinuousExperiments:

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from walklab import classical, graphs, szegedy as sz
+from walklab import classical, graphs, linalg, szegedy as sz
 
 
 def complete_chain(n):
@@ -26,6 +26,41 @@ def random_symmetric_chain(n, rng):
         if np.max(np.abs(a.sum(axis=1) - 1)) < 1e-13:
             break
     return a
+
+
+def nearest_matching_distance(a, b):
+    """Largest distance when each value of a takes its nearest unused value
+    of b; both multisets must have the same size."""
+    assert len(a) == len(b)
+    free = list(b)
+    worst = 0.0
+    for z in a:
+        dists = np.abs(np.asarray(free) - z)
+        pick = int(np.argmin(dists))
+        worst = max(worst, float(dists[pick]))
+        free.pop(pick)
+    return worst
+
+
+def compressed_spectrum(p):
+    """Walk eigenvalues from the invariant block plus the +1s outside it."""
+    _, q, b, _ = sz._invariant_block(p)
+    values, _ = linalg.unitary_eigensystem(b)
+    n = p.shape[0]
+    return np.concatenate([values, np.ones(n * n - q.shape[1])])
+
+
+def dense_phi0(p, marked):
+    """marked_phase_gap's measured phase from the dense n^2 x n^2 walk."""
+    mc = sz.marked_modify(p, marked)
+    walk = sz.szegedy_build(mc.p_prime)
+    o = np.zeros(p.shape[0])
+    o[mc.unmarked] = 1.0 / math.sqrt(len(mc.unmarked))
+    values, vectors = linalg.unitary_eigensystem(walk.w)
+    overlaps = np.abs(vectors.conj().T @ (walk.isometry @ o))
+    phases = np.abs(np.angle(values[overlaps > sz.OVERLAP_TOL]))
+    rotating = phases[phases > 1e-9]
+    return float(rotating.min()) if rotating.size else 0.0
 
 
 class TestBuild:
@@ -129,8 +164,11 @@ class TestSpectrumMap:
 
     def test_six_state_correspondence_against_dense_solver(self):
         rng = np.random.default_rng(7)
-        sm = sz.spectrum_map(random_symmetric_chain(6, rng))
+        p = random_symmetric_chain(6, rng)
+        sm = sz.spectrum_map(p)
         assert sm.pairing_error < 1e-8
+        dense, _ = linalg.unitary_eigensystem(sz.szegedy_build(p).w)
+        assert nearest_matching_distance(compressed_spectrum(p), dense) < 1e-8
 
     def test_invariant_plane_relations(self):
         rng = np.random.default_rng(8)
@@ -237,6 +275,12 @@ class TestRandomizedProperties:
             if trial % 5 == 0:
                 sm = sz.spectrum_map(p)
                 assert sm.pairing_error < 1e-8
+                assert 0.0 <= sm.invariance_residual < 1e-10
+                assert len(sm.residual_values) == (n * n
+                                                   - len(sm.predicted_phases))
+                dense, _ = linalg.unitary_eigensystem(walk.w)
+                assert nearest_matching_distance(compressed_spectrum(p),
+                                                 dense) < 1e-8
 
     def test_twenty_random_chains_pair_within_tolerance(self):
         rng = np.random.default_rng(112358)
@@ -244,3 +288,46 @@ class TestRandomizedProperties:
             n = int(rng.integers(2, 9))
             sm = sz.spectrum_map(random_symmetric_chain(n, rng))
             assert sm.pairing_error < 1e-8
+
+
+class TestCompressedSpectrum:
+    def test_marked_chains_match_dense_walk(self):
+        for p, marked in ((complete_chain(8), {0, 1}),
+                          (sz.from_markov_chain(classical.unbiased_chain(
+                              graphs.hypercube(3))), {0, 5})):
+            p_prime = sz.marked_modify(p, marked).p_prime
+            dense, _ = linalg.unitary_eigensystem(sz.szegedy_build(p_prime).w)
+            assert nearest_matching_distance(compressed_spectrum(p_prime),
+                                             dense) < 1e-8
+            pg = sz.marked_phase_gap(p, marked)
+            assert abs(pg.phi0 - dense_phi0(p, marked)) < 1e-12
+            assert 0.0 <= pg.invariance_residual < 1e-10
+
+    def test_spectra_never_build_the_dense_walk(self, monkeypatch):
+        def refuse(p):
+            raise AssertionError("dense walk built")
+        monkeypatch.setattr(sz, "szegedy_build", refuse)
+        assert sz.spectrum_map(complete_chain(6)).pairing_error < 1e-8
+        pg = sz.marked_phase_gap(complete_chain(6), {0})
+        assert pg.phi0 >= pg.bound - 1e-12
+
+    def test_broken_invariance_fails_before_the_eigensolve(self, monkeypatch):
+        lift = sz._lift
+
+        def refuse(u):
+            raise AssertionError("eigensolve reached")
+        monkeypatch.setattr(sz._linalg, "unitary_eigensystem", refuse)
+        for shift in (1e-6, float("nan")):
+            monkeypatch.setattr(
+                sz, "_lift", lambda p: (lift(p)[0] + shift, lift(p)[1]))
+            with pytest.raises(RuntimeError, match="invariant"):
+                sz.spectrum_map(complete_chain(5))
+            with pytest.raises(RuntimeError, match="invariant"):
+                sz.marked_phase_gap(complete_chain(5), {0})
+
+    def test_complete_48_without_the_dense_walk(self):
+        sm = sz.spectrum_map(complete_chain(48))
+        assert sm.pairing_error < 1e-8
+        assert len(sm.residual_values) == 48 * 48 - 2 * 47
+        assert np.max(np.abs(sm.residual_values - 1.0)) < 1e-8
+        assert 0.0 <= sm.invariance_residual < 1e-10
