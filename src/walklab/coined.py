@@ -124,8 +124,10 @@ def _need(kind, ok):
 class CoinedWalkOperator:
     """Shift-after-coin step operator on a colored regular graph.
 
-    The coin may be a single ``Coin`` shared by every vertex or a sequence
-    with one ``Coin`` per vertex.  ``step`` is the one structural
+    The directions are the graph's canonical ``graphs.color_edges``, which
+    checks that every color is a permutation on the edge set.  The coin
+    may be a single ``Coin`` shared by every vertex or a sequence with one
+    ``Coin`` per vertex.  ``step`` is the one structural
     application of the walk unitary (coin blocks, then the color
     permutations as a single gather) and acts on states of shape
     (..., n, d), so a batch of states or the rows of a density matrix step
@@ -133,17 +135,12 @@ class CoinedWalkOperator:
     built independently of ``step`` and serves as its check.
     """
 
-    def __init__(self, graph, coins, coloring=None):
+    def __init__(self, graph, coins):
         self.graph = graph
-        self.coloring = _graphs.color_edges(graph) if coloring is None else coloring
+        self.coloring = _graphs.color_edges(graph)
         self.n = graph.n
         self.d = self.coloring.d
         nxt = self.coloring.next_vertex
-        if nxt.shape != (self.n, self.d):
-            raise ValueError("coloring does not match the graph")
-        for c in range(self.d):
-            if len(set(nxt[:, c].tolist())) != self.n:
-                raise ValueError(f"color {c} is not a permutation")
         # flat basis v*d + c: entry nxt[v, c]*d + c of the shifted state is
         # entry v*d + c of the coined one
         nd = self.n * self.d

@@ -4,6 +4,12 @@ All graphs are simple undirected graphs with an optional set of self-loops,
 stored explicitly with a documented canonical vertex order so that every
 matrix built downstream has a reproducible basis.
 
+The edges are stored once, as ``Graph.pairs``: an (m, 2) integer array of
+rows (u, v) with u < v, sorted and free of duplicates.  ``arcs`` gives both
+directions of every edge plus each loop, and degrees, matrices, neighbor
+lists and colorings are array operations on it.  ``Graph.edges`` is a
+frozenset view built on first use, for callers that want tuples.
+
 Canonical orders:
 
 * ``line``/``cycle``: integers 0..n-1 along the path.
@@ -18,6 +24,7 @@ Canonical orders:
 
 import inspect
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -36,6 +43,7 @@ __all__ = [
     "glued_trees_cycle",
     "subset_bipartite",
     "build_graph",
+    "arcs",
     "adjacency",
     "degree_matrix",
     "laplacian",
@@ -51,31 +59,65 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
-    """Undirected graph with optional self-loops and vertex labels."""
+    """Undirected graph with optional self-loops and vertex labels.
+
+    ``pairs`` is given as an (m, 2) array or any iterable of pairs in either
+    orientation and stored canonically, read-only.  Equality is on n,
+    edges and loops.
+    """
 
     n: int
-    edges: frozenset
+    pairs: np.ndarray = ()
     loops: frozenset = frozenset()
-    labels: tuple = field(default=None, compare=False)
-    family: str = field(default="", compare=False)
-    params: tuple = field(default=(), compare=False)
+    labels: tuple = None
+    family: str = ""
+    params: tuple = ()
 
     def __post_init__(self):
-        for u, v in self.edges:
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise ValueError(f"edge ({u},{v}) out of range")
-            if u == v:
-                raise ValueError("self-loops belong in .loops, not .edges")
-        for v in self.loops:
-            if not 0 <= v < self.n:
-                raise ValueError(f"loop at {v} out of range")
+        n, raw = self.n, self.pairs
+        raw = np.asarray(raw if isinstance(raw, np.ndarray) else list(raw),
+                         dtype=np.int64)
+        if raw.size and (raw.ndim != 2 or raw.shape[1] != 2):
+            raise ValueError("edges must be given as vertex pairs")
+        raw = raw.reshape(-1, 2)
+        bad = ((raw < 0) | (raw >= n)).any(axis=1)
+        if bad.any():
+            u, v = raw[np.argmax(bad)]
+            raise ValueError(f"edge ({u},{v}) out of range")
+        if np.any(raw[:, 0] == raw[:, 1]):
+            raise ValueError("self-loops belong in .loops, not .edges")
+        keys = raw.min(axis=1) * n + raw.max(axis=1)
+        keys.sort()
+        keys = keys[np.diff(keys, prepend=-1) != 0]
+        pairs = np.stack(np.divmod(keys, max(n, 1)), axis=1)
+        pairs.flags.writeable = False
+        loops = np.fromiter(self.loops, dtype=np.int64)
+        bad = (loops < 0) | (loops >= n)
+        if bad.any():
+            raise ValueError(f"loop at {loops[np.argmax(bad)]} out of range")
+        object.__setattr__(self, "pairs", pairs)
+        object.__setattr__(self, "loops", frozenset(loops.tolist()))
+
+    @cached_property
+    def edges(self):
+        """The edges as a frozenset of (u, v) tuples with u < v."""
+        return frozenset(map(tuple, self.pairs.tolist()))
 
     @property
     def m(self):
         """Number of edges, loops included."""
-        return len(self.edges) + len(self.loops)
+        return len(self.pairs) + len(self.loops)
+
+    def __eq__(self, other):
+        if not isinstance(other, Graph):
+            return NotImplemented
+        return (self.n == other.n and self.loops == other.loops
+                and np.array_equal(self.pairs, other.pairs))
+
+    def __hash__(self):
+        return hash((self.n, self.pairs.tobytes(), self.loops))
 
 
 @dataclass(frozen=True)
@@ -94,69 +136,58 @@ class EdgeColoring:
         return int(self.next_vertex[v, c])
 
 
-def _make(n, pairs, loops=(), labels=None, family="", params=()):
-    edges = frozenset((min(u, v), max(u, v)) for u, v in pairs)
-    return Graph(n, edges, frozenset(loops), labels, family, tuple(params))
-
-
 def line(n):
     """Path graph on n vertices."""
     if n < 1:
         raise ValueError("need at least one vertex")
-    return _make(n, [(i, i + 1) for i in range(n - 1)], family="line", params=[n])
+    v = np.arange(n - 1)
+    return Graph(n, np.stack([v, v + 1], axis=1), family="line", params=(n,))
 
 
 def cycle(n):
     """Ring on n vertices."""
     if n < 3:
         raise ValueError("a cycle needs at least 3 vertices")
-    return _make(n, [(i, (i + 1) % n) for i in range(n)], family="cycle", params=[n])
+    v = np.arange(n)
+    return Graph(n, np.stack([v, (v + 1) % n], axis=1), family="cycle",
+                 params=(n,))
 
 
 def complete(n, loops=False):
     """Complete graph, optionally with a self-loop on every vertex."""
     if n < 1:
         raise ValueError("need at least one vertex")
-    return _make(
-        n,
-        combinations(range(n), 2),
-        loops=range(n) if loops else (),
-        family="complete",
-        params=[n, bool(loops)],
-    )
+    return Graph(n, np.stack(np.triu_indices(n, 1), axis=1),
+                 range(n) if loops else (), family="complete",
+                 params=(n, bool(loops)))
 
 
 def complete_bipartite(n1, n2):
     if n1 < 1 or n2 < 1:
         raise ValueError("both parts must be nonempty")
-    pairs = [(i, n1 + j) for i in range(n1) for j in range(n2)]
-    return _make(n1 + n2, pairs, family="complete_bipartite", params=[n1, n2])
+    i, j = np.divmod(np.arange(n1 * n2), n2)
+    return Graph(n1 + n2, np.stack([i, n1 + j], axis=1),
+                 family="complete_bipartite", params=(n1, n2))
 
 
 def m_partite(m, size):
     """Complete m-partite graph with ``size`` vertices per part."""
     if m < 2 or size < 1:
         raise ValueError("need at least two nonempty parts")
-    pairs = []
-    for p in range(m):
-        for q in range(p + 1, m):
-            pairs.extend(
-                (p * size + i, q * size + j) for i in range(size) for j in range(size)
-            )
-    return _make(m * size, pairs, family="m_partite", params=[m, size])
+    u, v = np.triu_indices(m * size, 1)
+    across = u // size != v // size
+    return Graph(m * size, np.stack([u[across], v[across]], axis=1),
+                 family="m_partite", params=(m, size))
 
 
 def hypercube(n):
     """n-dimensional hypercube on 2**n bitstring vertices."""
     if n < 1:
         raise ValueError("dimension must be positive")
-    pairs = []
-    for v in range(1 << n):
-        for j in range(n):
-            w = v ^ (1 << j)
-            if w > v:
-                pairs.append((v, w))
-    return _make(1 << n, pairs, family="hypercube", params=[n])
+    v = np.arange(1 << n)[:, None]
+    w = v ^ (1 << np.arange(n))
+    pairs = np.stack(np.broadcast_arrays(v, w), axis=-1)[w > v]
+    return Graph(1 << n, pairs, family="hypercube", params=(n,))
 
 
 def star_extra_edge(n_arms):
@@ -165,7 +196,16 @@ def star_extra_edge(n_arms):
     if n_arms < 2:
         raise ValueError("need at least two arms to connect")
     pairs = [(0, j) for j in range(1, n_arms + 1)] + [(1, 2)]
-    return _make(n_arms + 1, pairs, family="star_extra_edge", params=[n_arms])
+    return Graph(n_arms + 1, pairs, family="star_extra_edge",
+                 params=(n_arms,))
+
+
+def _two_trees(depth, total):
+    """Edges of the entrance tree, a heap in which v has children 2v+1 and
+    2v+2 down to 2**(depth-1) leaves, and of its mirror v -> total-1-v."""
+    child = np.arange(1, 2**depth - 1)
+    tree = np.stack([(child - 1) // 2, child], axis=1)
+    return np.concatenate([tree, total - 1 - tree])
 
 
 def glued_trees(n):
@@ -178,20 +218,9 @@ def glued_trees(n):
     """
     if n < 2:
         raise ValueError("need trees of depth at least 2")
-    columns = tree_columns("plain", n)
-    pairs = []
-    # left tree: parent j in column k feeds children 2j, 2j+1 in column k+1
-    for k in range(n - 1):
-        for j, v in enumerate(columns[k]):
-            pairs.append((v, columns[k + 1][2 * j]))
-            pairs.append((v, columns[k + 1][2 * j + 1]))
-    # right tree, mirrored: parent j in column k+1 feeds 2j, 2j+1 in column k
-    for k in range(n - 1, 2 * n - 2):
-        for j, v in enumerate(columns[k + 1]):
-            pairs.append((v, columns[k][2 * j]))
-            pairs.append((v, columns[k][2 * j + 1]))
     total = 3 * 2 ** (n - 1) - 2
-    return _make(total, pairs, family="glued_trees", params=[n])
+    return Graph(total, _two_trees(n, total), family="glued_trees",
+                 params=(n,))
 
 
 def glued_trees_cycle(n, seed):
@@ -204,25 +233,15 @@ def glued_trees_cycle(n, seed):
     """
     if n < 2:
         raise ValueError("need trees of depth at least 2")
-    columns = tree_columns("cycle", n)
-    pairs = []
-    for k in range(n - 1):
-        for j, v in enumerate(columns[k]):
-            pairs.append((v, columns[k + 1][2 * j]))
-            pairs.append((v, columns[k + 1][2 * j + 1]))
-    for k in range(n, 2 * n - 1):
-        for j, v in enumerate(columns[k + 1]):
-            pairs.append((v, columns[k][2 * j]))
-            pairs.append((v, columns[k][2 * j + 1]))
-    rng = np.random.default_rng(seed)
-    left = _fisher_yates(list(columns[n - 1]), rng)
-    right = _fisher_yates(list(columns[n]), rng)
-    count = len(left)
-    for i in range(count):
-        pairs.append((left[i], right[i]))
-        pairs.append((right[i], left[(i + 1) % count]))
     total = 2 * (2**n - 1)
-    return _make(total, pairs, family="glued_trees_cycle", params=[n, seed])
+    columns = tree_columns("cycle", n)
+    rng = np.random.default_rng(seed)
+    left = np.array(_fisher_yates(columns[n - 1], rng))
+    right = np.array(_fisher_yates(columns[n], rng))
+    ring = np.concatenate([np.stack([left, right], axis=1),
+                           np.stack([right, np.roll(left, -1)], axis=1)])
+    return Graph(total, np.concatenate([_two_trees(n, total), ring]),
+                 family="glued_trees_cycle", params=(n, seed))
 
 
 def _fisher_yates(items, rng):
@@ -246,12 +265,8 @@ def tree_columns(kind, n):
         sizes = [2**k for k in range(n)] + [2**k for k in range(n - 1, -1, -1)]
     else:
         raise ValueError(f"unknown glued-trees kind {kind!r}")
-    columns = []
-    start = 0
-    for size in sizes:
-        columns.append(np.arange(start, start + size))
-        start += size
-    return columns
+    return [np.arange(end - size, end)
+            for size, end in zip(sizes, np.cumsum(sizes))]
 
 
 def subset_bipartite(n_items, q):
@@ -272,13 +287,8 @@ def subset_bipartite(n_items, q):
             t = tuple(sorted(s + (x,)))
             pairs.append((i, right_index[t]))
     labels = tuple(frozenset(s) for s in left + right)
-    return _make(
-        len(left) + len(right),
-        pairs,
-        labels=labels,
-        family="subset_bipartite",
-        params=[n_items, q],
-    )
+    return Graph(len(left) + len(right), pairs, labels=labels,
+                 family="subset_bipartite", params=(n_items, q))
 
 
 def _colex_subsets(n_items, k):
@@ -314,32 +324,35 @@ def build_graph(family, *args, **kwargs):
     return builder(*args, **kwargs)
 
 
+def arcs(g):
+    """Both directions of every edge plus each loop once, as a (k, 2) array
+    of (source, destination) rows in lexicographic order."""
+    u, v = g.pairs.T
+    loops = np.fromiter(g.loops, dtype=np.int64)
+    keys = np.concatenate([u * g.n + v, v * g.n + u, loops * (g.n + 1)])
+    keys.sort()
+    rows = np.empty((keys.size, 2), dtype=np.int64)
+    np.divmod(keys, max(g.n, 1), out=(rows[:, 0], rows[:, 1]))
+    return rows
+
+
 def neighbors(g):
     """Sorted adjacency lists, loops excluded."""
-    out = [[] for _ in range(g.n)]
-    for u, v in g.edges:
-        out[u].append(v)
-        out[v].append(u)
-    return [sorted(vs) for vs in out]
+    src, dst = arcs(g).T
+    src, dst = src[src != dst], dst[src != dst]
+    bounds = np.searchsorted(src, np.arange(g.n + 1))
+    return [dst[a:b].tolist() for a, b in zip(bounds[:-1], bounds[1:])]
 
 
 def degrees(g):
     """Vertex degrees; a loop contributes 1."""
-    d = np.zeros(g.n, dtype=int)
-    for u, v in g.edges:
-        d[u] += 1
-        d[v] += 1
-    for v in g.loops:
-        d[v] += 1
-    return d
+    return np.bincount(arcs(g)[:, 0], minlength=g.n)
 
 
 def adjacency(g):
     a = np.zeros((g.n, g.n))
-    for u, v in g.edges:
-        a[u, v] = a[v, u] = 1.0
-    for v in g.loops:
-        a[v, v] = 1.0
+    src, dst = arcs(g).T
+    a[src, dst] = 1.0
     return a
 
 
@@ -410,36 +423,22 @@ def color_edges(g):
     if g.n == 0 or np.any(d != d[0]):
         raise ValueError("edge coloring requires a regular graph")
     degree = int(d[0])
-    nxt = np.zeros((g.n, degree), dtype=int)
+    v = np.arange(g.n)[:, None]
     if g.family == "cycle":
-        for v in range(g.n):
-            nxt[v, 0] = (v + 1) % g.n
-            nxt[v, 1] = (v - 1) % g.n
+        nxt = (v + np.array([1, -1])) % g.n
     elif g.family == "hypercube":
-        dim = g.params[0]
-        for v in range(g.n):
-            for j in range(dim):
-                nxt[v, j] = v ^ (1 << j)
+        nxt = v ^ (1 << np.arange(g.params[0]))
     elif g.family == "complete":
-        has_loops = bool(g.loops)
-        shifts = range(0, g.n) if has_loops else range(1, g.n)
-        for v in range(g.n):
-            for c, s in enumerate(shifts):
-                nxt[v, c] = (v + s) % g.n
+        nxt = (v + np.arange(0 if g.loops else 1, g.n)) % g.n
     elif g.family == "complete_bipartite" and g.params[0] == g.params[1]:
         half = g.params[0]
-        for i in range(half):
-            for c in range(half):
-                nxt[i, c] = half + (i + c) % half
-                nxt[half + i, c] = (i - c) % half
+        c = np.arange(half)
+        nxt = np.where(v < half, half + (v + c) % half, (v - half - c) % half)
     elif g.family == "m_partite":
         parts, size = g.params
-        for p in range(parts):
-            for i in range(size):
-                v = p * size + i
-                for c in range(degree):
-                    dp, off = 1 + c // size, c % size
-                    nxt[v, c] = ((p + dp) % parts) * size + (i + off) % size
+        p, i = np.divmod(v, size)
+        c = np.arange(degree)
+        nxt = ((p + 1 + c // size) % parts) * size + (i + c % size) % size
     else:
         raise ValueError(f"no canonical coloring for family {g.family!r}")
     _check_coloring(g, nxt)
@@ -447,20 +446,20 @@ def color_edges(g):
 
 
 def _check_coloring(g, nxt):
-    adj = adjacency(g)
-    for c in range(nxt.shape[1]):
-        column = nxt[:, c]
-        if len(set(int(x) for x in column)) != g.n:
-            raise AssertionError(f"color {c} is not a permutation")
-        for v in range(g.n):
-            if adj[v, column[v]] == 0.0:
-                raise AssertionError(f"color {c} leaves the edge set at {v}")
+    column_sorted = np.sort(nxt, axis=0) == np.arange(g.n)[:, None]
+    if not column_sorted.all():
+        bad = np.argmin(column_sorted.all(axis=0))
+        raise AssertionError(f"color {bad} is not a permutation")
+    on_edges = adjacency(g)[np.arange(g.n)[:, None], nxt] != 0.0
+    if not on_edges.all():
+        v, c = np.argwhere(~on_edges)[0]
+        raise AssertionError(f"color {c} leaves the edge set at {v}")
 
 
 def to_edge_list(g):
     """Serialize as 'n m' followed by one 'u v' line per edge (loops 'v v')."""
     lines = [f"{g.n} {g.m}"]
-    lines.extend(f"{u} {v}" for u, v in sorted(g.edges))
+    lines.extend(f"{u} {v}" for u, v in g.pairs.tolist())
     lines.extend(f"{v} {v}" for v in sorted(g.loops))
     return "\n".join(lines) + "\n"
 
@@ -474,4 +473,4 @@ def parse_edge_list(text):
     for ln in lines[1:]:
         u, v = (int(tok) for tok in ln.split())
         (loops if u == v else pairs).append((u, v))
-    return _make(n, pairs, loops=[u for u, _ in loops])
+    return Graph(n, pairs, [u for u, _ in loops])

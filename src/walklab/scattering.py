@@ -16,6 +16,7 @@ import cmath
 import math
 from collections import namedtuple
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -42,27 +43,34 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EdgeBasis:
-    """Directed-edge basis in lexicographic (source, destination) order."""
+    """Directed-edge basis in lexicographic (source, destination) order.
 
-    edges: tuple
-    index: dict = field(compare=False, repr=False)
+    ``src`` and ``dst`` are the arcs of the graph (``graphs.arcs``); the
+    tuple ``edges`` and the dict ``index`` from arc to position are views
+    built on first use.
+    """
+
+    src: np.ndarray
+    dst: np.ndarray
 
     @property
     def dim(self):
-        return len(self.edges)
+        return len(self.src)
+
+    @cached_property
+    def edges(self):
+        return tuple(zip(self.src.tolist(), self.dst.tolist()))
+
+    @cached_property
+    def index(self):
+        return {e: i for i, e in enumerate(self.edges)}
 
 
 def edge_basis(g):
-    pairs = []
-    for u, v in g.edges:
-        pairs.append((u, v))
-        pairs.append((v, u))
-    for v in g.loops:
-        pairs.append((v, v))
-    pairs.sort()
-    return EdgeBasis(tuple(pairs), {e: i for i, e in enumerate(pairs)})
+    src, dst = _graphs.arcs(g).T
+    return EdgeBasis(src, dst)
 
 
 @dataclass(frozen=True)
@@ -131,10 +139,8 @@ class SqwOperator:
 
     def position_distribution(self, state):
         """Probability of finding the walker on each destination vertex."""
-        p = np.zeros(self.graph.n)
-        for (_, dst), amp in zip(self.basis.edges, state):
-            p[dst] += abs(amp) ** 2
-        return p
+        return np.bincount(self.basis.dst, weights=np.abs(state) ** 2,
+                           minlength=self.graph.n)
 
 
 def sqw_build(g, coins):
@@ -146,24 +152,21 @@ def sqw_build(g, coins):
     unitarity is checked to 1e-10.
     """
     basis = edge_basis(g)
-    nbrs = _graphs.neighbors(g)
+    keys = basis.src * g.n + basis.dst
+    reverse = np.searchsorted(keys, basis.dst * g.n + basis.src)
+    bounds = np.searchsorted(basis.src, np.arange(g.n + 1))
     u = np.zeros((basis.dim, basis.dim), dtype=complex)
     for l in range(g.n):
-        around = sorted(nbrs[l])
-        if l in g.loops:
-            around.append(l)
-            around.sort()
-        d = len(around)
+        out = slice(bounds[l], bounds[l + 1])
+        d = int(out.stop - out.start)
         if d == 0:
             raise ValueError(f"vertex {l} has no edges to scatter into")
         local = coins[l] if not isinstance(coins, LocalCoin) else coins
         m = local.matrix(d)
         if _linalg.unitarity_defect(m) > 1e-10:
             raise ValueError(f"local map at vertex {l} is not unitary")
-        for ki, k in enumerate(around):
-            col = basis.index[(k, l)]
-            for mi, mv in enumerate(around):
-                u[basis.index[(l, mv)], col] = m[mi, ki]
+        # arc (l, w_i) receives m[i, j] times the arc (w_j, l) arriving
+        u[out, reverse[out]] = m
     return SqwOperator(g, basis, u)
 
 
@@ -192,15 +195,14 @@ def reduce_complete_graph(n, k, phase):
     if not 1 <= k < n:
         raise ValueError("marked count must satisfy 1 <= k < n")
     basis = edge_basis(_graphs.complete(n))
-    classes = {"um": [], "mu": [], "uu": [], "mm": []}
-    for i, (src, dst) in enumerate(basis.edges):
-        key = ("m" if src < k else "u") + ("m" if dst < k else "u")
-        classes[key].append(i)
+    out_m, in_m = basis.src < k, basis.dst < k
+    classes = {"um": ~out_m & in_m, "mu": out_m & ~in_m,
+               "uu": ~out_m & ~in_m, "mm": out_m & in_m}
     labels = ("um", "mu", "uu") if k == 1 else ("um", "mu", "uu", "mm")
     vectors = np.zeros((basis.dim, len(labels)))
     for j, lab in enumerate(labels):
-        idx = classes[lab]
-        vectors[idx, j] = 1.0 / math.sqrt(len(idx))
+        size = np.count_nonzero(classes[lab])
+        vectors[classes[lab], j] = 1.0 / math.sqrt(size)
     q = -1.0 + 2.0 * k / (n - 1.0)
     s = math.sqrt(1.0 - q * q)
     ph = cmath.exp(1j * phase)

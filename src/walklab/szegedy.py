@@ -223,18 +223,14 @@ class MarkedChain:
 
 
 def _reaches_marked(p, marked):
-    n = p.shape[0]
-    reached = set(marked)
-    frontier = set(marked)
-    while frontier:
-        nxt = set()
-        for y in frontier:
-            for x in range(n):
-                if x not in reached and p[x, y] > 0:
-                    nxt.add(x)
-        reached |= nxt
-        frontier = nxt
-    return len(reached) == n
+    step = p > 0
+    reached = np.zeros(p.shape[0], dtype=bool)
+    reached[list(marked)] = True
+    frontier = reached
+    while frontier.any():
+        frontier = step[:, frontier].any(axis=1) & ~reached
+        reached = reached | frontier
+    return bool(reached.all())
 
 
 def marked_modify(p, marked):

@@ -505,8 +505,7 @@ def random_walk_operator(rng):
         g = graphs.complete_bipartite(k, k)
     else:
         g = graphs.m_partite(int(rng.integers(2, 4)), int(rng.integers(1, 4)))
-    coloring = graphs.color_edges(g)
-    d = coloring.d
+    d = graphs.color_edges(g).d
     options = ["grover", "dft"]
     if d == 2:
         options += ["hadamard", "balanced"]
@@ -523,8 +522,8 @@ def random_walk_operator(rng):
                                   phase=float(rng.uniform(0, 2 * math.pi))),
                   lambda: random_unitary_coin(rng, d)]
         coins = [makers[rng.integers(3)]() for _ in range(g.n)]
-        return cw.CoinedWalkOperator(g, coins, coloring)
-    return cw.CoinedWalkOperator(g, cw.coin(kind, d), coloring)
+        return cw.CoinedWalkOperator(g, coins)
+    return cw.CoinedWalkOperator(g, cw.coin(kind, d))
 
 
 def test_random_walk_operator_properties():

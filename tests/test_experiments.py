@@ -331,6 +331,25 @@ class TestSamplingExperiments:
         assert 0.0 <= meta["hit_fraction"] <= 1.0
 
 
+GRAPH_EXPERIMENTS = ("analog-search", "complete-graph-search",
+                     "ctqw-hypercube", "glued-trees", "hitting", "mixing",
+                     "szegedy-spectrum", "marked-gap")
+
+
+def test_graph_experiments_never_read_edge_tuples(tmp_path, monkeypatch):
+    """Library code works on the edge arrays; the tuple views are for tests."""
+    def refuse(self):
+        raise AssertionError("library code read a tuple view of the edges")
+
+    monkeypatch.setattr(experiments.graphs.Graph, "edges", property(refuse))
+    for attr in ("edges", "index"):
+        monkeypatch.setattr(experiments.scattering.EdgeBasis, attr,
+                            property(refuse))
+    for name in GRAPH_EXPERIMENTS:
+        seed = 1 if experiments.catalog()[name].needs_seed else None
+        assert run(ExperimentSpec(name, {}, seed, str(tmp_path))) == 0, name
+
+
 def python_child(args, cwd):
     # The child runs in cwd, so a relative PYTHONPATH would not find walklab.
     src = str(Path(walklab.__file__).resolve().parents[1])

@@ -191,6 +191,7 @@ def test_colorings_are_permutations():
         G.complete(5, loops=True),
         G.complete_bipartite(4, 4),
         G.m_partite(3, 3),
+        G.m_partite(4, 2),
     ]
     for g in cases:
         col = G.color_edges(g)
@@ -216,10 +217,15 @@ def test_bipartiteness_detection():
     assert not G.is_bipartite(G.complete(3))
     assert not G.is_bipartite(G.complete(2, loops=True))
     assert G.is_bipartite(G.glued_trees(3))
+    # components are colored one by one; an odd cycle in a later one counts
+    two_parts = G.Graph(5, {(0, 1), (2, 3), (3, 4)})
+    assert G.is_bipartite(two_parts) and not G.is_connected(two_parts)
+    assert not G.is_bipartite(G.Graph(5, {(0, 1), (2, 3), (3, 4), (2, 4)}))
 
 
 def test_edge_list_round_trip():
-    for g in (G.cycle(7), G.complete(4, loops=True), G.glued_trees(3)):
+    for g in (G.cycle(7), G.complete(4, loops=True), G.glued_trees(3),
+              G.glued_trees_cycle(3, seed=2)):
         text = G.to_edge_list(g)
         back = G.parse_edge_list(text)
         assert back == g
@@ -232,3 +238,96 @@ def test_graph_validation():
         G.Graph(2, frozenset({(0, 5)}))
     with pytest.raises(ValueError):
         G.Graph(2, frozenset({(1, 1)}))
+    with pytest.raises(ValueError, match="out of range"):
+        G.Graph(3, np.array([[0, 1], [2, 3]]))
+    with pytest.raises(ValueError, match="out of range"):
+        G.Graph(3, np.array([[-1, 1]]))
+    with pytest.raises(ValueError, match="self-loops"):
+        G.Graph(3, np.array([[0, 1], [2, 2]]))
+    with pytest.raises(ValueError, match="out of range"):
+        G.Graph(3, (), frozenset({3}))
+    with pytest.raises(ValueError, match="pairs"):
+        G.Graph(3, np.array([[0, 1, 2]]))
+    # an edge given in both orientations is one edge
+    g = G.Graph(3, {(0, 1), (1, 0)})
+    assert g.m == 1
+    assert g.edges == {(0, 1)}
+    assert G.degrees(g).tolist() == [1, 1, 0]
+    assert G.neighbors(g) == [[1], [0], []]
+    assert G.adjacency(g).sum() == 2.0
+    assert G.parse_edge_list(G.to_edge_list(g)) == g
+    assert g == G.Graph(3, np.array([[1, 0]]))
+    assert g.pairs.tolist() == [[0, 1]]
+    with pytest.raises(ValueError):
+        g.pairs[0, 0] = 2
+
+
+def _pairs_are_canonical(g):
+    u, v = g.pairs.T
+    keys = u * g.n + v
+    assert g.pairs.shape == (len(g.edges), 2)
+    assert np.all(u < v)
+    assert np.all(np.diff(keys) > 0)  # sorted, no duplicate rows
+    a = G.adjacency(g)
+    assert g.m == (a.sum() + np.trace(a)) / 2
+
+
+def _matches_rule(g, rule):
+    u, v = np.indices((g.n, g.n))
+    assert np.array_equal(G.adjacency(g), rule(u, v).astype(float))
+    _pairs_are_canonical(g)
+
+
+def test_families_match_closed_rules():
+    for n in range(1, 10):
+        _matches_rule(G.line(n), lambda u, v: abs(u - v) == 1)
+        for loops in (False, True):
+            _matches_rule(G.complete(n, loops),
+                          lambda u, v: (u != v) | (loops & (u == v)))
+    for n in range(3, 13):
+        _matches_rule(G.cycle(n),
+                      lambda u, v: np.isin((u - v) % n, (1, n - 1)))
+    for dim in range(1, 7):
+        def one_bit(u, v):
+            x = u ^ v
+            return sum((x >> j) & 1 for j in range(dim)) == 1
+        _matches_rule(G.hypercube(dim), one_bit)
+    for n1 in range(1, 5):
+        for n2 in range(1, 5):
+            _matches_rule(G.complete_bipartite(n1, n2),
+                          lambda u, v: (u < n1) != (v < n1))
+    for m in range(2, 5):
+        for size in range(1, 4):
+            _matches_rule(G.m_partite(m, size),
+                          lambda u, v: u // size != v // size)
+
+
+def _tree_rule(columns):
+    """Columns k and k+1 of sizes s and 2s join position j of the larger
+    to position j // 2 of the smaller."""
+    col = np.concatenate([np.full(len(c), k) for k, c in enumerate(columns)])
+    pos = np.concatenate([np.arange(len(c)) for c in columns])
+    size = np.array([len(c) for c in columns])[col]
+
+    def child_of(u, v):
+        return ((abs(col[u] - col[v]) == 1) & (size[u] == 2 * size[v])
+                & (pos[u] // 2 == pos[v]))
+    return lambda u, v: child_of(u, v) | child_of(v, u)
+
+
+def test_glued_trees_match_parent_child_rule():
+    for n in range(2, 7):
+        _matches_rule(G.glued_trees(n), _tree_rule(G.tree_columns("plain", n)))
+    for n in range(2, 6):
+        for seed in range(3):
+            g = G.glued_trees_cycle(n, seed)
+            cols = G.tree_columns("cycle", n)
+            u, v = np.indices((g.n, g.n))
+            a = G.adjacency(g)
+            leaves = np.isin(u, cols[n - 1]) & np.isin(v, cols[n])
+            trees = ~(leaves | leaves.T)
+            assert np.array_equal(a[trees], _tree_rule(cols)(u, v)[trees])
+            # every leaf meets two leaves of the other tree
+            assert np.all(a[np.ix_(cols[n - 1], cols[n])].sum(axis=1) == 2)
+            assert np.all(a[np.ix_(cols[n - 1], cols[n])].sum(axis=0) == 2)
+            _pairs_are_canonical(g)
