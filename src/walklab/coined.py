@@ -337,7 +337,7 @@ def quantum_mixing_time(op, psi0, eps, t_max):
     Also reports the spectral upper bound on that distance, evaluated at
     the returned T: twice the sum of |a_i|^2 / |lambda_i - lambda_j| over
     eigenvalue pairs with distinct phases, divided by T; and the distance
-    itself at every horizon 1..t_max.
+    itself at every horizon 1..t_max.  A t_max too short is a ValueError.
     """
     if t_max < 1:
         raise ValueError(f"horizon t_max must be at least 1, got {t_max}")
@@ -358,7 +358,7 @@ def quantum_mixing_time(op, psi0, eps, t_max):
             last_bad = t
         psi = op.step(psi)
     if last_bad == t_max:
-        raise RuntimeError(f"time average not within {eps} by horizon {t_max}")
+        raise ValueError(f"time average not within {eps} by horizon {t_max}")
     steps = last_bad + 1 if last_bad else 0
     return QuantumMixing(steps, 2.0 * pair_sum / max(steps, 1), distances)
 
@@ -372,8 +372,8 @@ def hitting_analysis(op, psi0, target, m_max, p=0.5):
     one_shot[t] is the probability of finding the walker at the target
     after t undisturbed steps.  first_hit[t] comes from the monitored
     process that projects out the target after every step, so its running
-    sum never exceeds one.  The concurrent hitting time is the smallest T
-    whose accumulated one-shot probability reaches p.
+    sum never exceeds one.  The concurrent hitting time, the smallest T
+    whose accumulated one-shot probability reaches p, must be <= m_max.
     """
     psi = op.check_state(psi0)
     if not 0 <= target < op.n:
@@ -391,8 +391,8 @@ def hitting_analysis(op, psi0, target, m_max, p=0.5):
         pair[1, target] = 0.0
     reached = np.flatnonzero(np.cumsum(one_shot) >= p)
     if reached.size == 0:
-        raise RuntimeError(f"accumulated probability never reaches {p} "
-                           f"within {m_max} steps")
+        raise ValueError(f"accumulated probability never reaches {p} "
+                         f"within the horizon of {m_max} steps")
     return HittingAnalysis(one_shot, first_hit, int(reached[0]))
 
 

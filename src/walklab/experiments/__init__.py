@@ -450,11 +450,11 @@ def _subset_find(p, seed, csv_path):
     f = lambda x: int(values[x])
     prop = lambda pairs: len({v for _, v in pairs}) == 1
     auto = subset.subset_walk_run(p["n"], p["q"], p["k"], f, prop)
+    walk = subset.SubsetWalk(p["n"], p["q"], f, prop, p["k"])
     rows = []
     for t2 in range(2 * auto.tau2 + 3):
-        res = subset.subset_walk_run(p["n"], p["q"], p["k"], f, prop,
-                                     schedule=(auto.tau1, t2))
-        rows.append((auto.tau1, t2, res.success, res.queries))
+        state = walk.run(auto.tau1, t2)
+        rows.append((auto.tau1, t2, walk.success(state), walk.queries))
     datafiles.write_csv(csv_path, ["tau1", "tau2", "success", "queries"], rows)
     return {"auto_tau1": auto.tau1, "auto_tau2": auto.tau2,
             "auto_success": auto.success, "auto_queries": auto.queries,
@@ -475,11 +475,10 @@ def _cost_table(p, seed, csv_path):
     rows = []
     for variant, k_lo in (("subset", 1), ("clique", 2), ("recursive_clique", 3)):
         for k in range(k_lo, p["k_max"] + 1):
-            grid_vals = [subset.cost_model(k, float(mu), variant).exponent
-                         for mu in mus]
+            grid_vals = subset.cost_model(k, mus, variant).exponent
             best = int(np.argmin(grid_vals))
             rows.append((variant, k, subset.optimal_exponent(k, variant),
-                         grid_vals[best], float(mus[best])))
+                         float(grid_vals[best]), float(mus[best])))
     datafiles.write_csv(csv_path, ["variant", "k", "exponent_formula",
                                    "exponent_grid", "mu_star_grid"], rows)
     return {}

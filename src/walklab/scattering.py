@@ -48,8 +48,8 @@ class EdgeBasis:
     """Directed-edge basis in lexicographic (source, destination) order.
 
     ``src`` and ``dst`` are the arcs of the graph (``graphs.arcs``); the
-    tuple ``edges`` and the dict ``index`` from arc to position are views
-    built on first use.
+    tuple ``edges``, the dict ``index`` from arc to position and the
+    arc reversal ``reverse`` are built on first use.
     """
 
     src: np.ndarray
@@ -66,6 +66,12 @@ class EdgeBasis:
     @cached_property
     def index(self):
         return {e: i for i, e in enumerate(self.edges)}
+
+    @cached_property
+    def reverse(self):
+        # index of each arc's reversal: the arc set is symmetric, so
+        # sorting by (dst, src) lists the reversed arcs in basis order
+        return np.lexsort((self.src, self.dst))
 
 
 def edge_basis(g):
@@ -152,8 +158,6 @@ def sqw_build(g, coins):
     unitarity is checked to 1e-10.
     """
     basis = edge_basis(g)
-    keys = basis.src * g.n + basis.dst
-    reverse = np.searchsorted(keys, basis.dst * g.n + basis.src)
     bounds = np.searchsorted(basis.src, np.arange(g.n + 1))
     u = np.zeros((basis.dim, basis.dim), dtype=complex)
     for l in range(g.n):
@@ -166,7 +170,7 @@ def sqw_build(g, coins):
         if _linalg.unitarity_defect(m) > 1e-10:
             raise ValueError(f"local map at vertex {l} is not unitary")
         # arc (l, w_i) receives m[i, j] times the arc (w_j, l) arriving
-        u[out, reverse[out]] = m
+        u[out, basis.reverse[out]] = m
     return SqwOperator(g, basis, u)
 
 

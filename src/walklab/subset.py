@@ -1,10 +1,11 @@
 """Quantum walk for finding k-element subsets with a wanted property.
 
-The walker moves on a bipartite graph whose left vertices are the
-q-element subsets of the ground set and whose right vertices are the
-(q+1)-element ones; a pointer register selects which element to add or
-remove.  Grover coins mix the pointer, a translation swaps sides at one
-oracle query each, and a phase flip marks q-sets already containing a
+The walker moves on the arcs of ``graphs.subset_bipartite(n, q)``, the
+bipartite graph whose left vertices are the q-element subsets of the
+ground set and whose right vertices are the (q+1)-element ones; the arcs
+leaving a set are its pointer register, one per element to add or
+remove.  Grover coins mix the pointer, a translation reverses the arc at
+one oracle query each, and a phase flip marks q-sets already containing a
 good k-subset.  Walking on subsets instead of elements is what buys the
 N^{k/(k+1)} query scaling.
 
@@ -19,6 +20,9 @@ from collections import namedtuple
 
 import numpy as np
 
+from walklab import graphs as _graphs
+from walklab import scattering as _scattering
+
 __all__ = [
     "SubsetWalk",
     "SubsetWalkResult",
@@ -30,7 +34,12 @@ __all__ = [
 
 
 class SubsetWalk:
-    """Dense simulation machinery for one problem instance."""
+    """Dense simulation on the arcs of ``graphs.subset_bipartite(n, q)``.
+
+    Each set's pointer register is its block of out-arcs, n - q wide on
+    the left and q + 1 on the right; ``left_sets`` lists the q-sets in
+    colex order.  ``queries`` counts the oracle calls of the last run.
+    """
 
     def __init__(self, n, q, f, prop, k):
         if n > 14:
@@ -40,37 +49,26 @@ class SubsetWalk:
         if not 1 <= k <= q:
             raise ValueError("property size k must satisfy 1 <= k <= q")
         self.n, self.q, self.k = n, q, k
-        self.left_sets = list(itertools.combinations(range(n), q))
-        self.right_sets = list(itertools.combinations(range(n), q + 1))
-        right_index = {t: i for i, t in enumerate(self.right_sets)}
-        self.left_pointers = [tuple(sorted(set(range(n)) - set(s)))
-                              for s in self.left_sets]
-        self.left_dim = len(self.left_sets) * (n - q)
-        self.right_dim = len(self.right_sets) * (q + 1)
-        self.dim = self.left_dim + self.right_dim
-
-        perm = np.empty(self.dim, dtype=np.intp)
-        for si, s in enumerate(self.left_sets):
-            for jpos, j in enumerate(self.left_pointers[si]):
-                t = tuple(sorted(s + (j,)))
-                ti = right_index[t]
-                left_flat = si * (n - q) + jpos
-                right_flat = self.left_dim + ti * (q + 1) + t.index(j)
-                perm[left_flat] = right_flat
-                perm[right_flat] = left_flat
-        self._perm = perm
-
+        g = _graphs.subset_bipartite(n, q)
+        basis = _scattering.edge_basis(g)
+        self._reverse = basis.reverse
+        n_left = math.comb(n, q)
+        self.left_sets = [tuple(sorted(s)) for s in g.labels[:n_left]]
+        self.left_dim = int(np.searchsorted(basis.src, n_left))
+        self.right_dim = basis.dim - self.left_dim
+        self.dim = basis.dim
         self.values = {x: f(x) for x in range(n)}
         self.good_sets = np.array(
             [any(prop(tuple((x, self.values[x]) for x in sub))
                  for sub in itertools.combinations(s, k))
              for s in self.left_sets])
+        self._flips = np.repeat(self.good_sets, n - q)
         self.queries = 0
 
     def initial_state(self):
         state = np.zeros(self.dim)
         state[: self.left_dim] = 1.0 / math.sqrt(self.left_dim)
-        self.queries += self.q
+        self.queries = self.q  # loading the data register starts the ledger
         return state
 
     def coin(self, state):
@@ -84,12 +82,11 @@ class SubsetWalk:
 
     def shift(self, state):
         self.queries += 1
-        return state[self._perm]
+        return state[self._reverse]
 
     def phase(self, state):
         out = state.copy()
-        flips = np.repeat(self.good_sets, self.n - self.q)
-        out[: self.left_dim][flips] *= -1
+        out[: self.left_dim][self._flips] *= -1
         return out
 
     def success(self, state):
@@ -132,8 +129,7 @@ def subset_walk_run(n, q, k, f, prop, schedule="auto"):
         if tau1 < 0 or tau2 < 0:
             raise ValueError("schedule entries must be nonnegative")
     state = walk.run(tau1, tau2)
-    success = walk.success(state)
-    queries = walk.queries
+    success, queries = walk.success(state), walk.queries
 
     best = (tau1, tau2, success)
     if schedule == "auto":
@@ -141,8 +137,7 @@ def subset_walk_run(n, q, k, f, prop, schedule="auto"):
             for t2 in range(max(1, tau2 - 2), tau2 + 3):
                 if (t1, t2) == (tau1, tau2):
                     continue
-                probe = SubsetWalk(n, q, f, prop, k)
-                p = probe.success(probe.run(t1, t2))
+                p = walk.success(walk.run(t1, t2))
                 if p > best[2] + 1e-12:
                     best = (t1, t2, p)
     return SubsetWalkResult(success, queries, tau1, tau2,
@@ -169,15 +164,16 @@ def cost_model(k, mu, variant, n=10 ** 6):
     """Query-count model of the three walk variants with q = N^mu.
 
     Returns the governing exponent (the largest term exponent) and the
-    numeric cost at the given N with unit constants.
+    numeric cost at the given N with unit constants.  ``mu`` may be a
+    number or an array, and both fields then follow its shape.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    if not 0 <= mu <= 1:
+    if not np.all((0 <= mu) & (mu <= 1)):
         raise ValueError("mu must lie in [0, 1]")
-    exps = _term_exponents(k, mu, variant)
+    exponent = np.maximum.reduce(_term_exponents(k, mu, variant))
     q = n ** mu
-    tau1 = math.sqrt(q / k)
+    tau1 = np.sqrt(q / k)
     if variant == "subset":
         tau2 = (n / q) ** (k / 2.0)
         cost = q + 2 * tau1 * tau2
@@ -189,7 +185,7 @@ def cost_model(k, mu, variant, n=10 ** 6):
         # inside the starting subset
         tau2 = (n / q) ** ((k - 1) / 2.0)
         cost = q * q + tau2 * (2 * q * tau1 + math.sqrt(n) * q ** ((k - 1) / k))
-    return CostEstimate(max(exps), cost)
+    return CostEstimate(exponent, cost)
 
 
 def optimal_exponent(k, variant):

@@ -286,7 +286,7 @@ def test_quantum_mixing_and_bound():
 
 def test_quantum_mixing_unreachable():
     op = cycle_walk(5)
-    with pytest.raises(RuntimeError):
+    with pytest.raises(ValueError, match="by horizon 30"):
         cw.quantum_mixing_time(op, localized(op), 1e-4, 30)
 
 
@@ -315,7 +315,7 @@ def test_concurrent_hitting_time():
     csum = np.cumsum(res.one_shot)
     assert csum[res.concurrent] >= 0.5
     assert np.all(csum[: res.concurrent] < 0.5)
-    with pytest.raises(RuntimeError):
+    with pytest.raises(ValueError, match="horizon of 2 steps"):
         cw.hitting_analysis(op, localized(op), 2, 2, p=0.99)
 
 

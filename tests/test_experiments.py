@@ -84,6 +84,9 @@ class TestExitCodes:
                 ("mixing", {"t_max": "-1"}, None),
                 ("mixing", {"t_max": "0"}, None),
                 ("hitting", {"horizon": "0"}, None),
+                # budgets too small for the quantity asked for
+                ("hitting", {"dim": "5", "horizon": "5"}, None),
+                ("mixing", {"t_max": "10"}, None),
                 # over the Szegedy size limit (256 vertices)
                 ("szegedy-spectrum", {"graph": "hypercube", "n": "8"}, None),
                 ("marked-gap", {"graph": "hypercube", "n": "8"}, None),
@@ -350,6 +353,22 @@ def test_graph_experiments_never_read_edge_tuples(tmp_path, monkeypatch):
         assert run(ExperimentSpec(name, {}, seed, str(tmp_path))) == 0, name
 
 
+def test_subset_find_builds_at_most_two_walks(tmp_path, monkeypatch):
+    """One walk serves the auto schedule and its window probes, one more
+    the tau2 sweep."""
+    built = []
+    init = experiments.subset.SubsetWalk.__init__
+
+    def counting_init(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(experiments.subset.SubsetWalk, "__init__",
+                        counting_init)
+    assert run(ExperimentSpec("subset-find", {}, 1, str(tmp_path))) == 0
+    assert 1 <= len(built) <= 2
+
+
 def python_child(args, cwd):
     # The child runs in cwd, so a relative PYTHONPATH would not find walklab.
     src = str(Path(walklab.__file__).resolve().parents[1])
@@ -402,7 +421,9 @@ class TestCommandLine:
                            str(tmp_path / "nope")], tmp_path)
         assert proc.returncode == 2
 
-    def test_decoherence_demo_runs(self, tmp_path):
-        demo = Path(__file__).resolve().parents[1] / "demos" / "03_decoherence.py"
+    @pytest.mark.parametrize("demo", ["03_decoherence.py",
+                                      "06_subset_search.py"])
+    def test_demo_runs(self, tmp_path, demo):
+        demo = Path(__file__).resolve().parents[1] / "demos" / demo
         proc = python_child([str(demo)], tmp_path)
         assert proc.returncode == 0, proc.stderr

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -124,12 +126,22 @@ def test_subset_bipartite_structure():
     deg = G.degrees(g)
     assert all(deg[i] == 3 for i in range(10))  # can add any of 3 elements
     assert all(deg[i] == 3 for i in range(10, 20))  # can drop any of 3
-    # adjacency happens exactly on containment
-    a = G.adjacency(g)
-    for i in range(10):
-        for j in range(10, 20):
-            expected = 1.0 if g.labels[i] < g.labels[j] else 0.0
-            assert a[i, j] == expected
+    def colex(n, size):
+        subsets = itertools.combinations(range(n), size)
+        return [frozenset(c) for c in sorted(subsets, key=lambda c: c[::-1])]
+
+    for n in range(1, 9):
+        for q in range(n):
+            g = G.subset_bipartite(n, q)
+            left, right = colex(n, q), colex(n, q + 1)
+            assert list(g.labels) == left + right
+            # an edge exactly where the q-set lies strictly inside the
+            # (q+1)-set
+            want = {(i, len(left) + j)
+                    for i, s in enumerate(left) for j, t in enumerate(right)
+                    if s < t}
+            assert g.edges == want, (n, q)
+            assert not g.loops
 
 
 def test_cycle_laplacian_diagonal():

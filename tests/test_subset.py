@@ -48,6 +48,17 @@ class TestBasisAndBookkeeping:
         assert res.tau2 == round(math.pi / 4 * (10 / 5))
         assert res.queries == 5 + 2 * res.tau1 * res.tau2
 
+    def test_one_walk_serves_every_schedule(self):
+        f, prop = collision_pair()
+        walk = sb.SubsetWalk(9, 4, f, prop, 2)
+        first = walk.run(2, 3)
+        assert walk.queries == 4 + 2 * 2 * 3
+        walk.run(1, 1)
+        assert walk.queries == 4 + 2 * 1 * 1
+        again = walk.run(2, 3)
+        assert np.array_equal(again, first)
+        assert walk.queries == 4 + 2 * 2 * 3
+
     def test_validation(self):
         f, prop = singleton_marked(0)
         with pytest.raises(ValueError, match="too large"):
@@ -251,6 +262,24 @@ class TestCostModel:
             sb.cost_model(2, 1.5, "subset")
         with pytest.raises(ValueError, match="k"):
             sb.cost_model(0, 0.5, "subset")
+
+    @pytest.mark.parametrize("variant", ["subset", "clique",
+                                         "recursive_clique"])
+    def test_array_mu_matches_scalar_calls(self, variant):
+        mus = np.linspace(0.0, 1.0, 401)
+        for k in range(1, 6):
+            got = sb.cost_model(k, mus, variant).exponent
+            want = [sb.cost_model(k, float(mu), variant).exponent
+                    for mu in mus]
+            assert got.shape == mus.shape
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("bad", [1.5, np.nan, -0.1])
+    def test_array_mu_out_of_range(self, bad):
+        with pytest.raises(ValueError, match="mu"):
+            sb.cost_model(2, np.array([0.0, 0.5, bad]), "subset")
+        with pytest.raises(ValueError, match="mu"):
+            sb.cost_model(2, bad, "subset")
 
 
 class TestRandomizedProperties:
