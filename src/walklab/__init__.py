@@ -7,6 +7,7 @@ graphs small enough to check every claim numerically.
 
 Submodules
 ----------
+trace          the numerical gate: check() and ToleranceError
 special        Catalan numbers, stationary-phase helper
 linalg         Hermitian/unitary eigenwork and Schroedinger evolution
 distributions  distances, moments, and entropy of discrete distributions

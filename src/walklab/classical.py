@@ -120,8 +120,8 @@ def mixing_time(chain, p0, eps, t_max=100_000):
             last_bad = t
         p = chain.matrix @ p
     if last_bad == t_max:
-        raise RuntimeError(f"no convergence within {t_max} steps"
-                           + (" (bipartite graph)" if bipartite else ""))
+        raise ValueError(f"no convergence within t_max={t_max} steps"
+                         + (" (bipartite graph)" if bipartite else ""))
     return MixingResult(last_bad + 1, bound)
 
 
@@ -312,7 +312,7 @@ def traverse_glued_trees_memory(g, rng, max_steps=None):
     previous = None
     while len(adj[current]) != 2 or current == entrance:
         if steps > max_steps:
-            raise RuntimeError("walk found no central layer in the step budget")
+            raise ValueError(f"no central layer within max_steps={max_steps}")
         options = [v for v in adj[current] if v != previous]
         previous, current = current, int(rng.choice(options))
         trail.append(current)
@@ -322,7 +322,7 @@ def traverse_glued_trees_memory(g, rng, max_steps=None):
     trail = [current]
     while current != exit_vertex:
         if steps > max_steps:
-            raise RuntimeError("walk did not reach the exit in the step budget")
+            raise ValueError(f"exit not reached within max_steps={max_steps}")
         back = trail[-2] if len(trail) >= 2 else previous
         options = [v for v in adj[current] if v != back]
         current = int(rng.choice(options))

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from walklab import graphs as _graphs
+from walklab import trace
 from walklab.distributions import tvd
 from walklab.linalg import (
     dephased_probabilities,
@@ -216,8 +217,7 @@ def walk_run(op, psi0, m):
     norm0 = np.linalg.norm(psi)
     for _ in range(m):
         psi = op.step(psi)
-    if abs(np.linalg.norm(psi) - norm0) > 1e-9:
-        raise RuntimeError("evolution drifted off the unit sphere")
+    trace.check("norm drift", abs(np.linalg.norm(psi) - norm0), 1e-9)
     return psi
 
 
@@ -261,8 +261,7 @@ class DensityState:
 
     def check_positive(self, tol=1e-10):
         smallest = float(np.linalg.eigvalsh(self.matrix)[0])
-        if smallest < -tol:
-            raise ValueError(f"negative eigenvalue {smallest:.2e}")
+        trace.check("positivity", -smallest, tol)
         return smallest
 
 
@@ -424,8 +423,7 @@ def absorbing_line_quantum(m_max):
         nxt = np.zeros_like(psi)
         nxt[1:, 0] = up[:-1]
         nxt[:-1, 1] = down[1:]
-        if abs(up[-1]) > 1e-12:
-            raise RuntimeError("ballistic front reached the buffer edge")
+        trace.check("amplitude at the buffer edge", abs(up[-1]), 1e-12)
         amplitudes[step] = nxt[0, 1]
         per_step[step] = abs(nxt[0, 1]) ** 2 + abs(nxt[0, 0]) ** 2
         nxt[0] = 0.0

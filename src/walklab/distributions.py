@@ -21,10 +21,10 @@ def check_distribution(p, tol=1e-9):
     p = np.asarray(p, dtype=float)
     if p.ndim != 1:
         raise ValueError("expected a 1-d probability vector")
-    if np.any(p < -tol):
+    if not np.all(p >= -tol):
         raise ValueError("negative probability")
     total = p.sum()
-    if abs(total - 1.0) > tol:
+    if not abs(total - 1.0) <= tol:
         raise ValueError(f"probabilities sum to {total}, not 1")
     return p
 

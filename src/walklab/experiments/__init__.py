@@ -33,7 +33,9 @@ from walklab import (
     scattering,
     subset,
     szegedy,
+    trace,
 )
+from walklab.trace import ToleranceError
 
 __all__ = [
     "ToleranceError",
@@ -44,10 +46,6 @@ __all__ = [
     "run",
     "list_experiments",
 ]
-
-
-class ToleranceError(RuntimeError):
-    """An internal numerical cross-check failed during a run."""
 
 
 ExperimentSpec = namedtuple("ExperimentSpec", "name params seed outdir")
@@ -133,7 +131,7 @@ def run(spec):
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except RuntimeError as err:
+    except ToleranceError as err:
         print(f"numerical check failed: {err}", file=sys.stderr)
         return 3
     duration = time.perf_counter() - clock
@@ -176,13 +174,6 @@ def list_experiments(file=None):
             print(f"    --param {key}=<{meta.kind}>  "
                   f"default {meta.default!r}: {meta.help}", file=file)
     print(f"\n{len(_REGISTRY)} experiments registered", file=file)
-
-
-def _check_within(what, worst, budget):
-    """Raise ToleranceError unless worst <= budget, so that NaN fails."""
-    if not worst <= budget:
-        raise ToleranceError(
-            f"{what} off by {worst:.2e} (budget {budget:.0e})")
 
 
 @_register(
@@ -396,7 +387,7 @@ def _szegedy_spectrum(p, seed, csv_path):
         theta = 2.0 * math.acos(min(1.0, max(-1.0, float(lam))))
         rows.append((float(lam), abs(math.remainder(theta, 2.0 * math.pi))))
     datafiles.write_csv(csv_path, ["lambda_D", "phase_W"], rows)
-    _check_within("phase pairing", smap.pairing_error, 1e-8)
+    trace.check("phase pairing", smap.pairing_error, 1e-8)
     return {"pairing_error": smap.pairing_error,
             "residual_count": len(smap.residual_values),
             "invariance_residual": smap.invariance_residual}
@@ -504,7 +495,7 @@ def _ctqw_cycle(p, seed, csv_path):
         rows.append((d, check.exact, check.approx, check.difference))
     datafiles.write_csv(csv_path, ["position", "probability",
                                    "bessel_squared", "difference"], rows)
-    _check_within("Bessel law", worst, p["tolerance"])
+    trace.check("Bessel law", worst, p["tolerance"])
     return {"worst_difference": worst}
 
 
@@ -532,7 +523,7 @@ def _ctqw_hypercube(p, seed, csv_path):
     datafiles.write_csv(csv_path, ["t", "closed_form", "dense_probability"],
                         zip(times, closed, dense))
     worst = float(np.max(np.abs(closed - dense)))
-    _check_within("closed form", worst, 1e-10)
+    trace.check("closed form", worst, 1e-10)
     return {"worst_difference": worst}
 
 
@@ -557,7 +548,7 @@ def _glued_trees(p, seed, csv_path):
                         zip(times, np.abs(states[:, 0]) ** 2,
                             np.abs(states[:, -1]) ** 2))
     if red.equivalence_error is not None:
-        _check_within("column reduction", red.equivalence_error, 1e-8)
+        trace.check("column reduction", red.equivalence_error, 1e-8)
     return {"equivalence_error": red.equivalence_error,
             "peak_exit_probability": float(np.max(np.abs(states[:, -1]) ** 2))}
 
@@ -586,7 +577,7 @@ def _analog_search(p, seed, csv_path):
     datafiles.write_csv(csv_path, ["t", "closed_form", "dense_probability"],
                         zip(times, closed, dense))
     worst = float(np.max(np.abs(closed - dense)))
-    _check_within("two-level closed form", worst, 1e-9)
+    trace.check("two-level closed form", worst, 1e-9)
     return {"worst_difference": worst, "certain_success_time": t_star}
 
 
@@ -594,12 +585,14 @@ def _analog_search(p, seed, csv_path):
     "nand",
     "NAND trees from the adversarial distribution: ratio evaluation "
     "against boolean truth, with randomized classical query costs.",
-    {"depth": Param("int", 5, "tree depth"),
+    {"depth": Param("int", 5, "tree depth, at most 16"),
      "instances": Param("int", 20, "how many trees to draw"),
      "trials": Param("int", 4, "classical evaluations per tree")},
     needs_seed=True,
 )
 def _nand(p, seed, csv_path):
+    if not 0 <= p["depth"] <= 16:
+        raise ValueError("tree depth must be between 0 and 16")
     if p["instances"] < 1 or p["trials"] < 1:
         raise ValueError("need at least one instance and one trial")
     rng = np.random.default_rng(seed)

@@ -450,7 +450,9 @@ def _check_coloring(g, nxt):
     if not column_sorted.all():
         bad = np.argmin(column_sorted.all(axis=0))
         raise AssertionError(f"color {bad} is not a permutation")
-    on_edges = adjacency(g)[np.arange(g.n)[:, None], nxt] != 0.0
+    keys = arcs(g) @ [g.n, 1]
+    wanted = np.arange(g.n)[:, None] * g.n + nxt
+    on_edges = keys[np.searchsorted(keys, wanted).clip(max=keys.size - 1)] == wanted
     if not on_edges.all():
         v, c = np.argwhere(~on_edges)[0]
         raise AssertionError(f"color {c} leaves the edge set at {v}")

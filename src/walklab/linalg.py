@@ -8,6 +8,8 @@ eigendecompositions are the simplest trustworthy tool.
 import numpy as np
 import scipy.linalg
 
+from walklab import trace
+
 __all__ = [
     "hermiticity_defect",
     "unitarity_defect",
@@ -25,15 +27,22 @@ HERMITIAN_TOL = 1e-8
 UNITARY_TOL = 1e-8
 
 
+def _largest(a):
+    """Largest |entry| of ``a``: 0 when empty, inf when not finite, so that
+    a NaN or inf input fails every defect gate."""
+    worst = float(np.max(np.abs(a))) if a.size else 0.0
+    return worst if np.isfinite(worst) else np.inf
+
+
 def hermiticity_defect(a):
     """Largest entrywise deviation of ``a`` from its conjugate transpose."""
     a = np.asarray(a)
-    return float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
+    return _largest(a - a.conj().T)
 
 def unitarity_defect(u):
     """Largest entrywise deviation of U†U from the identity."""
     u = np.asarray(u)
-    return float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
+    return _largest(u.conj().T @ u - np.eye(u.shape[0]))
 
 
 def eig_hermitian(h):
@@ -99,9 +108,7 @@ def unitary_eigensystem(u):
     if defect > UNITARY_TOL:
         raise ValueError(f"matrix is not unitary (defect {defect:.3g})")
     t, z = scipy.linalg.schur(u, output="complex")
-    off = np.max(np.abs(t - np.diag(np.diag(t)))) if t.size else 0.0
-    if off > 1e-7:
-        raise ValueError(f"Schur form not diagonal (defect {off:.3g})")
+    trace.check("Schur off-diagonal", _largest(t - np.diag(np.diag(t))), 1e-7)
     return np.diag(t).copy(), z
 
 

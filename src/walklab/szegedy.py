@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from walklab import linalg as _linalg
+from walklab import trace
 
 __all__ = [
     "TwoRegisterWalk",
@@ -53,9 +54,9 @@ def _check_row_stochastic(p):
     p = np.asarray(p, dtype=float)
     if p.ndim != 2 or p.shape[0] != p.shape[1]:
         raise ValueError("transition matrix must be square")
-    if np.min(p) < -1e-12:
+    if not np.min(p) >= -1e-12:
         raise ValueError("transition probabilities must be nonnegative")
-    if np.max(np.abs(p.sum(axis=1) - 1.0)) > 1e-10:
+    if not np.max(np.abs(p.sum(axis=1) - 1.0)) <= 1e-10:
         raise ValueError("rows must sum to one")
     return p
 
@@ -135,7 +136,7 @@ def _invariant_block(p):
     R1 u = 2 T (T^T u) - u is applied to Q without forming W.
 
     Returns sqrt(P), Q, B = Q^T W Q and the invariance residual
-    max|W Q - Q B|; raises RuntimeError when that residual is over
+    max|W Q - Q B|; raises ToleranceError when that residual is over
     ``INVARIANCE_TOL`` or not finite.
     """
     root, swap = _lift(p)
@@ -152,9 +153,7 @@ def _invariant_block(p):
     wq = r1(r1(q)[swap])[swap]
     b = q.T @ wq
     residual = float(np.max(np.abs(wq - q @ b)))
-    if not residual <= INVARIANCE_TOL:
-        raise RuntimeError(f"span{{T, ST}} is not invariant under the walk "
-                           f"(residual {residual:.3g})")
+    trace.check("invariant-span residual", residual, INVARIANCE_TOL)
     return root, q, b, residual
 
 

@@ -125,7 +125,7 @@ def test_trivial_epsilon_mixes_immediately():
 
 def test_bipartite_chain_never_mixes():
     chain = cl.unbiased_chain(graphs.cycle(4))
-    with pytest.raises(RuntimeError, match="bipartite"):
+    with pytest.raises(ValueError, match="bipartite"):
         cl.mixing_time(chain, delta(4, 0), 0.1, t_max=100)
 
 
@@ -271,6 +271,11 @@ def test_glued_trees_traversal_quadratic_budget():
             vertex, steps = cl.traverse_glued_trees_memory(g, seed)
             assert vertex == g.n - 1
             assert steps <= 10 * n * n
+
+
+def test_glued_trees_traversal_out_of_budget_is_a_bad_request():
+    with pytest.raises(ValueError, match="max_steps=0"):
+        cl.traverse_glued_trees_memory(graphs.glued_trees(4), 0, max_steps=0)
 
 
 # Metropolis sampling and annealing

@@ -12,6 +12,7 @@ from walklab import graphs
 from walklab.distributions import entropy, tvd
 from walklab.linalg import unitarity_defect
 from walklab.special import catalan, catalan_square_tail_sum
+from walklab.trace import ToleranceError
 
 
 def cycle_walk(n, kind="hadamard"):
@@ -113,6 +114,23 @@ def test_walk_run_rejects_bad_input():
         cw.walk_run(op, np.zeros((4, 2)), 1)
     with pytest.raises(ValueError):
         cw.walk_run(op, localized(op), -1)
+
+
+def test_walk_run_fails_closed_on_a_nan_state():
+    op = cycle_walk(5)
+    psi = localized(op)
+    psi[1, 1] = np.nan
+    for m in (0, 3):
+        with pytest.raises(ToleranceError, match="norm drift"):
+            cw.walk_run(op, psi, m)
+
+
+def test_line_operator_never_builds_a_dense_adjacency(monkeypatch):
+    def refuse(g):
+        raise AssertionError("adjacency built")
+    monkeypatch.setattr(graphs, "adjacency", refuse)
+    op = cw.line_operator(2000)
+    assert op.n == 4005
 
 
 def test_support_parity_matches_step_parity():
@@ -485,7 +503,7 @@ def test_density_state_validation():
     with pytest.raises(ValueError):
         cw.DensityState((2, 1), np.array([[0.5, 1.0], [0.0, 0.5]]))
     bad = cw.DensityState((2, 1), np.diag([1.5, -0.5]))
-    with pytest.raises(ValueError):
+    with pytest.raises(ToleranceError):
         bad.check_positive()
 
 

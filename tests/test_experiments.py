@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import walklab
-from walklab import experiments
+from walklab import experiments, trace
 from walklab.datafiles import read_csv
 from walklab.experiments import ExperimentSpec, run
 
@@ -78,6 +78,7 @@ class TestExitCodes:
                 ("subset-find", {"k": "0"}, 1),
                 ("hitting", {"horizon": "-1"}, None),
                 ("nand", {"depth": "-1"}, 1),
+                ("nand", {"depth": "2000"}, 1),
                 ("line-walk", {"m": "0"}, None),
                 ("line-walk", {"m": "-1"}, None),
                 ("annealing", {"inner": "-1"}, 1),
@@ -133,9 +134,20 @@ class TestExitCodes:
         assert not list(tmp_path.glob("*.json"))
 
     def test_gate_fails_closed_on_nan(self):
-        experiments._check_within("residual", 1.0, 1.0)
-        with pytest.raises(experiments.ToleranceError):
-            experiments._check_within("residual", float("nan"), 1.0)
+        trace.check("residual", 1.0, 1.0)
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(experiments.ToleranceError):
+                trace.check("residual", bad, 1.0)
+
+    def test_other_errors_are_not_reported_as_failed_checks(
+            self, tmp_path, monkeypatch):
+        def overflow(params, seed, csv_path):
+            raise RecursionError("not a numerical check")
+        exp = experiments.catalog()["line-walk"]
+        monkeypatch.setitem(experiments._REGISTRY, "line-walk",
+                            exp._replace(func=overflow))
+        with pytest.raises(RecursionError):
+            run(ExperimentSpec("line-walk", {}, None, str(tmp_path)))
 
 
 class TestMetadataAndDeterminism:
@@ -275,12 +287,13 @@ class TestSpectralExperiments:
             assert row[3] >= row[4] - 1e-10
 
     def test_broken_invariance_exits_3_without_output(self, tmp_path,
-                                                     monkeypatch):
+                                                     monkeypatch, capsys):
         lift = experiments.szegedy._lift
         monkeypatch.setattr(experiments.szegedy, "_lift",
                             lambda p: (lift(p)[0] + 1e-6, lift(p)[1]))
         for name in ("szegedy-spectrum", "marked-gap"):
             assert run(ExperimentSpec(name, {}, None, str(tmp_path))) == 3
+            assert "invariant-span residual off by" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
 

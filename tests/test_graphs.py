@@ -215,6 +215,13 @@ def test_colorings_are_permutations():
                 assert a[v, targets[v]] == 1.0
 
 
+def test_coloring_check_catches_a_shift_off_the_edges():
+    v = np.arange(5)[:, None]
+    G._check_coloring(G.cycle(5), (v + [1, -1]) % 5)
+    with pytest.raises(AssertionError, match="leaves the edge set"):
+        G._check_coloring(G.cycle(5), (v + [2, -2]) % 5)
+
+
 def test_coloring_rejects_irregular():
     with pytest.raises(ValueError):
         G.color_edges(G.line(5))

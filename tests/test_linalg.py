@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from walklab import coined, ctqw, graphs, scattering, szegedy
+from walklab.distributions import check_distribution
 from walklab.linalg import (
     dephased_probabilities,
     eig_hermitian,
@@ -149,6 +151,36 @@ def test_defect_measures():
     assert hermiticity_defect(SIGMA_X) == 0.0
     assert unitarity_defect(np.eye(3)) == 0.0
     assert hermiticity_defect(np.array([[0.0, 1.0], [0.5, 0.0]])) == 0.5
+    with np.errstate(invalid="ignore"):
+        for bad in (np.nan, np.inf):
+            m = np.array([[0.0, bad], [bad, 0.0]])
+            assert hermiticity_defect(m) == np.inf
+            assert unitarity_defect(m) == np.inf
+
+
+def _off_diagonal(x):
+    return np.array([[0.5, x], [x, 0.5]])
+
+
+# every input gate built on a defect measure or a `not x <= tol` test
+NON_FINITE_PROBES = {
+    "Coin": lambda x: coined.Coin(2, _off_diagonal(x)),
+    "sqw_build": lambda x: scattering.sqw_build(
+        graphs.cycle(4), scattering.reflective_coin(x)),
+    "Hamiltonian": lambda x: ctqw.Hamiltonian(_off_diagonal(x)),
+    "eig_hermitian": lambda x: eig_hermitian(_off_diagonal(x)),
+    "unitary_eigensystem": lambda x: unitary_eigensystem(_off_diagonal(x)),
+    "discriminant": lambda x: szegedy.discriminant(_off_diagonal(x)),
+    "DensityState": lambda x: coined.DensityState((2, 1), _off_diagonal(x)),
+    "check_distribution": lambda x: check_distribution([x, 0.5]),
+}
+
+
+@pytest.mark.parametrize("x", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("probe", sorted(NON_FINITE_PROBES))
+def test_non_finite_input_is_rejected(probe, x):
+    with pytest.raises(ValueError), np.errstate(invalid="ignore"):
+        NON_FINITE_PROBES[probe](x)
 
 
 def test_phase_grouping_clusters_equal_values():
