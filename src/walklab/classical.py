@@ -191,8 +191,11 @@ def line_walk_binomial(m):
         raise ValueError(f"step count must be nonnegative, got {m}")
     positions = np.arange(-m, m + 1)
     probs = np.zeros(2 * m + 1)
+    scale = 2.0**m
+    c = 1  # binomial(m, k), exact in integers
     for k in range(m + 1):
-        probs[2 * k] = math.comb(m, k) / 2.0**m
+        probs[2 * k] = c / scale
+        c = c * (m - k) // (k + 1)
     return positions, probs
 
 

@@ -3,7 +3,10 @@
 A walk operator couples a position register (vertices of a regular graph)
 with a coin register (one direction per edge color).  One step throws the
 coin at every vertex, then shifts along the colored edges.  States are
-complex arrays of shape (vertices, coin dimension).
+arrays of shape (vertices, coin dimension) that keep the dtype of coin and
+start: a real coin on a real start state walks in real arithmetic.  On a
+cycle a walk steps only inside its light cone, the sites its start state
+can reach, since a walker moves at most one site per step.
 
 Besides plain evolution the module covers the limit theory of these walks
 (limiting distribution, mixing and hitting times), the stationary-phase
@@ -36,6 +39,7 @@ __all__ = [
     "line_operator",
     "line_positions",
     "line_start",
+    "walk_states",
     "walk_run",
     "position_distribution",
     "DensityState",
@@ -63,7 +67,8 @@ class Coin:
     matrix: np.ndarray = field(compare=False)
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
+        m = np.asarray(self.matrix)
+        m = m.astype(np.result_type(m, 1.0), copy=False)
         if m.shape != (self.d, self.d):
             raise ValueError("coin matrix does not match its dimension")
         defect = unitarity_defect(m)
@@ -132,7 +137,8 @@ class CoinedWalkOperator:
     application of the walk unitary (coin blocks, then the color
     permutations as a single gather) and acts on states of shape
     (..., n, d), so a batch of states or the rows of a density matrix step
-    together.  ``dense`` materializes the matrix for spectral work; it is
+    together; on a cycle it can also step one state inside a window of
+    rows.  ``dense`` materializes the matrix for spectral work; it is
     built independently of ``step`` and serves as its check.
     """
 
@@ -150,37 +156,64 @@ class CoinedWalkOperator:
         if isinstance(coins, Coin):
             if coins.d != self.d:
                 raise ValueError("coin dimension does not match the coloring")
-            self._coin = coins.matrix
+            # stored transposed and contiguous: a product with a transposed
+            # view runs up to three times slower
+            self._coin_t = np.ascontiguousarray(coins.matrix.T)
             self._coins = None
         else:
             coins = list(coins)
             if len(coins) != self.n or any(c.d != self.d for c in coins):
                 raise ValueError("need one coin of matching dimension per vertex")
-            self._coin = None
+            self._coin_t = None
             self._coins = np.stack([c.matrix for c in coins])
 
-    def step(self, state):
+    def step(self, state, window=None):
         """One application of the walk unitary to a state of shape
-        (..., n, d); leading axes are a batch that steps independently."""
-        if self._coin is not None:
-            mixed = state.reshape(-1, self.d) @ self._coin.T
+        (..., n, d); leading axes are a batch that steps independently.
+
+        ``window=(lo, hi)`` says that the rows of one (n, d) state on a
+        cycle vanish outside lo <= v < hi, where 1 <= lo and hi <= n - 1.
+        The coin then acts only on rows lo-1..hi, whose two end rows are
+        zero, and the gather fills rows lo-1..hi of the result, where a
+        source outside them clips to one of those zero end rows.  Every
+        other row of the result is zero.
+        """
+        rows = slice(None)
+        if window is not None:
+            lo, hi = window
+            if not (self.graph.family == "cycle" and state.ndim == 2
+                    and 1 <= lo < hi <= self.n - 1):
+                raise ValueError(f"window {window} does not fit a state "
+                                 "on this operator")
+            rows = slice(lo - 1, hi + 1)
+        part = state[..., rows, :]
+        if self._coin_t is not None:
+            mixed = part.reshape(-1, self.d) @ self._coin_t
         else:
-            mixed = np.einsum("vcd,...vd->...vc", self._coins, state)
-        flat = mixed.reshape(-1, self._source.size)
-        return flat[:, self._source].reshape(state.shape)
+            mixed = np.einsum("vcd,...vd->...vc", self._coins[rows], part)
+        if window is None:
+            flat = mixed.reshape(-1, self._source.size)
+            return flat[:, self._source].reshape(state.shape)
+        out = np.zeros(state.shape, dtype=mixed.dtype)
+        start, stop = (lo - 1) * self.d, (hi + 1) * self.d
+        np.take(mixed.ravel(), self._source[start:stop] - start, mode="clip",
+                out=out.reshape(-1)[start:stop])
+        return out
 
     def dense(self):
         """The step operator as an (n d) x (n d) matrix, basis v*d + c."""
         u = np.zeros((self.n * self.d, self.n * self.d), dtype=complex)
         nxt = self.coloring.next_vertex
         for v in range(self.n):
-            cm = self._coin if self._coin is not None else self._coins[v]
+            cm = self._coin_t.T if self._coin_t is not None else self._coins[v]
             for c in range(self.d):
                 u[nxt[v, c] * self.d + c, v * self.d : (v + 1) * self.d] = cm[c]
         return u
 
     def check_state(self, state):
-        state = np.asarray(state, dtype=complex)
+        state = np.asarray(state)
+        coins = self._coin_t if self._coin_t is not None else self._coins
+        state = state.astype(np.result_type(coins, state), copy=False)
         if state.shape != (self.n, self.d):
             raise ValueError(f"state shape {state.shape} does not match "
                              f"({self.n}, {self.d})")
@@ -200,23 +233,50 @@ def line_positions(op):
 
 
 def line_start(op, q=1.0, sigma=0.0):
-    """Walker at the origin with coin sqrt(q)|up> + sqrt(1-q) e^{i sigma}|down>."""
+    """Walker at the origin with coin sqrt(q)|up> + sqrt(1-q) e^{i sigma}|down>.
+
+    The state is real when the down amplitude is, as at q = 1 or sigma = 0.
+    """
     if not 0.0 <= q <= 1.0:
         raise ValueError("coin weight q must lie in [0, 1]")
-    state = np.zeros((op.n, 2), dtype=complex)
-    state[op.n // 2, 0] = math.sqrt(q)
-    state[op.n // 2, 1] = math.sqrt(1.0 - q) * cmath.exp(1j * sigma)
+    down = math.sqrt(1.0 - q) * cmath.exp(1j * sigma)
+    if not down.imag:
+        down = down.real
+    state = np.zeros((op.n, 2), dtype=type(down))
+    state[op.n // 2] = math.sqrt(q), down
     return state
+
+
+def walk_states(op, psi0, m):
+    """The states after 0, 1, ..., m steps of the walk, one at a time.
+
+    On a cycle the steps run inside the light cone: the rows that hold the
+    support of psi0, grown by one site on each side per step, for as long
+    as that range fits inside the cycle without wrapping.
+    """
+    if m < 0:
+        raise ValueError("step count must be nonnegative")
+    psi = op.check_state(psi0)
+    rows = np.flatnonzero(psi.any(axis=1))
+    if op.graph.family == "cycle" and rows.size:
+        lo, hi = rows[0], rows[-1] + 1
+    else:
+        lo, hi = 0, op.n
+    yield psi
+    for _ in range(m):
+        window = (lo, hi) if 1 <= lo and hi <= op.n - 1 else None
+        psi = op.step(psi, window)
+        lo, hi = lo - 1, hi + 1
+        yield psi
 
 
 def walk_run(op, psi0, m):
     """m steps of the walk; the norm is preserved to 1e-9 and checked."""
-    if m < 0:
-        raise ValueError("step count must be nonnegative")
-    psi = op.check_state(psi0)
+    states = walk_states(op, psi0, m)
+    psi = next(states)
     norm0 = np.linalg.norm(psi)
-    for _ in range(m):
-        psi = op.step(psi)
+    for psi in states:
+        pass
     trace.check("norm drift", abs(np.linalg.norm(psi) - norm0), 1e-9)
     return psi
 
@@ -402,33 +462,32 @@ def absorbing_line_quantum(m_max):
     """Hadamard walker released one site right of an absorbing wall.
 
     Each step the amplitude arriving at the origin is recorded and
-    removed.  The walker lives on sites 0..m_max+2, so nothing ever
-    reaches the far end and no amplitude can tunnel through the wall;
-    absorbed amplitude only ever arrives moving leftward.
+    removed.  The walker lives on a cycle of sites 0..m_max+2 and steps
+    inside its light cone, sites 1..step before a step, so nothing ever
+    reaches the far end and no amplitude can wrap around to the wall;
+    absorbed amplitude only ever arrives moving leftward.  The absorbed
+    and the remaining probability sum to one, to 1e-9.
 
     Returns per-step absorbed probabilities (index = step), their running
     sum, and the absorbed amplitudes themselves.
     """
     if m_max < 1:
         raise ValueError("need at least one step")
-    size = m_max + 3
-    psi = np.zeros((size, 2), dtype=complex)
+    op = CoinedWalkOperator(_graphs.cycle(m_max + 3), coin("hadamard"))
+    psi = np.zeros((op.n, 2))
     psi[1, 0] = 1.0
-    root2 = math.sqrt(2.0)
     per_step = np.zeros(m_max + 1)
     amplitudes = np.zeros(m_max + 1, dtype=complex)
     for step in range(1, m_max + 1):
-        up = (psi[:, 0] + psi[:, 1]) / root2
-        down = (psi[:, 0] - psi[:, 1]) / root2
-        nxt = np.zeros_like(psi)
-        nxt[1:, 0] = up[:-1]
-        nxt[:-1, 1] = down[1:]
-        trace.check("amplitude at the buffer edge", abs(up[-1]), 1e-12)
-        amplitudes[step] = nxt[0, 1]
-        per_step[step] = abs(nxt[0, 1]) ** 2 + abs(nxt[0, 0]) ** 2
-        nxt[0] = 0.0
-        psi = nxt
-    return AbsorbingLine(per_step, np.cumsum(per_step), amplitudes)
+        psi = op.step(psi, (1, step + 1))
+        trace.check("amplitude at the buffer edge", abs(psi[-1, 0]), 1e-12)
+        amplitudes[step] = psi[0, 1]
+        per_step[step] = abs(psi[0, 1]) ** 2 + abs(psi[0, 0]) ** 2
+        psi[0] = 0.0
+    cumulative = np.cumsum(per_step)
+    trace.check("absorbed plus remaining probability",
+                abs(cumulative[-1] + np.vdot(psi, psi) - 1.0), 1e-9)
+    return AbsorbingLine(per_step, cumulative, amplitudes)
 
 
 _PROJECTOR_SETS = ("coin", "position", "both", "edge-phase")

@@ -7,7 +7,7 @@ output.
 
 import json
 
-__all__ = ["format_value", "write_csv", "read_csv", "write_metadata"]
+__all__ = ["format_value", "write_csv", "write_metadata"]
 
 
 def format_value(value):
@@ -48,29 +48,6 @@ def write_csv(path, header, rows):
             fh.write(",".join(format_value(v) for v in row) + "\n")
             count += 1
     return count
-
-
-def read_csv(path):
-    """Read back a table written by :func:`write_csv`.
-
-    Returns the header as a list of strings and the rows as a list of lists
-    with numeric cells converted to float when possible.
-    """
-    with open(path) as fh:
-        lines = [line.rstrip("\n") for line in fh]
-    header = lines[0].split(",")
-    rows = []
-    for line in lines[1:]:
-        if not line:
-            continue
-        cells = []
-        for cell in line.split(","):
-            try:
-                cells.append(float(cell))
-            except ValueError:
-                cells.append(cell)
-        rows.append(cells)
-    return header, rows
 
 
 def write_metadata(path, name, params, seed, started, duration_s, outputs, **extra):

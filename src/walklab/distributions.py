@@ -11,22 +11,9 @@ from collections import namedtuple
 
 import numpy as np
 
-__all__ = ["tvd", "entropy", "dist_stats", "check_distribution", "DistStats"]
+__all__ = ["tvd", "entropy", "dist_stats", "DistStats"]
 
 DistStats = namedtuple("DistStats", "mean abs_mean variance skewness entropy")
-
-
-def check_distribution(p, tol=1e-9):
-    """Raise when ``p`` is not a probability vector within ``tol``."""
-    p = np.asarray(p, dtype=float)
-    if p.ndim != 1:
-        raise ValueError("expected a 1-d probability vector")
-    if not np.all(p >= -tol):
-        raise ValueError("negative probability")
-    total = p.sum()
-    if not abs(total - 1.0) <= tol:
-        raise ValueError(f"probabilities sum to {total}, not 1")
-    return p
 
 
 def tvd(p, q):

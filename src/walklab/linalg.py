@@ -19,8 +19,6 @@ __all__ = [
     "unitary_eigensystem",
     "group_indices_by_phase",
     "dephased_probabilities",
-    "random_hermitian",
-    "random_unitary",
 ]
 
 HERMITIAN_TOL = 1e-8
@@ -149,17 +147,3 @@ def dephased_probabilities(vectors, groups, psi):
         probs += np.abs(vectors[:, group] @ amplitudes[group]) ** 2
     return probs
 
-
-def random_hermitian(n, rng, scale=1.0):
-    """Random Hermitian matrix with independent Gaussian entries."""
-    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    return scale * 0.5 * (a + a.conj().T)
-
-
-def random_unitary(n, rng):
-    """Haar-ish random unitary via QR of a complex Gaussian matrix."""
-    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    q, r = np.linalg.qr(a)
-    # fix the phase convention so the distribution does not depend on the
-    # sign choices inside QR
-    return q * (np.diag(r) / np.abs(np.diag(r)))

@@ -1,0 +1,55 @@
+"""Helpers shared by the tests: random matrices, a CSV reader for the
+package's own output files, and a probability-vector check."""
+
+import numpy as np
+
+
+def random_hermitian(n, rng, scale=1.0):
+    """Random Hermitian matrix with independent Gaussian entries."""
+    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    return scale * 0.5 * (a + a.conj().T)
+
+
+def random_unitary(n, rng):
+    """Haar-ish random unitary via QR of a complex Gaussian matrix."""
+    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    q, r = np.linalg.qr(a)
+    # fix the phase convention so the distribution does not depend on the
+    # sign choices inside QR
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def read_csv(path):
+    """Read back a table written by ``datafiles.write_csv``.
+
+    Returns the header as a list of strings and the rows as a list of lists
+    with numeric cells converted to float when possible.
+    """
+    with open(path) as fh:
+        lines = [line.rstrip("\n") for line in fh]
+    header = lines[0].split(",")
+    rows = []
+    for line in lines[1:]:
+        if not line:
+            continue
+        cells = []
+        for cell in line.split(","):
+            try:
+                cells.append(float(cell))
+            except ValueError:
+                cells.append(cell)
+        rows.append(cells)
+    return header, rows
+
+
+def check_distribution(p, tol=1e-9):
+    """Raise when ``p`` is not a probability vector within ``tol``."""
+    p = np.asarray(p, dtype=float)
+    if p.ndim != 1:
+        raise ValueError("expected a 1-d probability vector")
+    if not np.all(p >= -tol):
+        raise ValueError("negative probability")
+    total = p.sum()
+    if not abs(total - 1.0) <= tol:
+        raise ValueError(f"probabilities sum to {total}, not 1")
+    return p

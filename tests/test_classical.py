@@ -59,6 +59,15 @@ def test_binomial_variance_and_parity():
         assert np.all(probs[odd] == 0.0)
 
 
+def test_binomial_row_is_exact_until_two_to_the_m_overflows():
+    for m in (0, 1, 7, 64, 399, 1023):
+        _, probs = cl.line_walk_binomial(m)
+        want = [math.comb(m, k) / 2.0**m for k in range(m + 1)]
+        assert probs[::2].tolist() == want
+    with pytest.raises(OverflowError):
+        cl.line_walk_binomial(1100)
+
+
 def test_gaussian_envelope_close_at_m_100():
     m = 100
     positions, probs = cl.line_walk_binomial(m)

@@ -28,6 +28,15 @@ def localized(op, vertex=0, c=0):
 # coins
 
 
+def test_real_coins_stay_real():
+    for kind, d in [("hadamard", 2), ("grover", 4), ("walsh_hadamard", 4),
+                    ("flip_flop", 4)]:
+        assert cw.coin(kind, d).matrix.dtype == float
+    for kind, d in [("balanced", 2), ("dft", 3), ("reflective", 2)]:
+        assert cw.coin(kind, d).matrix.dtype == complex
+    assert cw.Coin(2, np.eye(2, dtype=int)).matrix.dtype == float
+
+
 def test_named_coin_matrices():
     r = 1.0 / math.sqrt(2)
     assert np.allclose(cw.coin("hadamard").matrix, [[r, r], [r, -r]], atol=1e-15)
@@ -90,6 +99,86 @@ def test_single_hadamard_step():
     assert out[x == 1, 0][0] == pytest.approx(r, abs=1e-15)
     assert out[x == -1, 1][0] == pytest.approx(r, abs=1e-15)
     assert np.abs(out).sum() == pytest.approx(2 * r, abs=1e-12)
+
+
+def test_line_start_is_real_unless_the_down_amplitude_is_complex():
+    op = cw.line_operator(4)
+    for q, sigma in [(1.0, 0.0), (0.0, 0.0), (0.3, 0.0), (1.0, 0.3)]:
+        psi = cw.line_start(op, q, sigma)
+        assert psi.dtype == float
+        assert cw.walk_run(op, psi, 4).dtype == float
+    psi = cw.line_start(op, 0.5, 0.3)
+    assert psi.dtype == complex
+    assert psi[op.n // 2, 1] == math.sqrt(0.5) * cmath.exp(0.3j)
+    assert cw.walk_run(op, psi, 4).dtype == complex
+
+
+def windowed_state(rng, n, lo, hi, dtype):
+    psi = np.zeros((n, 2), dtype=dtype)
+    psi[lo:hi] = rng.normal(size=(hi - lo, 2))
+    if dtype is complex:
+        psi[lo:hi] += 1j * rng.normal(size=(hi - lo, 2))
+    return psi
+
+
+@pytest.mark.parametrize("kind", ["hadamard", "balanced", "per-vertex"])
+def test_windowed_step_equals_full_step(kind):
+    rng = np.random.default_rng(11)
+    for n in (5, 12, 41):
+        if kind == "per-vertex":
+            op = cw.CoinedWalkOperator(graphs.cycle(n), [
+                random_unitary_coin(rng, 2) for _ in range(n)])
+        else:
+            op = cycle_walk(n, kind)
+        # in the middle, next to the wrap on either side, and full width
+        for lo, hi in [(n // 2, n // 2 + 2), (1, 3), (n - 3, n - 1),
+                       (1, n - 1)]:
+            for dtype in (float, complex):
+                psi = windowed_state(rng, n, lo, hi, dtype)
+                got = op.step(psi, (lo, hi))
+                assert got.dtype == op.step(psi).dtype
+                assert np.array_equal(got, op.step(psi))
+
+
+def test_window_must_fit_one_state_on_a_cycle():
+    op = cycle_walk(6)
+    psi = localized(op, 2)
+    for window in [(0, 3), (2, 6), (3, 3)]:
+        with pytest.raises(ValueError, match="does not fit"):
+            op.step(psi, window)
+    with pytest.raises(ValueError, match="does not fit"):
+        op.step(np.stack([psi, psi]), (1, 3))
+    cube = cw.CoinedWalkOperator(graphs.hypercube(3), cw.coin("grover", 3))
+    with pytest.raises(ValueError, match="does not fit"):
+        cube.step(localized(cube, 1), (1, 3))
+
+
+def test_walk_states_step_in_the_light_cone_until_it_wraps(monkeypatch):
+    step = cw.CoinedWalkOperator.step
+    windows = []
+
+    def spy(self, state, window=None):
+        windows.append(window)
+        return step(self, state, window)
+
+    monkeypatch.setattr(cw.CoinedWalkOperator, "step", spy)
+    rng = np.random.default_rng(12)
+    op = cycle_walk(11)
+    # the light cone reaches the wrap at site 0 first, then at site 10
+    for lo, cone in [(3, [(3, 5), (2, 6), (1, 7)]),
+                     (6, [(6, 8), (5, 9), (4, 10)])]:
+        windows.clear()
+        psi0 = windowed_state(rng, 11, lo, lo + 2, complex)
+        states = list(cw.walk_states(op, psi0, 7))
+        assert windows == cone + [None] * 4
+        want = psi0
+        for got in states:
+            assert np.array_equal(got, want)
+            want = step(op, want)
+    windows.clear()
+    cube = cw.CoinedWalkOperator(graphs.hypercube(3), cw.coin("grover", 3))
+    assert len(list(cw.walk_states(cube, localized(cube), 3))) == 4
+    assert windows == [None] * 3
 
 
 def test_three_step_distribution_exact():
@@ -401,6 +490,63 @@ def test_absorbing_cumulative_reaches_two_over_pi():
     kmax = (4000 - 3) // 4
     exact = 0.5 + catalan_square_tail_sum(kmax) / 8.0
     assert abs(res.cumulative[4 * kmax + 3] - exact) < 1e-10
+
+
+def absorbing_oracle(m_max):
+    """The hand-written absorbing walk: sites 0..m_max+2 with no wrap, the
+    Hadamard coin as a sum and a difference, up moving right, down moving
+    left, and site 0 emptied after every step."""
+    psi = np.zeros((m_max + 3, 2), dtype=complex)
+    psi[1, 0] = 1.0
+    root2 = math.sqrt(2.0)
+    per_step = np.zeros(m_max + 1)
+    amplitudes = np.zeros(m_max + 1, dtype=complex)
+    for step in range(1, m_max + 1):
+        up = (psi[:, 0] + psi[:, 1]) / root2
+        down = (psi[:, 0] - psi[:, 1]) / root2
+        nxt = np.zeros_like(psi)
+        nxt[1:, 0] = up[:-1]
+        nxt[:-1, 1] = down[1:]
+        assert up[-1] == 0.0
+        amplitudes[step] = nxt[0, 1]
+        per_step[step] = abs(nxt[0, 1]) ** 2 + abs(nxt[0, 0]) ** 2
+        nxt[0] = 0.0
+        psi = nxt
+    return per_step, np.cumsum(per_step), amplitudes
+
+
+def test_absorbing_walk_matches_the_hand_written_update():
+    # a longer buffer only adds sites the walker never reaches, so every
+    # shorter run is a prefix of the longest
+    per_step, cumulative, amplitudes = absorbing_oracle(200)
+    for m in range(1, 201):
+        res = cw.absorbing_line_quantum(m)
+        assert np.array_equal(res.cumulative, cumulative[:m + 1])
+        assert np.max(np.abs(res.per_step - per_step[:m + 1])) <= 1e-15
+        assert np.max(np.abs(res.amplitudes - amplitudes[:m + 1])) <= 1e-15
+
+
+def inject_nan(state):
+    state[2, 1] = np.nan
+
+
+def leak(state):
+    state *= 1.0 - 1e-6
+
+
+@pytest.mark.parametrize("damage", [inject_nan, leak], ids=["nan", "leak"])
+def test_absorbing_walk_fails_closed(monkeypatch, damage):
+    step = cw.CoinedWalkOperator.step
+
+    def damaged(self, state, window=None):
+        out = step(self, state, window)
+        damage(out)
+        return out
+
+    monkeypatch.setattr(cw.CoinedWalkOperator, "step", damaged)
+    with pytest.raises(ToleranceError,
+                       match="absorbed plus remaining probability"):
+        cw.absorbing_line_quantum(10)
 
 
 def test_absorbing_rejects_zero_steps():

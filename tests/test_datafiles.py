@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from walklab.datafiles import format_value, read_csv, write_csv, write_metadata
+from helpers import read_csv
+from walklab.datafiles import format_value, write_csv, write_metadata
 
 
 def test_float_cells_round_trip_exactly(tmp_path):

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from walklab.distributions import check_distribution, dist_stats, entropy, tvd
+from helpers import check_distribution
+from walklab.distributions import dist_stats, entropy, tvd
 
 
 def test_tvd_identical_is_zero():

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -8,8 +9,8 @@ import numpy as np
 import pytest
 
 import walklab
+from helpers import read_csv
 from walklab import experiments, trace
-from walklab.datafiles import read_csv
 from walklab.experiments import ExperimentSpec, run
 
 ALL_NAMES = {
@@ -126,12 +127,42 @@ class TestExitCodes:
                               None, str(tmp_path))
         assert run(spec) == 3
 
-    def test_non_finite_result_leaves_no_sidecar(self, tmp_path, monkeypatch):
+    def test_non_finite_result_leaves_no_sidecar(self, tmp_path, monkeypatch,
+                                                 capsys):
         exp = experiments.catalog()["line-walk"]
         monkeypatch.setitem(experiments._REGISTRY, "line-walk", exp._replace(
             func=lambda params, seed, csv_path: {"x": float("nan")}))
         assert run(ExperimentSpec("line-walk", {}, None, str(tmp_path))) == 3
         assert not list(tmp_path.glob("*.json"))
+        assert "summary value x off by nan" in capsys.readouterr().err
+
+    def test_marked_gap_violation_exits_3_with_its_size(
+            self, tmp_path, monkeypatch, capsys):
+        modify = experiments.szegedy.marked_modify
+
+        def loose(p, marked):
+            mc = modify(p, marked)
+            return dataclasses.replace(mc, norm=mc.bound + 1e-6)
+
+        monkeypatch.setattr(experiments.szegedy, "marked_modify", loose)
+        assert run(ExperimentSpec("marked-gap", {}, None, str(tmp_path))) == 3
+        assert "spectral bounds off by 1.00e-06" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_nand_disagreement_exits_3_with_its_count(
+            self, tmp_path, monkeypatch, capsys):
+        nand_eval = experiments.ctqw.nand_eval
+
+        def flipped(tree):
+            res = nand_eval(tree)
+            return res._replace(bit=1 - res.bit)
+
+        monkeypatch.setattr(experiments.ctqw, "nand_eval", flipped)
+        spec = ExperimentSpec("nand", {"instances": "3"}, 1, str(tmp_path))
+        assert run(spec) == 3
+        err = capsys.readouterr().err
+        assert "disagrees with boolean truth off by 3.00e+00" in err
+        assert not list(tmp_path.iterdir())
 
     def test_gate_fails_closed_on_nan(self):
         trace.check("residual", 1.0, 1.0)
@@ -434,7 +465,9 @@ class TestCommandLine:
                            str(tmp_path / "nope")], tmp_path)
         assert proc.returncode == 2
 
-    @pytest.mark.parametrize("demo", ["03_decoherence.py",
+    @pytest.mark.parametrize("demo", ["01_line_walks.py",
+                                      "02_absorbing_wall.py",
+                                      "03_decoherence.py",
                                       "06_subset_search.py"])
     def test_demo_runs(self, tmp_path, demo):
         demo = Path(__file__).resolve().parents[1] / "demos" / demo

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
+from helpers import check_distribution, random_hermitian, random_unitary
 from walklab import coined, ctqw, graphs, scattering, szegedy
-from walklab.distributions import check_distribution
 from walklab.linalg import (
     dephased_probabilities,
     eig_hermitian,
@@ -10,8 +10,6 @@ from walklab.linalg import (
     evolve_many,
     group_indices_by_phase,
     hermiticity_defect,
-    random_hermitian,
-    random_unitary,
     unitarity_defect,
     unitary_eigensystem,
 )
