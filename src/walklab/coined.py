@@ -6,7 +6,8 @@ coin at every vertex, then shifts along the colored edges.  States are
 arrays of shape (vertices, coin dimension) that keep the dtype of coin and
 start: a real coin on a real start state walks in real arithmetic.  On a
 cycle a walk steps only inside its light cone, the sites its start state
-can reach, since a walker moves at most one site per step.
+can reach, since a walker moves at most one site per step; so does a
+density matrix under decoherence.
 
 Besides plain evolution the module covers the limit theory of these walks
 (limiting distribution, mixing and hitting times), the stationary-phase
@@ -133,13 +134,17 @@ class CoinedWalkOperator:
     The directions are the graph's canonical ``graphs.color_edges``, which
     checks that every color is a permutation on the edge set.  The coin
     may be a single ``Coin`` shared by every vertex or a sequence with one
-    ``Coin`` per vertex.  ``step`` is the one structural
-    application of the walk unitary (coin blocks, then the color
-    permutations as a single gather) and acts on states of shape
-    (..., n, d), so a batch of states or the rows of a density matrix step
-    together; on a cycle it can also step one state inside a window of
-    rows.  ``dense`` materializes the matrix for spectral work; it is
-    built independently of ``step`` and serves as its check.
+    ``Coin`` per vertex.  One kernel applies the walk unitary
+    structurally (coin blocks, then the color permutations as a single
+    gather) to arrays of shape (..., k, d) that hold k consecutive rows of
+    a state, leading axes being a batch that steps together.  ``step``
+    runs it on whole states, or on a cycle on one state inside a window of
+    rows; ``decohere_evolve`` runs it on both sides of a density matrix,
+    kept on a cycle as the block of sites its start can reach until that
+    block would wrap, and as the whole matrix from then on or on any other
+    graph.  ``dense`` materializes the matrix for spectral work; it is
+    built independently of the kernel and serves as its check.  ``dtype``
+    is the coins' dtype: a real coin keeps real states real.
     """
 
     def __init__(self, graph, coins):
@@ -166,6 +171,8 @@ class CoinedWalkOperator:
                 raise ValueError("need one coin of matching dimension per vertex")
             self._coin_t = None
             self._coins = np.stack([c.matrix for c in coins])
+        self.dtype = (self._coins if self._coins is not None
+                      else self._coin_t).dtype
 
     def step(self, state, window=None):
         """One application of the walk unitary to a state of shape
@@ -173,32 +180,45 @@ class CoinedWalkOperator:
 
         ``window=(lo, hi)`` says that the rows of one (n, d) state on a
         cycle vanish outside lo <= v < hi, where 1 <= lo and hi <= n - 1.
-        The coin then acts only on rows lo-1..hi, whose two end rows are
-        zero, and the gather fills rows lo-1..hi of the result, where a
-        source outside them clips to one of those zero end rows.  Every
-        other row of the result is zero.
+        The walk then runs on rows lo-1..hi alone, whose two end rows are
+        zero, and every other row of the result is zero.
         """
-        rows = slice(None)
-        if window is not None:
-            lo, hi = window
-            if not (self.graph.family == "cycle" and state.ndim == 2
-                    and 1 <= lo < hi <= self.n - 1):
-                raise ValueError(f"window {window} does not fit a state "
-                                 "on this operator")
-            rows = slice(lo - 1, hi + 1)
-        part = state[..., rows, :]
+        if window is None:
+            return self._coin_shift(state, 0)
+        lo, hi = window
+        if not (self.graph.family == "cycle" and state.ndim == 2
+                and 1 <= lo < hi <= self.n - 1):
+            raise ValueError(f"window {window} does not fit a state "
+                             "on this operator")
+        out = np.zeros(state.shape, np.promote_types(self.dtype, state.dtype))
+        self._coin_shift(state[lo - 1:hi + 1], lo - 1, out[lo - 1:hi + 1])
+        return out
+
+    def _coin_shift(self, part, start, out=None):
+        """The walk on the k consecutive rows from ``start`` of a state,
+        given as ``part`` of shape (..., k, d): the coin on every row, then
+        the shift as one gather.  Unless k = n, a source outside the k rows
+        clips to the first or last of them, so those two must be zero, and
+        the gather writes to ``out`` (contiguous, shaped like ``part``)
+        when one is given.  The result is returned.
+        """
+        k = part.shape[-2]
         if self._coin_t is not None:
             mixed = part.reshape(-1, self.d) @ self._coin_t
         else:
-            mixed = np.einsum("vcd,...vd->...vc", self._coins[rows], part)
-        if window is None:
-            flat = mixed.reshape(-1, self._source.size)
-            return flat[:, self._source].reshape(state.shape)
-        out = np.zeros(state.shape, dtype=mixed.dtype)
-        start, stop = (lo - 1) * self.d, (hi + 1) * self.d
-        np.take(mixed.ravel(), self._source[start:stop] - start, mode="clip",
-                out=out.reshape(-1)[start:stop])
-        return out
+            mixed = np.einsum("vcd,...vd->...vc",
+                              self._coins[start:start + k], part)
+        flat = mixed.reshape(-1, k * self.d)
+        if k == self.n and out is None:
+            # fancy indexing leaves a batch in the memory order that fixes
+            # the summation order, and so the bits, of hitting_analysis
+            return flat[:, self._source].reshape(part.shape)
+        first = start * self.d
+        source = self._source[first:first + k * self.d] - first
+        if out is not None:
+            out = out.reshape(flat.shape)
+        return flat.take(source, axis=-1, mode="clip",
+                         out=out).reshape(part.shape)
 
     def dense(self):
         """The step operator as an (n d) x (n d) matrix, basis v*d + c."""
@@ -212,8 +232,7 @@ class CoinedWalkOperator:
 
     def check_state(self, state):
         state = np.asarray(state)
-        coins = self._coin_t if self._coin_t is not None else self._coins
-        state = state.astype(np.result_type(coins, state), copy=False)
+        state = state.astype(np.result_type(self.dtype, state), copy=False)
         if state.shape != (self.n, self.d):
             raise ValueError(f"state shape {state.shape} does not match "
                              f"({self.n}, {self.d})")
@@ -257,17 +276,22 @@ def walk_states(op, psi0, m):
     if m < 0:
         raise ValueError("step count must be nonnegative")
     psi = op.check_state(psi0)
-    rows = np.flatnonzero(psi.any(axis=1))
-    if op.graph.family == "cycle" and rows.size:
-        lo, hi = rows[0], rows[-1] + 1
-    else:
-        lo, hi = 0, op.n
+    lo, hi = _support_sites(op, psi.any(axis=1))
     yield psi
     for _ in range(m):
         window = (lo, hi) if 1 <= lo and hi <= op.n - 1 else None
         psi = op.step(psi, window)
         lo, hi = lo - 1, hi + 1
         yield psi
+
+
+def _support_sites(op, occupied):
+    """The site range [lo, hi) that holds every occupied vertex on a cycle,
+    and all n vertices on any other graph or when none is occupied."""
+    sites = np.flatnonzero(occupied)
+    if op.graph.family == "cycle" and sites.size:
+        return int(sites[0]), int(sites[-1]) + 1
+    return 0, op.n
 
 
 def walk_run(op, psi0, m):
@@ -319,8 +343,34 @@ class DensityState:
         v = np.asarray(state, dtype=complex).ravel()
         return cls(np.asarray(state).shape, np.outer(v, v.conj()))
 
+    @classmethod
+    def _unchecked(cls, shape, matrix):
+        """A state made by a channel from a checked one, Hermitian by
+        construction, whose trace and positivity the caller checks."""
+        state = object.__new__(cls)
+        state.__dict__.update(shape=shape, matrix=matrix)
+        return state
+
     def check_positive(self, tol=1e-10):
-        smallest = float(np.linalg.eigvalsh(self.matrix)[0])
+        """Smallest eigenvalue, checked to be at least -tol.
+
+        Only the principal block over the rows and columns that hold a
+        nonzero entry is diagonalized, in real arithmetic when it is real.
+        Every entry outside it is zero, so the rest of the spectrum is
+        zeros and the smallest eigenvalue is min(block minimum, 0).  A NaN
+        or infinite entry fails the check.
+        """
+        m = self.matrix
+        rows = np.flatnonzero(m.any(axis=0) | m.any(axis=1))
+        block = m[np.ix_(rows, rows)]
+        if not block.imag.any():
+            block = block.real
+        if not np.isfinite(block).all():
+            smallest = math.nan
+        else:
+            smallest = float(np.linalg.eigvalsh(block)[0]) if rows.size else 0.0
+            if rows.size < len(m):
+                smallest = min(smallest, 0.0)
         trace.check("positivity", -smallest, tol)
         return smallest
 
@@ -500,6 +550,15 @@ def decohere_evolve(op, p, projectors, rho0, m):
     projective measurement named by ``projectors``: onto coin states,
     position states, or both registers ("edge-phase" dephases every
     position-and-coin basis state and acts identically to "both").
+
+    On a cycle rho is stepped as a block over the sites [lo, hi) that hold
+    its nonzero rows, the light cone of its start: each step pads the block
+    with one zero site on either side and conjugates it through the
+    operator's windowed coin-and-shift, for as long as the block fits the
+    cycle without wrapping; from then on, and on every other graph, the
+    whole matrix steps.  Real coins on a real rho0 evolve in real
+    arithmetic.  The result's trace is checked against rho0's and its
+    positivity on its nonzero block.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError("unitarity rate must lie in [0, 1]")
@@ -507,23 +566,43 @@ def decohere_evolve(op, p, projectors, rho0, m):
         raise ValueError(f"unknown projector set {projectors!r}")
     if rho0.shape != (op.n, op.d):
         raise ValueError("density state does not match the operator")
+    if m < 0:
+        raise ValueError(f"step count m={m} must be nonnegative")
     n, d = op.n, op.d
-    v = np.arange(n * d) // d
-    c = np.arange(n * d) % d
-    keep = np.ones((n * d, n * d))
-    if projectors in ("position", "both", "edge-phase"):
-        keep *= v[:, None] == v[None, :]
-    if projectors in ("coin", "both", "edge-phase"):
-        keep *= c[:, None] == c[None, :]
-    factor = (p + (1.0 - p) * keep).reshape(n, d, n, d)
-    # conjugation by the step operator: U acts on the column index of
-    # conj(rho) to give rho U^dagger, then on the row index
-    rho = rho0.matrix.reshape(n, d, n, d)
+    flat = rho0.matrix
+    nonzero = flat.any(axis=0) | flat.any(axis=1)
+    lo, hi = _support_sites(op, nonzero.reshape(n, d).any(axis=1))
+    block = flat.reshape(n, d, n, d)[lo:hi, :, lo:hi]
+    if op.dtype.kind != "c" and not block.imag.any():
+        block = block.real
+    # the measurement factor depends on site differences only, so one
+    # built at the largest block size serves every block as its corner
+    size = min(hi - lo + 2 * m, n)
+    keep = np.ones((size, d, size, d))
+    if projectors != "coin":
+        keep *= np.eye(size)[:, None, :, None]
+    if projectors != "position":
+        keep *= np.eye(d)[None, :, None, :]
+    factor = p + (1.0 - p) * keep
     for _ in range(m):
-        rho = op.step(rho.conj()).conj()
-        rho = op.step(rho.transpose(2, 3, 0, 1)).transpose(2, 3, 0, 1) * factor
-    flat = rho.reshape(n * d, n * d)
-    flat = 0.5 * (flat + flat.conj().T)
-    result = DensityState((n, d), flat)
+        grown = (lo - 1, hi + 1) if 1 <= lo and hi <= n - 1 else (0, n)
+        if grown != (lo, hi):
+            padded = np.zeros((grown[1] - grown[0], d) * 2, block.dtype)
+            inner = slice(lo - grown[0], hi - grown[0])
+            padded[inner, :, inner] = block
+            block, (lo, hi) = padded, grown
+        # conjugation by the step operator: U acts on the column index of
+        # conj(rho) to give rho U^dagger, then on the row index
+        block = op._coin_shift(block.conj(), lo).conj()
+        block = op._coin_shift(block.transpose(2, 3, 0, 1), lo)
+        width = hi - lo
+        block = block.transpose(2, 3, 0, 1) * factor[:width, :, :width]
+    width = (hi - lo) * d
+    block = block.reshape(width, width)
+    flat = np.zeros((n * d, n * d), dtype=complex)
+    flat[lo * d:hi * d, lo * d:hi * d] = 0.5 * (block + block.conj().T)
+    result = DensityState._unchecked((n, d), flat)
     result.check_positive(1e-9)
+    trace.check("trace drift",
+                abs(np.trace(flat) - np.trace(rho0.matrix)), 1e-9)
     return result

@@ -59,6 +59,16 @@ _REGISTRY = {}
 # pairs, and the compressed spectra still hold n^2 x 2n arrays.
 SZEGEDY_MAX_VERTICES = 128
 
+# Largest full density matrix decoherence-sweep accepts, in bytes: the
+# complex rho of the m-step line walk is (2(2m+5))^2 x 16 B, so m <= 253.
+DECOHERENCE_MAX_BYTES = 2 ** 24
+
+# Most operator applications fixed-point accepts at its deepest level, which
+# applies the oracle and the diffusion (3^levels - 1)/2 times each.  At n = 8
+# one costs about 7.6 us (level 9 in 0.15 s), so the deepest accepted level,
+# 12, takes about 4 s and a whole run about 6 s.
+FIXED_POINT_MAX_APPLICATIONS = 3 ** 12
+
 # Vertex count of each one-size graph family, so that an oversized Szegedy
 # request is refused before its edge list is built.  The exponential ones
 # cap the exponent: 2**64 is already over any limit.
@@ -240,6 +250,13 @@ def _decoherence_sweep(p, seed, csv_path):
     if p["points"] < 1:
         raise ValueError("need at least one unitarity rate")
     m = p["m"]
+    if m < 0:
+        raise ValueError(f"step count m={m} must be nonnegative")
+    size = (2 * (2 * m + 5)) ** 2 * 16
+    if size > DECOHERENCE_MAX_BYTES:
+        raise ValueError(f"m={m} needs a {size} B density matrix; "
+                         f"decoherence-sweep takes at most "
+                         f"{DECOHERENCE_MAX_BYTES} B")
     op = coined.line_operator(m)
     rho0 = coined.DensityState.from_pure(coined.line_start(op))
     positions = coined.line_positions(op)
@@ -343,6 +360,10 @@ def _grover(p, seed, csv_path):
 def _fixed_point(p, seed, csv_path):
     if p["levels"] < 0:
         raise ValueError("recursion level must be nonnegative")
+    if 3 ** min(p["levels"], 64) > FIXED_POINT_MAX_APPLICATIONS:
+        raise ValueError(f"levels={p['levels']} needs about 3^{p['levels']} "
+                         "oracle and diffusion applications; fixed-point "
+                         f"takes at most {FIXED_POINT_MAX_APPLICATIONS}")
     rows = []
     f0 = None
     for level in range(p["levels"] + 1):

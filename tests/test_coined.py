@@ -602,16 +602,156 @@ def test_structured_channel_matches_dense_superoperator():
         g, [random_unitary_coin(rng, 3) for _ in range(g.n)])
     for op in (cycle_walk(5), per_vertex):
         rho0 = cw.DensityState.from_pure(localized(op))
-        got = cw.decohere_evolve(op, 0.6, "coin", rho0, 4)
         u = op.dense()
-        nd = op.n * op.d
-        c = np.arange(nd) % op.d
-        keep = (c[:, None] == c[None, :]).astype(float)
-        rho = rho0.matrix
-        for _ in range(4):
-            rho = u @ rho @ u.conj().T
-            rho = 0.6 * rho + 0.4 * rho * keep
-        assert np.max(np.abs(got.matrix - rho)) < 1e-12
+        v, c = np.divmod(np.arange(op.n * op.d), op.d)
+        for projectors in ("coin", "position", "both"):
+            got = cw.decohere_evolve(op, 0.6, projectors, rho0, 4)
+            keep = np.ones((op.n * op.d, op.n * op.d))
+            if projectors != "coin":
+                keep *= v[:, None] == v[None, :]
+            if projectors != "position":
+                keep *= c[:, None] == c[None, :]
+            rho = rho0.matrix
+            for _ in range(4):
+                rho = u @ rho @ u.conj().T
+                rho = 0.6 * rho + 0.4 * rho * keep
+            assert np.max(np.abs(got.matrix - rho)) < 1e-12, projectors
+
+
+def full_width_channel(op, p, projectors, rho0, m):
+    """The decoherent walk conjugating the whole matrix through op.step,
+    with the measurement factor built over the whole basis."""
+    n, d = op.n, op.d
+    v, c = np.divmod(np.arange(n * d), d)
+    keep = np.ones((n * d, n * d))
+    if projectors in ("position", "both", "edge-phase"):
+        keep *= v[:, None] == v[None, :]
+    if projectors in ("coin", "both", "edge-phase"):
+        keep *= c[:, None] == c[None, :]
+    factor = (p + (1.0 - p) * keep).reshape(n, d, n, d)
+    rho = rho0.matrix.reshape(n, d, n, d)
+    for _ in range(m):
+        rho = op.step(rho.conj()).conj()
+        rho = op.step(rho.transpose(2, 3, 0, 1)).transpose(2, 3, 0, 1) * factor
+    flat = rho.reshape(n * d, n * d)
+    return 0.5 * (flat + flat.conj().T)
+
+
+def spy_coin_shift(monkeypatch):
+    """Record (first row, rows, dtype) of every block the walk steps."""
+    shift = cw.CoinedWalkOperator._coin_shift
+    blocks = []
+
+    def spy(self, part, start, out=None):
+        blocks.append((start, part.shape[-2], part.dtype))
+        return shift(self, part, start, out)
+
+    monkeypatch.setattr(cw.CoinedWalkOperator, "_coin_shift", spy)
+    return blocks
+
+
+@pytest.mark.parametrize("projectors", ["coin", "position", "both",
+                                        "edge-phase"])
+@pytest.mark.parametrize("q, sigma, dtype", [(1.0, 0.0, float),
+                                             (0.5, math.pi / 2, complex)])
+def test_light_cone_channel_is_bit_equal_to_full_width(
+        monkeypatch, projectors, q, sigma, dtype):
+    m = 6
+    op = cw.line_operator(m)
+    rho0 = cw.DensityState.from_pure(cw.line_start(op, q, sigma))
+    for p in (0.0, 0.4, 1.0):
+        want = full_width_channel(op, p, projectors, rho0, m)
+        blocks = spy_coin_shift(monkeypatch)
+        got = cw.decohere_evolve(op, p, projectors, rho0, m)
+        monkeypatch.undo()
+        assert np.array_equal(got.matrix, want), p
+        # each step conjugates the block grown by one site a side, padding
+        # included, from both sides; a real start runs in real arithmetic
+        centre = op.n // 2
+        assert blocks == [(centre - t, 2 * t + 1, np.dtype(dtype))
+                          for t in range(1, m + 1) for _ in range(2)]
+
+
+def test_light_cone_channel_goes_full_width_once_it_would_wrap(monkeypatch):
+    op = cycle_walk(9)
+    psi = np.zeros((9, 2))
+    psi[3] = 0.6, 0.8
+    rho0 = cw.DensityState.from_pure(psi)
+    for projectors in ("coin", "position", "both"):
+        want = full_width_channel(op, 0.7, projectors, rho0, 7)
+        blocks = spy_coin_shift(monkeypatch)
+        got = cw.decohere_evolve(op, 0.7, projectors, rho0, 7)
+        monkeypatch.undo()
+        assert np.array_equal(got.matrix, want)
+        # sites 3..3 grow to 0..6, then the block would wrap past site 0
+        starts = [(start, rows) for start, rows, _ in blocks[::2]]
+        assert starts == [(2, 3), (1, 5), (0, 7)] + [(0, 9)] * 4
+
+
+def test_channel_stays_full_width_off_the_cycle(monkeypatch):
+    op = cw.CoinedWalkOperator(graphs.hypercube(3), cw.coin("grover", 3))
+    rho0 = cw.DensityState.from_pure(localized(op, 5).real)
+    want = full_width_channel(op, 0.3, "both", rho0, 3)
+    blocks = spy_coin_shift(monkeypatch)
+    got = cw.decohere_evolve(op, 0.3, "both", rho0, 3)
+    assert np.array_equal(got.matrix, want)
+    assert blocks == [(0, 8, np.dtype(float))] * 6
+
+
+def embedded(rng, n, rows, eigenvalues, dtype):
+    """An n x n Hermitian matrix, zero outside the principal block on
+    ``rows``, whose block has the given spectrum."""
+    k = len(rows)
+    z = rng.normal(size=(k, k))
+    if dtype is complex:
+        z = z + 1j * rng.normal(size=(k, k))
+    q = np.linalg.qr(z)[0]
+    out = np.zeros((n, n), dtype=complex)
+    out[np.ix_(rows, rows)] = (q * eigenvalues) @ q.conj().T
+    return out
+
+
+def test_block_positivity_equals_full_spectrum():
+    rng = np.random.default_rng(77)
+    n = 30
+    for trial in range(40):
+        dtype = (float, complex)[trial % 2]
+        k = int(rng.integers(1, n + 1))
+        rows = np.sort(rng.choice(n, size=k, replace=False))
+        values = rng.uniform(0.0, 1.0, size=k)
+        if trial % 4 >= 2:
+            values[0] = -rng.uniform(1e-6, 0.5)
+        values /= values.sum()
+        m = embedded(rng, n, rows, values, dtype)
+        m = 0.5 * (m + m.conj().T)
+        state = cw.DensityState((n, 1), m)
+        full = float(np.linalg.eigvalsh(m)[0])
+        if full >= -1e-10:
+            assert abs(state.check_positive() - full) < 1e-12, trial
+        else:
+            with pytest.raises(ToleranceError, match="positivity"):
+                state.check_positive()
+            assert abs(state.check_positive(math.inf) - full) < 1e-12, trial
+
+
+def test_channel_fails_closed_on_an_indefinite_or_non_finite_start():
+    op = cw.line_operator(3)
+    centre = op.n // 2 * op.d
+    negative = np.zeros((op.n * op.d, op.n * op.d))
+    negative[centre, centre], negative[centre + 1, centre + 1] = 1.5, -0.5
+    huge = np.zeros((op.n * op.d, op.n * op.d))
+    huge[centre:centre + 2, centre:centre + 2] = [[0.5, 1.5e308],
+                                                  [1.5e308, 0.5]]
+    for matrix in (negative, huge):
+        rho0 = cw.DensityState((op.n, op.d), matrix)
+        with pytest.raises(ToleranceError, match="positivity"):
+            cw.decohere_evolve(op, 1.0, "both", rho0, 3)
+    nan = cw.DensityState.from_pure(cw.line_start(op))
+    nan.matrix[centre, centre] = np.nan
+    with pytest.raises(ToleranceError, match="positivity"):
+        cw.decohere_evolve(op, 1.0, "both", nan, 3)
+    with pytest.raises(ToleranceError, match="positivity"):
+        nan.check_positive()
 
 
 def test_partial_decoherence_maximizes_entropy():
@@ -641,6 +781,8 @@ def test_decoherence_validation():
         cw.decohere_evolve(op, 1.2, "both", rho0, 1)
     with pytest.raises(ValueError):
         cw.decohere_evolve(op, 0.5, "planet", rho0, 1)
+    with pytest.raises(ValueError, match="step count m=-4"):
+        cw.decohere_evolve(op, 0.5, "both", rho0, -4)
 
 
 def test_density_state_validation():

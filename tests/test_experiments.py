@@ -117,6 +117,37 @@ class TestExitCodes:
             assert run(spec) == 2, (name, params)
         assert not list(tmp_path.iterdir())
 
+    def test_oversized_decoherence_sweep_refused_before_it_is_built(
+            self, tmp_path, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("walk built")
+        monkeypatch.setattr(experiments.coined, "line_operator", refuse)
+        monkeypatch.setattr(experiments.coined.DensityState, "from_pure",
+                            refuse)
+        # the smallest m whose (2(2m+5))^2 complex rho is over the bound
+        m = 0
+        while (2 * (2 * m + 5)) ** 2 * 16 <= experiments.DECOHERENCE_MAX_BYTES:
+            m += 1
+        for steps in (m, 10 ** 9, -4):
+            spec = ExperimentSpec("decoherence-sweep", {"m": str(steps)},
+                                  None, str(tmp_path))
+            assert run(spec) == 2, steps
+        assert not list(tmp_path.iterdir())
+
+    def test_deep_fixed_point_refused_before_it_runs(self, tmp_path,
+                                                     monkeypatch):
+        def refuse(*args):
+            raise AssertionError("search run")
+        monkeypatch.setattr(experiments.grover, "fixed_point_run", refuse)
+        levels = 0
+        while 3 ** levels <= experiments.FIXED_POINT_MAX_APPLICATIONS:
+            levels += 1
+        for deep in (levels, 10 ** 30):
+            spec = ExperimentSpec("fixed-point", {"levels": str(deep)},
+                                  None, str(tmp_path))
+            assert run(spec) == 2, deep
+        assert not list(tmp_path.iterdir())
+
     def test_missing_seed(self, tmp_path):
         assert run(ExperimentSpec("nand", {}, None, str(tmp_path))) == 2
 
