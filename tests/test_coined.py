@@ -672,20 +672,27 @@ def test_light_cone_channel_is_bit_equal_to_full_width(
                           for t in range(1, m + 1) for _ in range(2)]
 
 
-def test_light_cone_channel_goes_full_width_once_it_would_wrap(monkeypatch):
-    op = cycle_walk(9)
-    psi = np.zeros((9, 2))
-    psi[3] = 0.6, 0.8
+@pytest.mark.parametrize("n, site, m, steps", [
+    # sites 3..3 grow to 0..6, then the block would wrap past site 0
+    (9, 3, 7, [(2, 3), (1, 5), (0, 7)] + [(0, 9)] * 4),
+    # the wrap comes before the block has grown to its width after m steps
+    (20, 2, 3, [(1, 3), (0, 5), (0, 20)]),
+    (9, 0, 1, [(0, 9)]),
+    (9, 8, 2, [(0, 9)] * 2),
+])
+def test_light_cone_channel_goes_full_width_once_it_would_wrap(
+        monkeypatch, n, site, m, steps):
+    op = cycle_walk(n)
+    psi = np.zeros((n, 2))
+    psi[site] = 0.6, 0.8
     rho0 = cw.DensityState.from_pure(psi)
     for projectors in ("coin", "position", "both"):
-        want = full_width_channel(op, 0.7, projectors, rho0, 7)
+        want = full_width_channel(op, 0.7, projectors, rho0, m)
         blocks = spy_coin_shift(monkeypatch)
-        got = cw.decohere_evolve(op, 0.7, projectors, rho0, 7)
+        got = cw.decohere_evolve(op, 0.7, projectors, rho0, m)
         monkeypatch.undo()
         assert np.array_equal(got.matrix, want)
-        # sites 3..3 grow to 0..6, then the block would wrap past site 0
-        starts = [(start, rows) for start, rows, _ in blocks[::2]]
-        assert starts == [(2, 3), (1, 5), (0, 7)] + [(0, 9)] * 4
+        assert [(start, rows) for start, rows, _ in blocks[::2]] == steps
 
 
 def test_channel_stays_full_width_off_the_cycle(monkeypatch):
