@@ -331,14 +331,15 @@ def position_distribution(state):
 
 @dataclass(frozen=True)
 class DensityState:
-    """Density matrix over the position x coin basis."""
+    """Density matrix over the position x coin basis, held read-only."""
 
     shape: tuple
     matrix: np.ndarray = field(compare=False)
 
     def __post_init__(self):
         n, d = self.shape
-        m = np.asarray(self.matrix, dtype=complex)
+        m = np.array(self.matrix, dtype=complex)
+        m.flags.writeable = False
         if m.shape != (n * d, n * d):
             raise ValueError("matrix does not match the basis shape")
         if abs(np.trace(m).real - 1.0) > 1e-9 or abs(np.trace(m).imag) > 1e-9:
@@ -357,6 +358,7 @@ class DensityState:
         """A state made by a channel from a checked one, Hermitian by
         construction, whose trace and positivity the caller checks."""
         state = object.__new__(cls)
+        matrix.flags.writeable = False
         state.__dict__.update(shape=shape, matrix=matrix)
         return state
 

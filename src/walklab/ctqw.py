@@ -1,10 +1,11 @@
 """Continuous-time quantum walks.
 
-A single Hermitian matrix drives everything here: Schrodinger evolution
-under a graph Hamiltonian, its time-averaged and limiting distributions,
-closed-form special cases (cycle wavefronts, hypercube traversal, the
-analog version of Grover search), symmetry reductions of the glued-trees
-graphs to weighted lines, and the NAND-tree ratio recursion.
+A single Hermitian matrix, or its structured action, drives everything
+here: Schrodinger evolution under a graph Hamiltonian, its time-averaged
+and limiting distributions, closed-form special cases (cycle wavefronts,
+hypercube traversal, the analog version of Grover search), symmetry
+reductions of the glued-trees graphs to weighted lines, and the NAND-tree
+ratio recursion.
 """
 
 import math
@@ -20,6 +21,8 @@ __all__ = [
     "Hamiltonian",
     "graph_hamiltonian",
     "search_hamiltonian",
+    "hypercube_apply",
+    "complete_search_apply",
     "ctqw_run",
     "BesselCheck",
     "cycle_bessel_check",
@@ -96,6 +99,27 @@ def search_hamiltonian(g, gamma, marked):
     for w in marked:
         m[w, w] -= 1.0
     return Hamiltonian(m)
+
+
+def hypercube_apply(dim):
+    """-A of the dim-cube as a function of v, whose rows are vertices
+    numbered by their bits as in ``graphs.hypercube``: -sum_b v[x ^ 2^b]."""
+    if dim < 1:
+        raise ValueError("dimension must be positive")
+    flips = np.arange(1 << dim) ^ (1 << np.arange(dim))[:, None]
+    return lambda v: -sum(v[f] for f in flips)
+
+
+def complete_search_apply(n, marked):
+    """``search_hamiltonian(complete(n), 1/n, range(marked))`` as an O(n)
+    function of v: -(sum(v) - v)/n minus the well on the marked rows."""
+    analog_search(n, 0.0, marked)  # the same checks on n and marked
+
+    def apply(v):
+        out = (v - v.sum(axis=0)) / n
+        out[:marked] -= v[:marked]
+        return out
+    return apply
 
 
 def ctqw_run(h, t, psi0):
@@ -232,29 +256,29 @@ def glued_trees_reduce(kind, n, seed=None):
     columns with a middle weight 2.  For n <= 6 the reduction is checked
     by evolving the entrance vertex on the full graph and comparing the
     column-state projections against the line evolution over a grid of
-    times up to 4n; the largest deviation is reported.
+    times up to 4n; the largest deviation is reported.  Only the check
+    builds the graph and its columns: above n = 6 all three are None.
     """
     if n < 2:
         raise ValueError("need trees of depth at least 2")
     if kind == "plain":
-        graph = _graphs.glued_trees(n)
         weights = [math.sqrt(2.0)] * (2 * n - 2)
     elif kind == "cycle":
-        graph = _graphs.glued_trees_cycle(n, 0 if seed is None else seed)
         weights = [math.sqrt(2.0)] * (n - 1) + [2.0] + [math.sqrt(2.0)] * (n - 1)
     else:
         raise ValueError(f"unknown glued-trees kind {kind!r}")
-    columns = _graphs.tree_columns(kind, n)
-    line = WeightedLine(len(columns), weights)
+    line = WeightedLine(len(weights) + 1, weights)
 
-    error = None
+    graph = columns = error = None
     if n <= 6:
+        graph = (_graphs.glued_trees(n) if kind == "plain" else
+                 _graphs.glued_trees_cycle(n, 0 if seed is None else seed))
+        columns = _graphs.tree_columns(kind, n)
         basis = np.zeros((graph.n, len(columns)))
         for j, col in enumerate(columns):
             basis[col, j] = 1.0 / math.sqrt(len(col))
         full = -_graphs.adjacency(graph)
-        start = np.zeros(graph.n)
-        start[columns[0][0]] = 1.0
+        start = basis[:, 0]  # the entrance, alone in its column
         times = np.linspace(0.0, 4.0 * n, 8 * n + 1)
         seen = _linalg.evolve_many(full, times, start) @ basis.conj()
         reduced = _linalg.evolve_many(

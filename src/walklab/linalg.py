@@ -1,8 +1,9 @@
-"""Dense Hermitian/unitary linear algebra shared by the walk modules.
+"""Hermitian/unitary linear algebra shared by the walk modules.
 
-Thin, checked wrappers around numpy/scipy decompositions.  All walks in this
-package live on spaces small enough (a few thousand dimensions) that dense
-eigendecompositions are the simplest trustworthy tool.
+Thin, checked wrappers around numpy/scipy decompositions, and one
+invariant-subspace core: an operator known only by its action is compressed
+to the span a start vector reaches, checked there, and that small block is
+decomposed densely.
 """
 
 import numpy as np
@@ -16,6 +17,8 @@ __all__ = [
     "eig_hermitian",
     "evolve_hermitian",
     "evolve_many",
+    "invariant_block",
+    "evolve_krylov",
     "unitary_eigensystem",
     "group_indices_by_phase",
     "dephased_probabilities",
@@ -23,6 +26,7 @@ __all__ = [
 
 HERMITIAN_TOL = 1e-8
 UNITARY_TOL = 1e-8
+INVARIANCE_TOL = 1e-10
 
 
 def _largest(a):
@@ -84,6 +88,44 @@ def evolve_many(h, times, psi):
     times = np.asarray(times, dtype=float)
     phases = np.exp(-1j * np.outer(times, values))
     return (phases * coeffs) @ vectors.T
+
+
+def invariant_block(q, aq, what, hermitian=False):
+    """B = Q^H (A Q) for orthonormal Q and ``aq`` = A Q, or its Hermitian
+    part with ``hermitian``, and the residual max|A Q - Q B|, gated under
+    the name ``what`` at ``INVARIANCE_TOL``."""
+    b = q.conj().T @ aq
+    if hermitian:
+        b = 0.5 * (b + b.conj().T)
+    residual = _largest(aq - q @ b)
+    trace.check(what, residual, INVARIANCE_TOL)
+    return b, residual
+
+
+def evolve_krylov(apply, times, psi):
+    """exp(-i H t) psi for every t in ``times``, where ``apply`` maps a
+    vector to H times it.
+
+    Lanczos with full reorthogonalization runs until the next vector
+    vanishes against |H q|, within dim(psi) steps.  H compressed to that
+    Krylov space must be Hermitian and invariant to ``INVARIANCE_TOL``.
+    Returns the coefficients c, one row per time, on the orthonormal
+    basis Q of the space, Q itself and the residual: the states are
+    c @ Q.T, and a caller maps back only the rows of Q it reads.
+    """
+    norm = float(np.linalg.norm(psi))
+    basis, images = [np.asarray(psi) / norm], []
+    while len(images) < len(basis):
+        images.append(apply(basis[-1]))
+        q = np.column_stack(basis)
+        w = images[-1] - q @ (q.conj().T @ images[-1])
+        w -= q @ (q.conj().T @ w)
+        beta, scale = np.linalg.norm(w), np.linalg.norm(images[-1])
+        if len(basis) < len(psi) and beta > 1e-12 * scale:
+            basis.append(w / beta)
+    b, residual = invariant_block(q, np.column_stack(images),
+                                  "Krylov-block residual", hermitian=True)
+    return evolve_many(b, times, np.eye(len(basis))[0] * norm), q, residual
 
 
 def unitary_eigensystem(u):

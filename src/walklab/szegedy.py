@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from walklab import linalg as _linalg
-from walklab import trace
 
 __all__ = [
     "TwoRegisterWalk",
@@ -44,7 +43,6 @@ __all__ = [
 ]
 
 OVERLAP_TOL = 1e-10
-INVARIANCE_TOL = 1e-10
 # a discriminant eigenvalue with |lambda| < 1 - PAIR_CUT gives the walk a
 # rotating phase pair; the prediction and the compressed basis share it
 PAIR_CUT = 1e-12
@@ -136,8 +134,7 @@ def _invariant_block(p):
     R1 u = 2 T (T^T u) - u is applied to Q without forming W.
 
     Returns sqrt(P), Q, B = Q^T W Q and the invariance residual
-    max|W Q - Q B|; raises ToleranceError when that residual is over
-    ``INVARIANCE_TOL`` or not finite.
+    max|W Q - Q B|, gated by :func:`walklab.linalg.invariant_block`.
     """
     root, swap = _lift(p)
     lams, vecs = _linalg.eig_hermitian(discriminant(p))
@@ -150,10 +147,8 @@ def _invariant_block(p):
     def r1(u):
         return 2.0 * _t_apply(root, _t_adjoint(root, u)) - u
 
-    wq = r1(r1(q)[swap])[swap]
-    b = q.T @ wq
-    residual = float(np.max(np.abs(wq - q @ b)))
-    trace.check("invariant-span residual", residual, INVARIANCE_TOL)
+    b, residual = _linalg.invariant_block(q, r1(r1(q)[swap])[swap],
+                                          "invariant-span residual")
     return root, q, b, residual
 
 

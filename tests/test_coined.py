@@ -753,12 +753,26 @@ def test_channel_fails_closed_on_an_indefinite_or_non_finite_start():
         rho0 = cw.DensityState((op.n, op.d), matrix)
         with pytest.raises(ToleranceError, match="positivity"):
             cw.decohere_evolve(op, 1.0, "both", rho0, 3)
-    nan = cw.DensityState.from_pure(cw.line_start(op))
-    nan.matrix[centre, centre] = np.nan
+    flat = cw.DensityState.from_pure(cw.line_start(op)).matrix.copy()
+    flat[centre, centre] = np.nan
+    nan = cw.DensityState._unchecked((op.n, op.d), flat)
     with pytest.raises(ToleranceError, match="positivity"):
         cw.decohere_evolve(op, 1.0, "both", nan, 3)
     with pytest.raises(ToleranceError, match="positivity"):
         nan.check_positive()
+
+
+def test_density_state_owns_a_read_only_copy():
+    matrix = np.diag([0.25, 0.75]).astype(complex)
+    rho = cw.DensityState((2, 1), matrix)
+    matrix[0, 0] = np.nan
+    assert rho.matrix[0, 0] == 0.25
+    with pytest.raises(ValueError, match="read-only"):
+        rho.matrix[0, 0] = 1.0
+    op = cw.line_operator(2)
+    rho0 = cw.DensityState.from_pure(cw.line_start(op))
+    evolved = cw.decohere_evolve(op, 0.5, "both", rho0, 2)
+    assert not evolved.matrix.flags.writeable
 
 
 def test_partial_decoherence_maximizes_entropy():

@@ -247,6 +247,16 @@ class TestGluedTrees:
         assert red.equivalence_error is None
         assert red.line.nodes == 13
 
+    def test_large_instance_builds_no_graph(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("full graph built")
+        for name in ("glued_trees", "glued_trees_cycle", "tree_columns"):
+            monkeypatch.setattr(ctqw._graphs, name, refuse)
+        for kind, nodes in (("plain", 13), ("cycle", 14)):
+            red = ctqw.glued_trees_reduce(kind, 7, seed=1)
+            assert red.line.nodes == nodes
+            assert red.graph is red.columns is red.equivalence_error is None
+
     def test_cycle_variant_still_traverses(self):
         # the random leaf cycle does not close the gap: the walk still
         # reaches the far root with probability well above 1/4
@@ -306,12 +316,38 @@ class TestAnalogSearch:
         assert np.linalg.norm(leak) < 1e-10
 
     def test_validation(self):
-        with pytest.raises(ValueError, match="two vertices"):
-            ctqw.analog_search(1, 1.0)
-        with pytest.raises(ValueError, match="marked count"):
-            ctqw.analog_search(16, 1.0, marked=16)
-        with pytest.raises(ValueError, match="marked count"):
-            ctqw.analog_search(16, 1.0, marked=0)
+        for check in (lambda n, m: ctqw.analog_search(n, 1.0, m),
+                      ctqw.complete_search_apply):
+            with pytest.raises(ValueError, match="two vertices"):
+                check(1, 1)
+            with pytest.raises(ValueError, match="marked count"):
+                check(16, 16)
+            with pytest.raises(ValueError, match="marked count"):
+                check(16, 0)
+
+
+class TestStructuredApplies:
+    """The matrix-free Hamiltonians against the dense builders."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 5])
+    def test_hypercube_apply(self, dim):
+        h = ctqw.graph_hamiltonian(graphs.hypercube(dim), "negative-adjacency")
+        v = np.random.default_rng(dim).normal(size=(h.dim, 3))
+        apply = ctqw.hypercube_apply(dim)
+        assert np.max(np.abs(apply(v) - h.matrix @ v)) <= 1e-13
+        assert np.max(np.abs(apply(v[:, 0]) - h.matrix @ v[:, 0])) <= 1e-13
+
+    @pytest.mark.parametrize("n,marked", [(2, 1), (9, 1), (9, 4), (30, 3)])
+    def test_complete_search_apply(self, n, marked):
+        h = ctqw.search_hamiltonian(graphs.complete(n), 1.0 / n, range(marked))
+        v = np.random.default_rng(n).normal(size=(n, 3))
+        apply = ctqw.complete_search_apply(n, marked)
+        assert np.max(np.abs(apply(v) - h.matrix @ v)) <= 1e-13
+        assert np.max(np.abs(apply(v[:, 0]) - h.matrix @ v[:, 0])) <= 1e-13
+
+    def test_hypercube_apply_validation(self):
+        with pytest.raises(ValueError, match="dimension"):
+            ctqw.hypercube_apply(0)
 
 
 def bool_nand(tree):

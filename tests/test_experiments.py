@@ -73,6 +73,9 @@ class TestExitCodes:
                 ("marked-gap", {"graph": "m_partite"}, None),
                 ("mixing", {"eps": "0"}, None),
                 ("analog-search", {"marked": "0"}, None),
+                ("analog-search", {"marked": "64"}, None),
+                ("analog-search", {"n": "1", "marked": "1"}, None),
+                ("analog-search", {"n": str(2 ** 20 + 1)}, None),
                 ("annealing", {"runs": "0"}, 1),
                 ("mcmc-partition", {"samples": "0"}, 1),
                 ("subset-find", {"q": "0"}, 1),
@@ -370,6 +373,43 @@ class TestContinuousExperiments:
                                {"dim": 4, "points": 51})
         assert meta["worst_difference"] < 1e-10
         assert max(r[1] for r in rows) > 0.999
+        assert meta["krylov_dim"] == 5
+        assert 0.0 <= meta["invariance_residual"] <= 1e-10
+
+    def test_broken_krylov_apply_exits_3_without_output(self, tmp_path,
+                                                       monkeypatch, capsys):
+        ctqw = experiments.ctqw
+        cube, search = ctqw.hypercube_apply, ctqw.complete_search_apply
+        for noise in (lambda v: 1e-6 * np.roll(v, 1, axis=0),
+                      lambda v: np.nan * v):
+            monkeypatch.setattr(ctqw, "hypercube_apply", lambda dim: (
+                lambda v: cube(dim)(v) + noise(v)))
+            monkeypatch.setattr(ctqw, "complete_search_apply", lambda n, m: (
+                lambda v: search(n, m)(v) + noise(v)))
+            for name in ("ctqw-hypercube", "analog-search"):
+                assert run(ExperimentSpec(name, {}, None, str(tmp_path))) == 3
+                assert "Krylov-block residual off by" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_spectral_sizes_stay_in_their_krylov_block(self, tmp_path,
+                                                       monkeypatch):
+        """No graph over 64 vertices is built and no matrix over 64 rows
+        is decomposed, so the dense route cannot come back unnoticed."""
+        def small_only(module, name, size):
+            build = getattr(module, name)
+
+            def guarded(*args, **kwargs):
+                if size(*args) > 64:
+                    raise AssertionError(f"{name} on more than 64")
+                return build(*args, **kwargs)
+            monkeypatch.setattr(module, name, guarded)
+
+        small_only(experiments.graphs, "complete", lambda n, *rest: n)
+        small_only(experiments.graphs, "hypercube", lambda dim: 2 ** dim)
+        small_only(experiments.linalg, "eig_hermitian", len)
+        for name, params in (("analog-search", {"n": "1024"}),
+                             ("ctqw-hypercube", {"dim": "10"})):
+            assert run(ExperimentSpec(name, params, None, str(tmp_path))) == 0
 
     def test_glued_trees_cycle_kind(self, tmp_path):
         meta, _, rows = run_ok(tmp_path, "glued-trees",
@@ -384,6 +424,8 @@ class TestContinuousExperiments:
                                {"n": 32, "points": 101})
         assert meta["worst_difference"] < 1e-9
         assert max(r[1] for r in rows) > 0.999
+        assert meta["krylov_dim"] == 2
+        assert 0.0 <= meta["invariance_residual"] <= 1e-10
 
     def test_nand_consistency(self, tmp_path):
         meta, _, rows = run_ok(tmp_path, "nand",

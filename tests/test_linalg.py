@@ -7,12 +7,14 @@ from walklab.linalg import (
     dephased_probabilities,
     eig_hermitian,
     evolve_hermitian,
+    evolve_krylov,
     evolve_many,
     group_indices_by_phase,
     hermiticity_defect,
     unitarity_defect,
     unitary_eigensystem,
 )
+from walklab.trace import ToleranceError
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -113,6 +115,54 @@ def test_evolve_many_matches_single():
     block = evolve_many(h, times, psi)
     for row, t in zip(block, times):
         assert np.allclose(row, evolve_hermitian(h, t, psi), atol=1e-10)
+
+
+KRYLOV_TIMES = np.linspace(0.0, 4.0, 17)
+
+
+def _krylov_against_dense(apply, h, psi):
+    coeffs, q, residual = evolve_krylov(apply, KRYLOV_TIMES, psi)
+    dense = evolve_many(h, KRYLOV_TIMES, psi)
+    assert np.max(np.abs(coeffs @ q.T - dense)) <= 1e-12
+    assert np.max(np.abs(q.conj().T @ q - np.eye(q.shape[1]))) <= 1e-12
+    assert 0.0 <= residual <= 1e-10
+    return q.shape[1]
+
+
+@pytest.mark.parametrize("dim", range(1, 7))
+def test_krylov_matches_dense_on_the_hypercube(dim):
+    h = ctqw.graph_hamiltonian(graphs.hypercube(dim), "negative-adjacency")
+    corner = np.eye(h.dim)[0]
+    assert _krylov_against_dense(ctqw.hypercube_apply(dim), h.matrix,
+                                 corner) == dim + 1
+
+
+@pytest.mark.parametrize("marked", [1, 2, 3])
+def test_krylov_matches_dense_on_complete_graph_search(marked):
+    n = 24
+    h = ctqw.search_hamiltonian(graphs.complete(n), 1.0 / n, range(marked))
+    uniform = np.full(n, 1.0 / np.sqrt(n))
+    assert _krylov_against_dense(ctqw.complete_search_apply(n, marked),
+                                 h.matrix, uniform) == 2
+
+
+def test_krylov_closes_at_full_dimension_from_a_generic_start():
+    rng = np.random.default_rng(4)
+    a = rng.normal(size=(12, 12))
+    real = (0.5 * (a + a.T), rng.normal(size=12))
+    complex_ = (random_hermitian(12, rng),
+                rng.normal(size=12) + 1j * rng.normal(size=12))
+    for h, psi in (real, complex_):
+        assert _krylov_against_dense(lambda v: h @ v, h, psi) == 12
+
+
+def test_krylov_gate_fails_closed():
+    cube = ctqw.hypercube_apply(4)
+    corner = np.eye(16)[0]
+    for broken in (lambda v: cube(v) + 1e-6 * np.roll(v, 1, axis=0),
+                   lambda v: cube(v) * np.nan):
+        with pytest.raises(ToleranceError, match="Krylov-block residual"):
+            evolve_krylov(broken, KRYLOV_TIMES, corner)
 
 
 def test_unitary_eigensystem_orthonormal_even_when_degenerate():
