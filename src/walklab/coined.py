@@ -209,10 +209,6 @@ class CoinedWalkOperator:
             mixed = np.einsum("vcd,...vd->...vc",
                               self._coins[start:start + k], part)
         flat = mixed.reshape(-1, k * self.d)
-        if k == self.n and out is None:
-            # fancy indexing leaves a batch in the memory order that fixes
-            # the summation order, and so the bits, of hitting_analysis
-            return flat[:, self._source].reshape(part.shape)
         first = start * self.d
         source = self._source[first:first + k * self.d] - first
         if out is not None:
@@ -507,7 +503,8 @@ def hitting_analysis(op, psi0, target, m_max, p=0.5):
     for t in range(m_max + 1):
         if t:
             pair = op.step(pair)
-        one_shot[t], first_hit[t] = (np.abs(pair[:, target]) ** 2).sum(axis=1)
+        # summed coin by coin, so the bits do not hang on the memory order
+        one_shot[t], first_hit[t] = sum(np.abs(pair[:, target].T) ** 2)
         pair[1, target] = 0.0
     reached = np.flatnonzero(np.cumsum(one_shot) >= p)
     if reached.size == 0:

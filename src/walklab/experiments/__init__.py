@@ -3,10 +3,10 @@
 Every experiment is registered under a stable name with a typed parameter
 schema.  A run writes one CSV data file plus a JSON metadata sidecar and
 reports success through its exit status: 0 for a completed run, 2 when the
-request itself is invalid (unknown experiment, unknown or malformed
-parameter, missing seed), 3 when the run finished but an internal numerical
-check failed.  Identical (experiment, parameters, seed) requests produce
-byte-identical CSV files.
+request itself is invalid (unknown experiment, unknown, malformed or
+out-of-range parameter, missing seed), 3 when the run finished but an
+internal numerical check failed.  Identical (experiment, parameters, seed)
+requests produce byte-identical CSV files.
 
 Use ``python -m walklab.experiments list`` for the catalog and
 ``python -m walklab.experiments run NAME --param key=value`` to execute one.
@@ -21,6 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
+import walklab
 from walklab import (
     classical,
     coined,
@@ -50,7 +51,8 @@ __all__ = [
 
 ExperimentSpec = namedtuple("ExperimentSpec", "name params seed outdir")
 Experiment = namedtuple("Experiment", "name description schema needs_seed func")
-Param = namedtuple("Param", "kind default help")
+# lo and hi, when given, bound a value inclusively, checked before a run
+Param = namedtuple("Param", "kind default help lo hi", defaults=(None, None))
 
 _COERCE = {"int": int, "float": float, "str": str}
 _REGISTRY = {}
@@ -60,14 +62,16 @@ _REGISTRY = {}
 SZEGEDY_MAX_VERTICES = 128
 
 # Largest full density matrix decoherence-sweep accepts, in bytes: the
-# complex rho of the m-step line walk is (2(2m+5))^2 x 16 B, so m <= 253.
+# complex rho of the m-step line walk is (4m + 10)^2 x 16 B, so m <= 253.
 DECOHERENCE_MAX_BYTES = 2 ** 24
+_DECOHERENCE_MAX_M = (math.isqrt(DECOHERENCE_MAX_BYTES // 16) - 10) // 4
 
 # Most operator applications fixed-point accepts at its deepest level, which
 # applies the oracle and the diffusion (3^levels - 1)/2 times each.  At n = 8
 # one costs about 7.6 us (level 9 in 0.15 s), so the deepest accepted level,
-# 12, takes about 4 s and a whole run about 6 s.
+# 12 = floor(log3 of the budget), takes about 4 s and a whole run about 6 s.
 FIXED_POINT_MAX_APPLICATIONS = 3 ** 12
+_FIXED_POINT_MAX_LEVELS = len(np.base_repr(FIXED_POINT_MAX_APPLICATIONS, 3)) - 1
 
 # Vertex count of each one-size graph family, so that an oversized Szegedy
 # request is refused before its edge list is built.  The exponential ones
@@ -80,6 +84,7 @@ _VERTEX_COUNTS = {
     "hypercube": lambda n: 2 ** min(n, 64),
     "glued_trees": lambda n: 3 * 2 ** (min(n, 64) - 1) - 2,
 }
+_FAMILIES = ", ".join(_VERTEX_COUNTS)
 
 
 def _register(name, description, schema, needs_seed=False):
@@ -99,6 +104,14 @@ def _outpath(spec, suffix):
     return str(Path(spec.outdir) / f"{tag}.{suffix}")
 
 
+def _range(key, meta):
+    """The declared range of one parameter as text, or None."""
+    if meta.hi is None:
+        return None if meta.lo is None else f"{key} >= {meta.lo}"
+    return " <= ".join(str(x) for x in (meta.lo, key, meta.hi)
+                       if x is not None)
+
+
 def _resolve_params(exp, given):
     params = {}
     for key, value in given.items():
@@ -113,7 +126,11 @@ def _resolve_params(exp, given):
         if kind == "float" and not math.isfinite(params[key]):
             raise ValueError(f"parameter {key}={value!r} is not finite")
     for key, meta in exp.schema.items():
-        params.setdefault(key, meta.default)
+        value = params.setdefault(key, meta.default)
+        if ((meta.lo is not None and value < meta.lo)
+                or (meta.hi is not None and value > meta.hi)):
+            raise ValueError(f"parameter {key}={value} is outside "
+                             f"{_range(key, meta)}")
     return params
 
 
@@ -156,7 +173,7 @@ def run(spec):
         versions={
             "python": sys.version.split()[0],
             "numpy": np.__version__,
-            "walklab": _package_version(),
+            "walklab": walklab.__version__,
         },
         **extra,
     )
@@ -165,23 +182,19 @@ def run(spec):
     return 0
 
 
-def _package_version():
-    import walklab
-    return walklab.__version__
-
-
 def list_experiments(file=None):
     """Print the catalog with parameter schemas."""
-    if file is None:
-        file = sys.stdout
+    file = file or sys.stdout
     for name in sorted(_REGISTRY):
         exp = _REGISTRY[name]
         seed_note = "  (seed required)" if exp.needs_seed else ""
         print(f"{name}{seed_note}", file=file)
         print(f"    {exp.description}", file=file)
         for key, meta in exp.schema.items():
+            bounds = _range(key, meta)
+            bounds = f" ({bounds})" if bounds else ""
             print(f"    --param {key}=<{meta.kind}>  "
-                  f"default {meta.default!r}: {meta.help}", file=file)
+                  f"default {meta.default!r}{bounds}: {meta.help}", file=file)
     print(f"\n{len(_REGISTRY)} experiments registered", file=file)
 
 
@@ -219,11 +232,9 @@ def _hadamard_line(p, seed, csv_path):
 @_register(
     "entropy-series",
     "Position entropy of the classical and Hadamard walks at every step.",
-    {"m_max": Param("int", 100, "largest step count")},
+    {"m_max": Param("int", 100, "largest step count", lo=0)},
 )
 def _entropy_series(p, seed, csv_path):
-    if p["m_max"] < 0:
-        raise ValueError("largest step count must be nonnegative")
     op = coined.line_operator(p["m_max"])
     states = coined.walk_states(op, coined.line_start(op), p["m_max"])
     rows = []
@@ -242,21 +253,13 @@ def _entropy_series(p, seed, csv_path):
     "decoherence-sweep",
     "Interpolation from ballistic to diffusive spreading as measurement "
     "interrupts the Hadamard walk.",
-    {"m": Param("int", 50, "number of steps"),
-     "points": Param("int", 11, "how many unitarity rates to sample"),
+    {"m": Param("int", 50, "number of steps", lo=0, hi=_DECOHERENCE_MAX_M),
+     # one decohere_evolve per rate, about 1.4 s each at m = 253
+     "points": Param("int", 11, "unitarity rates to sample", lo=1, hi=101),
      "projectors": Param("str", "both", "coin, position, both, or edge-phase")},
 )
 def _decoherence_sweep(p, seed, csv_path):
-    if p["points"] < 1:
-        raise ValueError("need at least one unitarity rate")
     m = p["m"]
-    if m < 0:
-        raise ValueError(f"step count m={m} must be nonnegative")
-    size = (2 * (2 * m + 5)) ** 2 * 16
-    if size > DECOHERENCE_MAX_BYTES:
-        raise ValueError(f"m={m} needs a {size} B density matrix; "
-                         f"decoherence-sweep takes at most "
-                         f"{DECOHERENCE_MAX_BYTES} B")
     op = coined.line_operator(m)
     rho0 = coined.DensityState.from_pure(coined.line_start(op))
     positions = coined.line_positions(op)
@@ -352,18 +355,15 @@ def _grover(p, seed, csv_path):
     "fixed-point",
     "Recursive phase-pi/3 search: measured failure probability against the "
     "cubing law at every recursion level.",
-    {"levels": Param("int", 3, "deepest recursion level"),
-     "n": Param("int", 8, "list size"),
+    {"levels": Param("int", 3, "deepest recursion level",
+                     lo=0, hi=_FIXED_POINT_MAX_LEVELS),
+     # level 10 takes 0.41 s at n = 8, 0.59 s at n = 1024 and 1.68 s at
+     # n = 8192, so the cap keeps the deepest run near the n = 8 budget
+     "n": Param("int", 8, "list size", hi=1024),
      "k": Param("int", 1, "number of marked items"),
-     "base": Param("str", "identity", "identity or grover base algorithm")},
+     "base": Param("str", "identity", "identity or grover-iterate")},
 )
 def _fixed_point(p, seed, csv_path):
-    if p["levels"] < 0:
-        raise ValueError("recursion level must be nonnegative")
-    if 3 ** min(p["levels"], 64) > FIXED_POINT_MAX_APPLICATIONS:
-        raise ValueError(f"levels={p['levels']} needs about 3^{p['levels']} "
-                         "oracle and diffusion applications; fixed-point "
-                         f"takes at most {FIXED_POINT_MAX_APPLICATIONS}")
     rows = []
     f0 = None
     for level in range(p["levels"] + 1):
@@ -382,7 +382,7 @@ def _szegedy_chain(p):
     family, n = p["graph"], p["n"]
     if family not in _VERTEX_COUNTS:
         raise ValueError(f"the Szegedy walk takes a graph family among "
-                         f"{', '.join(_VERTEX_COUNTS)}, not {family!r}")
+                         f"{_FAMILIES}, not {family!r}")
     count = _VERTEX_COUNTS[family](n)
     if count > SZEGEDY_MAX_VERTICES:
         raise ValueError(f"{family} n={n} has {count} vertices; the "
@@ -395,7 +395,7 @@ def _szegedy_chain(p):
     "szegedy-spectrum",
     "Eigenvalues of a chain's discriminant against the eigenphases of its "
     "two-register walk.",
-    {"graph": Param("str", "cycle", "cycle, complete, hypercube, or line"),
+    {"graph": Param("str", "cycle", f"graph family: {_FAMILIES}"),
      "n": Param("int", 8, "graph size parameter")},
 )
 def _szegedy_spectrum(p, seed, csv_path):
@@ -415,13 +415,11 @@ def _szegedy_spectrum(p, seed, csv_path):
     "marked-gap",
     "Freezing marked vertices of a symmetric chain: unmarked-block norm "
     "and walk phase gap against their spectral bounds.",
-    {"graph": Param("str", "complete", "cycle, complete, hypercube, or line"),
+    {"graph": Param("str", "complete", f"graph family: {_FAMILIES}"),
      "n": Param("int", 16, "graph size parameter"),
-     "k_max": Param("int", 4, "largest marked-set size")},
+     "k_max": Param("int", 4, "largest marked-set size", lo=1)},
 )
 def _marked_gap(p, seed, csv_path):
-    if p["k_max"] < 1:
-        raise ValueError("need at least one marked vertex")
     pmat = _szegedy_chain(p)
     rows = []
     invariance = 0.0
@@ -446,12 +444,10 @@ def _marked_gap(p, seed, csv_path):
     {"n": Param("int", 10, "domain size"),
      "q": Param("int", 5, "subset size"),
      "k": Param("int", 2, "how many equal values count as a hit"),
-     "r": Param("int", 25, "range size of the random function")},
+     "r": Param("int", 25, "range size of the random function", lo=1)},
     needs_seed=True,
 )
 def _subset_find(p, seed, csv_path):
-    if p["r"] < 1:
-        raise ValueError("range size must be positive")
     rng = np.random.default_rng(seed)
     values = rng.integers(p["r"], size=p["n"])
     f = lambda x: int(values[x])
@@ -472,12 +468,10 @@ def _subset_find(p, seed, csv_path):
     "cost-table",
     "Query exponents of the subset-walk variants: closed-form optimum "
     "against a grid scan over the subset-size exponent.",
-    {"k_max": Param("int", 5, "largest property size"),
-     "grid": Param("int", 2001, "grid points for the scan")},
+    {"k_max": Param("int", 5, "largest property size", lo=1),
+     "grid": Param("int", 2001, "grid points for the scan", lo=2)},
 )
 def _cost_table(p, seed, csv_path):
-    if p["grid"] < 2 or p["k_max"] < 1:
-        raise ValueError("need k_max >= 1 and a grid of at least two points")
     mus = np.linspace(0.0, 1.0, p["grid"])
     rows = []
     for variant, k_lo in (("subset", 1), ("clique", 2), ("recursive_clique", 3)):
@@ -497,12 +491,10 @@ def _cost_table(p, seed, csv_path):
     "law.",
     {"n": Param("int", 600, "cycle length"),
      "t": Param("float", 20.0, "evolution time"),
-     "d_max": Param("int", 60, "largest displacement"),
+     "d_max": Param("int", 60, "largest displacement", lo=0),
      "tolerance": Param("float", 5e-3, "allowed exact-vs-Bessel gap")},
 )
 def _ctqw_cycle(p, seed, csv_path):
-    if p["d_max"] < 0:
-        raise ValueError("largest displacement must be nonnegative")
     rows = []
     worst = 0.0
     for d in range(p["d_max"] + 1):
@@ -517,8 +509,6 @@ def _ctqw_cycle(p, seed, csv_path):
 
 def _time_grid(p, default_t_max):
     """``points`` times from 0 to ``t_max``, or to the default when 0."""
-    if p["points"] < 2:
-        raise ValueError("need at least two time samples")
     t_max = p["t_max"] if p["t_max"] > 0 else default_t_max
     return np.linspace(0.0, t_max, p["points"])
 
@@ -527,14 +517,12 @@ def _time_grid(p, default_t_max):
     "ctqw-hypercube",
     "Corner-to-corner transfer probability on the hypercube: product "
     "closed form against evolution in the Krylov block of the corner.",
-    {"dim": Param("int", 6, "hypercube dimension, at most 10"),
+    {"dim": Param("int", 6, "hypercube dimension", lo=1, hi=10),
      "t_max": Param("float", 0.0, "largest time; 0 means pi"),
-     "points": Param("int", 201, "time samples")},
+     "points": Param("int", 201, "time samples", lo=2)},
 )
 def _ctqw_hypercube(p, seed, csv_path):
     dim = p["dim"]
-    if not 1 <= dim <= 10:
-        raise ValueError("dimension must be between 1 and 10")
     times = _time_grid(p, math.pi)
     psi0 = np.zeros(2 ** dim)
     psi0[0] = 1.0
@@ -554,9 +542,11 @@ def _ctqw_hypercube(p, seed, csv_path):
     "glued-trees",
     "Traversal of a glued-trees graph through its column-line reduction.",
     {"kind": Param("str", "plain", "plain or cycle"),
-     "n": Param("int", 4, "tree depth"),
+     # the line is evolved densely: n = 1000 takes 1.43 s and 248 MB, and
+     # n = 10^4 would ask for gigabytes
+     "n": Param("int", 4, "tree depth", hi=1000),
      "t_max": Param("float", 0.0, "largest time; 0 means 4n"),
-     "points": Param("int", 201, "time samples")},
+     "points": Param("int", 201, "time samples", lo=2)},
 )
 def _glued_trees(p, seed, csv_path):
     times = _time_grid(p, 4.0 * p["n"])
@@ -577,16 +567,13 @@ def _glued_trees(p, seed, csv_path):
     "analog-search",
     "Hamiltonian search on the complete graph: two-level closed form "
     "against evolution in the Krylov block of the uniform state.",
-    {"n": Param("int", 64, "number of vertices, at most 2^20"),
+    {"n": Param("int", 64, "number of vertices", hi=2 ** 20),
      "marked": Param("int", 1, "number of marked vertices"),
      "t_max": Param("float", 0.0, "largest time; 0 means 1.25 periods"),
-     "points": Param("int", 201, "time samples")},
+     "points": Param("int", 201, "time samples", lo=2)},
 )
 def _analog_search(p, seed, csv_path):
     n, m = p["n"], p["marked"]
-    if n > 2 ** 20:
-        raise ValueError(f"n={n} is over the 2^20 vertices analog-search "
-                         "takes")
     apply = ctqw.complete_search_apply(n, m)
     t_star = math.pi / (2.0 * math.sqrt(m / n))
     times = _time_grid(p, 1.25 * t_star)
@@ -606,16 +593,12 @@ def _analog_search(p, seed, csv_path):
     "nand",
     "NAND trees from the adversarial distribution: ratio evaluation "
     "against boolean truth, with randomized classical query costs.",
-    {"depth": Param("int", 5, "tree depth, at most 16"),
-     "instances": Param("int", 20, "how many trees to draw"),
-     "trials": Param("int", 4, "classical evaluations per tree")},
+    {"depth": Param("int", 5, "tree depth", lo=0, hi=16),
+     "instances": Param("int", 20, "how many trees to draw", lo=1),
+     "trials": Param("int", 4, "classical evaluations per tree", lo=1)},
     needs_seed=True,
 )
 def _nand(p, seed, csv_path):
-    if not 0 <= p["depth"] <= 16:
-        raise ValueError("tree depth must be between 0 and 16")
-    if p["instances"] < 1 or p["trials"] < 1:
-        raise ValueError("need at least one instance and one trial")
     rng = np.random.default_rng(seed)
     rows = []
     costs = []
@@ -639,7 +622,7 @@ def _nand(p, seed, csv_path):
     "mcmc-partition",
     "Telescoping partition-function estimate for independent spins, "
     "against the exact product form.",
-    {"bits": Param("int", 6, "number of spins"),
+    {"bits": Param("int", 6, "number of spins", lo=1, hi=20),
      "levels": Param("int", 8, "temperature levels"),
      "samples": Param("int", 200, "samples per level"),
      "beta_max": Param("float", 2.0, "final inverse temperature")},
@@ -647,8 +630,6 @@ def _nand(p, seed, csv_path):
 )
 def _mcmc_partition(p, seed, csv_path):
     bits = p["bits"]
-    if bits < 1 or bits > 20:
-        raise ValueError("spin count must be between 1 and 20")
     model = classical.EnergyModel(
         2 ** bits,
         lambda s: float(bin(s).count("1")),
@@ -674,8 +655,8 @@ def _mcmc_partition(p, seed, csv_path):
     "annealing",
     "Geometric-cooling annealer on a random energy landscape over "
     "bitstrings.",
-    {"bits": Param("int", 8, "number of bits"),
-     "runs": Param("int", 20, "independent annealing runs"),
+    {"bits": Param("int", 8, "number of bits", lo=1, hi=16),
+     "runs": Param("int", 20, "independent annealing runs", lo=1),
      "t0": Param("float", 2.0, "starting temperature"),
      "mu": Param("float", 0.9, "cooling factor"),
      "tmin": Param("float", 0.05, "final temperature"),
@@ -684,10 +665,6 @@ def _mcmc_partition(p, seed, csv_path):
 )
 def _annealing(p, seed, csv_path):
     bits = p["bits"]
-    if bits < 1 or bits > 16:
-        raise ValueError("bit count must be between 1 and 16")
-    if p["runs"] < 1:
-        raise ValueError("need at least one annealing run")
     rng = np.random.default_rng(seed)
     energies = rng.normal(size=2 ** bits)
     model = classical.EnergyModel(
@@ -749,13 +726,11 @@ def _mixing(p, seed, csv_path):
     "hitting",
     "Corner-to-corner hitting on the hypercube: classical first arrival "
     "against one-shot and monitored quantum arrival.",
-    {"dim": Param("int", 4, "hypercube dimension"),
+    {"dim": Param("int", 4, "hypercube dimension", lo=2, hi=8),
      "horizon": Param("int", 100, "largest step count")},
 )
 def _hitting(p, seed, csv_path):
     dim = p["dim"]
-    if not 2 <= dim <= 8:
-        raise ValueError("dimension must be between 2 and 8")
     if p["horizon"] < dim:
         raise ValueError(f"horizon {p['horizon']} is shorter than the {dim} "
                          "steps to the antipodal corner")

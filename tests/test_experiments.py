@@ -151,6 +151,47 @@ class TestExitCodes:
             assert run(spec) == 2, deep
         assert not list(tmp_path.iterdir())
 
+    def test_declared_ranges_refused_before_the_run(self, tmp_path,
+                                                     monkeypatch, capsys):
+        def refuse(params, seed, csv_path):
+            raise AssertionError("experiment entered")
+
+        def range_text(key, meta):
+            if meta.hi is None:
+                return f"{key} >= {meta.lo}"
+            if meta.lo is None:
+                return f"{key} <= {meta.hi}"
+            return f"{meta.lo} <= {key} <= {meta.hi}"
+
+        experiments.list_experiments()
+        listing = capsys.readouterr().out.splitlines()
+        cases = 0
+        for name, exp in experiments.catalog().items():
+            monkeypatch.setitem(experiments._REGISTRY, name,
+                                exp._replace(func=refuse))
+            block = listing[listing.index(name + "  (seed required)"
+                                          if exp.needs_seed else name):]
+            for key, meta in exp.schema.items():
+                outside = [bound + step for bound, step
+                           in ((meta.lo, -1), (meta.hi, 1))
+                           if bound is not None]
+                if not outside:
+                    continue
+                line = next(x for x in block
+                            if x.startswith(f"    --param {key}="))
+                assert f"({range_text(key, meta)}):" in line, line
+                assert ((meta.lo is None or meta.lo <= meta.default)
+                        and (meta.hi is None or meta.default <= meta.hi))
+                for value in outside:
+                    spec = ExperimentSpec(name, {key: str(value)}, 1,
+                                          str(tmp_path))
+                    assert run(spec) == 2, (name, key, value)
+                    err = capsys.readouterr().err
+                    assert f"{key}={value} is outside" in err, err
+                    cases += 1
+        assert cases >= 30
+        assert not list(tmp_path.iterdir())
+
     def test_missing_seed(self, tmp_path):
         assert run(ExperimentSpec("nand", {}, None, str(tmp_path))) == 2
 
@@ -197,6 +238,23 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "disagrees with boolean truth off by 3.00e+00" in err
         assert not list(tmp_path.iterdir())
+
+    def test_glued_trees_reduction_mismatch_exits_3(
+            self, tmp_path, monkeypatch, capsys):
+        line = experiments.ctqw.WeightedLine
+
+        def perturbed(nodes, weights):
+            weights = list(weights)
+            weights[len(weights) // 2] *= 1.01
+            return line(nodes, weights)
+
+        monkeypatch.setattr(experiments.ctqw, "WeightedLine", perturbed)
+        for kind in ("plain", "cycle"):
+            spec = ExperimentSpec("glued-trees", {"kind": kind}, 1,
+                                  str(tmp_path))
+            assert run(spec) == 3, kind
+            assert "column reduction off by" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.json"))
 
     def test_gate_fails_closed_on_nan(self):
         trace.check("residual", 1.0, 1.0)
