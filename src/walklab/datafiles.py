@@ -33,21 +33,13 @@ def write_csv(path, header, rows):
         Column names.
     rows : iterable of sequences
         Cell values, converted by :func:`format_value`.
-
-    Returns
-    -------
-    int
-        Number of data rows written.
     """
-    count = 0
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
             if len(row) != len(header):
                 raise ValueError("row width does not match the header")
             fh.write(",".join(format_value(v) for v in row) + "\n")
-            count += 1
-    return count
 
 
 def write_metadata(path, name, params, seed, started, duration_s, outputs, **extra):

@@ -1,12 +1,14 @@
 """Named, reproducible experiment runs over the whole package.
 
 Every experiment is registered under a stable name with a typed parameter
-schema.  A run writes one CSV data file plus a JSON metadata sidecar and
-reports success through its exit status: 0 for a completed run, 2 when the
-request itself is invalid (unknown experiment, unknown, malformed or
-out-of-range parameter, missing seed), 3 when the run finished but an
-internal numerical check failed.  Identical (experiment, parameters, seed)
-requests produce byte-identical CSV files.
+schema, as a function ``func(params, seed) -> (header, rows, summary)`` that
+writes nothing.  A run reports success through its exit status: 0 for a
+completed run, 2 when the request itself is invalid (unknown experiment,
+unknown, malformed or out-of-range parameter, missing seed), 3 when the run
+finished but an internal numerical check failed.  The runner writes the CSV
+data file and then the JSON metadata sidecar only after every check has
+passed, so a run that exits 2 or 3 leaves no file.  Identical (experiment,
+parameters, seed) requests produce byte-identical CSV files.
 
 Use ``python -m walklab.experiments list`` for the catalog and
 ``python -m walklab.experiments run NAME --param key=value`` to execute one.
@@ -152,10 +154,9 @@ def run(spec):
         return 2
     started = datetime.now(timezone.utc).isoformat(timespec="seconds")
     clock = time.perf_counter()
-    csv_path = _outpath(spec, "csv")
     try:
-        extra = exp.func(params, spec.seed, csv_path)
-        for key, value in extra.items():
+        header, rows, summary = exp.func(params, spec.seed)
+        for key, value in summary.items():
             if isinstance(value, (int, float)):
                 trace.check(f"summary value {key}", abs(value), math.inf)
     except ValueError as err:
@@ -164,6 +165,9 @@ def run(spec):
     except ToleranceError as err:
         print(f"numerical check failed: {err}", file=sys.stderr)
         return 3
+    # every check has passed: only now is anything written
+    csv_path = _outpath(spec, "csv")
+    datafiles.write_csv(csv_path, header, rows)
     duration = time.perf_counter() - clock
     meta_path = _outpath(spec, "json")
     datafiles.write_metadata(
@@ -175,7 +179,7 @@ def run(spec):
             "numpy": np.__version__,
             "walklab": walklab.__version__,
         },
-        **extra,
+        **summary,
     )
     print(f"{spec.name}: wrote {csv_path} and {meta_path} "
           f"in {duration:.2f}s")
@@ -203,12 +207,12 @@ def list_experiments(file=None):
     "Exact m-step fair walk on the integers with its Gaussian envelope.",
     {"m": Param("int", 100, "number of steps")},
 )
-def _line_walk(p, seed, csv_path):
+def _line_walk(p, seed):
     positions, probs = classical.line_walk_binomial(p["m"])
     gauss = classical.line_walk_gaussian(p["m"], positions)
-    datafiles.write_csv(csv_path, ["position", "probability", "gaussian_approx"],
-                        zip(positions, probs, gauss))
-    return {"spread": float(np.sqrt(probs @ positions.astype(float) ** 2))}
+    return (["position", "probability", "gaussian_approx"],
+            zip(positions, probs, gauss),
+            {"spread": float(np.sqrt(probs @ positions.astype(float) ** 2))})
 
 
 @_register(
@@ -218,15 +222,14 @@ def _line_walk(p, seed, csv_path):
      "q": Param("float", 1.0, "weight of the up coin component"),
      "sigma": Param("float", 0.0, "relative phase of the down component")},
 )
-def _hadamard_line(p, seed, csv_path):
+def _hadamard_line(p, seed):
     op = coined.line_operator(p["m"])
     psi = coined.walk_run(op, coined.line_start(op, p["q"], p["sigma"]), p["m"])
     dist = coined.position_distribution(psi)
     positions = coined.line_positions(op)
-    datafiles.write_csv(csv_path, ["position", "probability"],
-                        zip(positions, dist))
     stats = distributions.dist_stats(positions, dist)
-    return {"mean": stats.mean, "spread": math.sqrt(stats.variance)}
+    return (["position", "probability"], zip(positions, dist),
+            {"mean": stats.mean, "spread": math.sqrt(stats.variance)})
 
 
 @_register(
@@ -234,7 +237,7 @@ def _hadamard_line(p, seed, csv_path):
     "Position entropy of the classical and Hadamard walks at every step.",
     {"m_max": Param("int", 100, "largest step count", lo=0)},
 )
-def _entropy_series(p, seed, csv_path):
+def _entropy_series(p, seed):
     op = coined.line_operator(p["m_max"])
     states = coined.walk_states(op, coined.line_start(op), p["m_max"])
     rows = []
@@ -244,9 +247,8 @@ def _entropy_series(p, seed, csv_path):
         s_q = distributions.entropy(coined.position_distribution(psi))
         asym = (1.0 + math.log(math.pi * m / 2.0)) / 2.0 if m else float("nan")
         rows.append((m, s_cl, s_q, asym, math.log(m + 1.0)))
-    datafiles.write_csv(csv_path, ["m", "classical_entropy", "quantum_entropy",
-                                   "classical_asymptote", "uniform_bound"], rows)
-    return {}
+    return (["m", "classical_entropy", "quantum_entropy",
+             "classical_asymptote", "uniform_bound"], rows, {})
 
 
 @_register(
@@ -258,7 +260,7 @@ def _entropy_series(p, seed, csv_path):
      "points": Param("int", 11, "unitarity rates to sample", lo=1, hi=101),
      "projectors": Param("str", "both", "coin, position, both, or edge-phase")},
 )
-def _decoherence_sweep(p, seed, csv_path):
+def _decoherence_sweep(p, seed):
     m = p["m"]
     op = coined.line_operator(m)
     rho0 = coined.DensityState.from_pure(coined.line_start(op))
@@ -273,9 +275,7 @@ def _decoherence_sweep(p, seed, csv_path):
         stats = distributions.dist_stats(positions, dist)
         rows.append((float(rate), math.sqrt(max(stats.variance, 0.0)),
                      distributions.tvd(dist, binom)))
-    datafiles.write_csv(csv_path, ["unitarity", "spread", "tvd_from_binomial"],
-                        rows)
-    return {"steps": m}
+    return ["unitarity", "spread", "tvd_from_binomial"], rows, {"steps": m}
 
 
 @_register(
@@ -284,14 +284,14 @@ def _decoherence_sweep(p, seed, csv_path):
     "absorption, whose limit is 2/pi.",
     {"m_max": Param("int", 4000, "number of steps")},
 )
-def _absorbing_boundary(p, seed, csv_path):
+def _absorbing_boundary(p, seed):
     res = coined.absorbing_line_quantum(p["m_max"])
     steps = np.arange(p["m_max"] + 1)
-    datafiles.write_csv(csv_path, ["step", "absorbed", "cumulative"],
-                        zip(steps, res.per_step, res.cumulative))
-    return {"final_cumulative": float(res.cumulative[-1]),
-            "limit_two_over_pi": 2.0 / math.pi,
-            "classical_limit": classical.absorbing_hit_prob_line(0.5)}
+    return (["step", "absorbed", "cumulative"],
+            zip(steps, res.per_step, res.cumulative),
+            {"final_cumulative": float(res.cumulative[-1]),
+             "limit_two_over_pi": 2.0 / math.pi,
+             "classical_limit": classical.absorbing_hit_prob_line(0.5)})
 
 
 @_register(
@@ -301,16 +301,15 @@ def _absorbing_boundary(p, seed, csv_path):
     {"n": Param("int", 100, "number of vertices"),
      "k": Param("int", 1, "number of marked vertices")},
 )
-def _complete_graph_search(p, seed, csv_path):
+def _complete_graph_search(p, seed):
     n, k = p["n"], p["k"]
     summary = scattering.complete_graph_search(n, k)
     rows = [(step, *probs, success) for step, (probs, success)
             in enumerate(zip(summary.probabilities, summary.successes))]
-    datafiles.write_csv(csv_path,
-                        ["step"] + [f"prob_{lab}" for lab in summary.labels]
-                        + ["success"], rows)
-    return {"opt_steps": summary.steps, "best_steps": summary.best_steps,
-            "success_at_opt": summary.success}
+    return (["step"] + [f"prob_{lab}" for lab in summary.labels]
+            + ["success"], rows,
+            {"opt_steps": summary.steps, "best_steps": summary.best_steps,
+             "success_at_opt": summary.success})
 
 
 @_register(
@@ -320,35 +319,34 @@ def _complete_graph_search(p, seed, csv_path):
     {"n": Param("int", 400, "number of spikes"),
      "r0": Param("float", 0.0, "reflection coefficient of the special spikes")},
 )
-def _star_search(p, seed, csv_path):
+def _star_search(p, seed):
     res = scattering.star_graph_search(p["n"], p["r0"])
     rows = [(step, *c, triangle) for step, (c, triangle)
             in enumerate(zip(res.trajectory, res.triangle_series))]
-    datafiles.write_csv(csv_path,
-                        ["step", "hub_to_special", "special_to_hub",
-                         "hub_to_plain", "plain_to_hub", "extra_edge",
-                         "triangle_probability"], rows)
-    return {"opt_steps": res.opt_steps, "best_steps": res.best_steps,
-            "triangle_probability": res.triangle_probability}
+    return (["step", "hub_to_special", "special_to_hub", "hub_to_plain",
+             "plain_to_hub", "extra_edge", "triangle_probability"], rows,
+            {"opt_steps": res.opt_steps, "best_steps": res.best_steps,
+             "triangle_probability": res.triangle_probability})
 
 
 @_register(
     "grover",
     "Grover iteration over an unstructured list, tracked in the plane of "
     "the marked and unmarked superpositions.",
-    {"n": Param("int", 1024, "list size"),
+    # n = 2^20 takes about 11 s at one BLAS thread
+    {"n": Param("int", 1024, "list size", hi=2 ** 20),
      "k": Param("int", 1, "number of marked items")},
 )
-def _grover(p, seed, csv_path):
+def _grover(p, seed):
     n, k = p["n"], p["k"]
     res = grover.grover_run(n, range(k))
     traj = grover.grover_trajectory(n, range(k), res.queries)
     rows = [(step, c[0], c[1], float(c[0] ** 2))
             for step, c in enumerate(traj.components)]
-    datafiles.write_csv(csv_path, ["step", "marked_amplitude",
-                                   "unmarked_amplitude", "success"], rows)
-    return {"success": res.success, "queries": res.queries,
-            "rotation_angle": traj.theta, "plane_leakage": traj.leakage}
+    return (["step", "marked_amplitude", "unmarked_amplitude", "success"],
+            rows,
+            {"success": res.success, "queries": res.queries,
+             "rotation_angle": traj.theta, "plane_leakage": traj.leakage})
 
 
 @_register(
@@ -363,7 +361,7 @@ def _grover(p, seed, csv_path):
      "k": Param("int", 1, "number of marked items"),
      "base": Param("str", "identity", "identity or grover-iterate")},
 )
-def _fixed_point(p, seed, csv_path):
+def _fixed_point(p, seed):
     rows = []
     f0 = None
     for level in range(p["levels"] + 1):
@@ -371,9 +369,8 @@ def _fixed_point(p, seed, csv_path):
         if f0 is None:
             f0 = res.failure
         rows.append((level, res.failure, f0 ** (3 ** level), res.queries))
-    datafiles.write_csv(csv_path, ["level", "failure", "predicted_failure",
-                                   "queries"], rows)
-    return {"base_failure": f0}
+    return (["level", "failure", "predicted_failure", "queries"], rows,
+            {"base_failure": f0})
 
 
 def _szegedy_chain(p):
@@ -398,17 +395,17 @@ def _szegedy_chain(p):
     {"graph": Param("str", "cycle", f"graph family: {_FAMILIES}"),
      "n": Param("int", 8, "graph size parameter")},
 )
-def _szegedy_spectrum(p, seed, csv_path):
+def _szegedy_spectrum(p, seed):
     smap = szegedy.spectrum_map(_szegedy_chain(p))
     rows = []
     for lam in smap.d_values:
         theta = 2.0 * math.acos(min(1.0, max(-1.0, float(lam))))
         rows.append((float(lam), abs(math.remainder(theta, 2.0 * math.pi))))
-    datafiles.write_csv(csv_path, ["lambda_D", "phase_W"], rows)
     trace.check("phase pairing", smap.pairing_error, 1e-8)
-    return {"pairing_error": smap.pairing_error,
-            "residual_count": len(smap.residual_values),
-            "invariance_residual": smap.invariance_residual}
+    return (["lambda_D", "phase_W"], rows,
+            {"pairing_error": smap.pairing_error,
+             "residual_count": len(smap.residual_values),
+             "invariance_residual": smap.invariance_residual})
 
 
 @_register(
@@ -419,7 +416,7 @@ def _szegedy_spectrum(p, seed, csv_path):
      "n": Param("int", 16, "graph size parameter"),
      "k_max": Param("int", 4, "largest marked-set size", lo=1)},
 )
-def _marked_gap(p, seed, csv_path):
+def _marked_gap(p, seed):
     pmat = _szegedy_chain(p)
     rows = []
     invariance = 0.0
@@ -432,9 +429,8 @@ def _marked_gap(p, seed, csv_path):
     trace.check("spectral bounds",
                 float(np.max(np.maximum(norm - bound, phase_bound - phi0))),
                 1e-10)
-    datafiles.write_csv(csv_path, ["marked_count", "block_norm", "norm_bound",
-                                   "phi0", "phase_bound"], rows)
-    return {"invariance_residual": invariance}
+    return (["marked_count", "block_norm", "norm_bound", "phi0",
+             "phase_bound"], rows, {"invariance_residual": invariance})
 
 
 @_register(
@@ -447,7 +443,7 @@ def _marked_gap(p, seed, csv_path):
      "r": Param("int", 25, "range size of the random function", lo=1)},
     needs_seed=True,
 )
-def _subset_find(p, seed, csv_path):
+def _subset_find(p, seed):
     rng = np.random.default_rng(seed)
     values = rng.integers(p["r"], size=p["n"])
     f = lambda x: int(values[x])
@@ -458,10 +454,10 @@ def _subset_find(p, seed, csv_path):
     for t2 in range(2 * auto.tau2 + 3):
         state = walk.run(auto.tau1, t2)
         rows.append((auto.tau1, t2, walk.success(state), walk.queries))
-    datafiles.write_csv(csv_path, ["tau1", "tau2", "success", "queries"], rows)
-    return {"auto_tau1": auto.tau1, "auto_tau2": auto.tau2,
-            "auto_success": auto.success, "auto_queries": auto.queries,
-            "best_tau2": auto.best_tau2, "best_success": auto.best_success}
+    return (["tau1", "tau2", "success", "queries"], rows,
+            {"auto_tau1": auto.tau1, "auto_tau2": auto.tau2,
+             "auto_success": auto.success, "auto_queries": auto.queries,
+             "best_tau2": auto.best_tau2, "best_success": auto.best_success})
 
 
 @_register(
@@ -469,9 +465,10 @@ def _subset_find(p, seed, csv_path):
     "Query exponents of the subset-walk variants: closed-form optimum "
     "against a grid scan over the subset-size exponent.",
     {"k_max": Param("int", 5, "largest property size", lo=1),
-     "grid": Param("int", 2001, "grid points for the scan", lo=2)},
+     # 10^6 grid points take 0.52 s and 150 MB
+     "grid": Param("int", 2001, "grid points for the scan", lo=2, hi=10 ** 6)},
 )
-def _cost_table(p, seed, csv_path):
+def _cost_table(p, seed):
     mus = np.linspace(0.0, 1.0, p["grid"])
     rows = []
     for variant, k_lo in (("subset", 1), ("clique", 2), ("recursive_clique", 3)):
@@ -480,31 +477,31 @@ def _cost_table(p, seed, csv_path):
             best = int(np.argmin(grid_vals))
             rows.append((variant, k, subset.optimal_exponent(k, variant),
                          float(grid_vals[best]), float(mus[best])))
-    datafiles.write_csv(csv_path, ["variant", "k", "exponent_formula",
-                                   "exponent_grid", "mu_star_grid"], rows)
-    return {}
+    return (["variant", "k", "exponent_formula", "exponent_grid",
+             "mu_star_grid"], rows, {})
 
 
 @_register(
     "ctqw-cycle",
     "Continuous walk wavefront on a long cycle against the squared Bessel "
     "law.",
-    {"n": Param("int", 600, "cycle length"),
+    # n = 10^5 takes 0.54 s at the default d_max
+    {"n": Param("int", 600, "cycle length", hi=10 ** 5),
      "t": Param("float", 20.0, "evolution time"),
      "d_max": Param("int", 60, "largest displacement", lo=0),
-     "tolerance": Param("float", 5e-3, "allowed exact-vs-Bessel gap")},
+     "tolerance": Param("float", 5e-3, "allowed exact-vs-Bessel gap",
+                        lo=0.0)},
 )
-def _ctqw_cycle(p, seed, csv_path):
+def _ctqw_cycle(p, seed):
     rows = []
     worst = 0.0
     for d in range(p["d_max"] + 1):
         check = ctqw.cycle_bessel_check(p["n"], 0, d, p["t"])
         worst = max(worst, check.difference)
         rows.append((d, check.exact, check.approx, check.difference))
-    datafiles.write_csv(csv_path, ["position", "probability",
-                                   "bessel_squared", "difference"], rows)
     trace.check("Bessel law", worst, p["tolerance"])
-    return {"worst_difference": worst}
+    return (["position", "probability", "bessel_squared", "difference"], rows,
+            {"worst_difference": worst})
 
 
 def _time_grid(p, default_t_max):
@@ -519,9 +516,10 @@ def _time_grid(p, default_t_max):
     "closed form against evolution in the Krylov block of the corner.",
     {"dim": Param("int", 6, "hypercube dimension", lo=1, hi=10),
      "t_max": Param("float", 0.0, "largest time; 0 means pi"),
-     "points": Param("int", 201, "time samples", lo=2)},
+     # 10^5 samples take about 0.7 s, here and in the two experiments below
+     "points": Param("int", 201, "time samples", lo=2, hi=10 ** 5)},
 )
-def _ctqw_hypercube(p, seed, csv_path):
+def _ctqw_hypercube(p, seed):
     dim = p["dim"]
     times = _time_grid(p, math.pi)
     psi0 = np.zeros(2 ** dim)
@@ -530,12 +528,12 @@ def _ctqw_hypercube(p, seed, csv_path):
                                                times, psi0)
     dense = np.abs(coeffs @ q[-1]) ** 2
     closed = np.array([ctqw.hypercube_antipode_prob(dim, t) for t in times])
-    datafiles.write_csv(csv_path, ["t", "closed_form", "dense_probability"],
-                        zip(times, closed, dense))
     worst = float(np.max(np.abs(closed - dense)))
     trace.check("closed form", worst, 1e-10)
-    return {"worst_difference": worst, "invariance_residual": residual,
-            "krylov_dim": q.shape[1]}
+    return (["t", "closed_form", "dense_probability"],
+            zip(times, closed, dense),
+            {"worst_difference": worst, "invariance_residual": residual,
+             "krylov_dim": q.shape[1]})
 
 
 @_register(
@@ -546,21 +544,20 @@ def _ctqw_hypercube(p, seed, csv_path):
      # n = 10^4 would ask for gigabytes
      "n": Param("int", 4, "tree depth", hi=1000),
      "t_max": Param("float", 0.0, "largest time; 0 means 4n"),
-     "points": Param("int", 201, "time samples", lo=2)},
+     "points": Param("int", 201, "time samples", lo=2, hi=10 ** 5)},
 )
-def _glued_trees(p, seed, csv_path):
+def _glued_trees(p, seed):
     times = _time_grid(p, 4.0 * p["n"])
     red = ctqw.glued_trees_reduce(p["kind"], p["n"], seed=seed)
     psi0 = np.eye(red.line.nodes)[0]
     states = linalg.evolve_many(red.line.hamiltonian().matrix, times, psi0)
-    datafiles.write_csv(csv_path, ["t", "entrance_probability",
-                                   "exit_probability"],
-                        zip(times, np.abs(states[:, 0]) ** 2,
-                            np.abs(states[:, -1]) ** 2))
     if red.equivalence_error is not None:
         trace.check("column reduction", red.equivalence_error, 1e-8)
-    return {"equivalence_error": red.equivalence_error,
-            "peak_exit_probability": float(np.max(np.abs(states[:, -1]) ** 2))}
+    exit_prob = np.abs(states[:, -1]) ** 2
+    return (["t", "entrance_probability", "exit_probability"],
+            zip(times, np.abs(states[:, 0]) ** 2, exit_prob),
+            {"equivalence_error": red.equivalence_error,
+             "peak_exit_probability": float(np.max(exit_prob))})
 
 
 @_register(
@@ -570,9 +567,9 @@ def _glued_trees(p, seed, csv_path):
     {"n": Param("int", 64, "number of vertices", hi=2 ** 20),
      "marked": Param("int", 1, "number of marked vertices"),
      "t_max": Param("float", 0.0, "largest time; 0 means 1.25 periods"),
-     "points": Param("int", 201, "time samples", lo=2)},
+     "points": Param("int", 201, "time samples", lo=2, hi=10 ** 5)},
 )
-def _analog_search(p, seed, csv_path):
+def _analog_search(p, seed):
     n, m = p["n"], p["marked"]
     apply = ctqw.complete_search_apply(n, m)
     t_star = math.pi / (2.0 * math.sqrt(m / n))
@@ -581,12 +578,12 @@ def _analog_search(p, seed, csv_path):
     coeffs, q, residual = linalg.evolve_krylov(apply, times, psi0)
     dense = (np.abs(coeffs @ q[:m].T) ** 2).sum(axis=1)
     closed = np.array([ctqw.analog_search(n, t, m) for t in times])
-    datafiles.write_csv(csv_path, ["t", "closed_form", "dense_probability"],
-                        zip(times, closed, dense))
     worst = float(np.max(np.abs(closed - dense)))
     trace.check("two-level closed form", worst, 1e-9)
-    return {"worst_difference": worst, "certain_success_time": t_star,
-            "invariance_residual": residual, "krylov_dim": q.shape[1]}
+    return (["t", "closed_form", "dense_probability"],
+            zip(times, closed, dense),
+            {"worst_difference": worst, "certain_success_time": t_star,
+             "invariance_residual": residual, "krylov_dim": q.shape[1]})
 
 
 @_register(
@@ -598,7 +595,7 @@ def _analog_search(p, seed, csv_path):
      "trials": Param("int", 4, "classical evaluations per tree", lo=1)},
     needs_seed=True,
 )
-def _nand(p, seed, csv_path):
+def _nand(p, seed):
     rng = np.random.default_rng(seed)
     rows = []
     costs = []
@@ -612,10 +609,10 @@ def _nand(p, seed, csv_path):
         rows.append((i, res.oracle_bit, res.bit, res.trace[-1], cost))
     trace.check("trees where the ratio evaluation disagrees with boolean "
                 "truth", disagreeing, 0)
-    datafiles.write_csv(csv_path, ["instance", "boolean_value", "ratio_value",
-                                   "root_ratio", "classical_queries"], rows)
-    return {"mean_classical_queries": float(np.mean(costs)),
-            "leaf_count": 2 ** p["depth"]}
+    return (["instance", "boolean_value", "ratio_value", "root_ratio",
+             "classical_queries"], rows,
+            {"mean_classical_queries": float(np.mean(costs)),
+             "leaf_count": 2 ** p["depth"]})
 
 
 @_register(
@@ -628,11 +625,11 @@ def _nand(p, seed, csv_path):
      "beta_max": Param("float", 2.0, "final inverse temperature")},
     needs_seed=True,
 )
-def _mcmc_partition(p, seed, csv_path):
+def _mcmc_partition(p, seed):
     bits = p["bits"]
     model = classical.EnergyModel(
         2 ** bits,
-        lambda s: float(bin(s).count("1")),
+        lambda s: float(s.bit_count()),
         lambda s, rng: s ^ (1 << int(rng.integers(bits))),
     )
     betas = np.linspace(0.0, p["beta_max"], p["levels"] + 1)
@@ -643,12 +640,12 @@ def _mcmc_partition(p, seed, csv_path):
     for i, y in enumerate(res.level_means):
         b1, b2 = float(betas[i]), float(betas[i + 1])
         rows.append((i, b1, b2, y, z(b2) / z(b1)))
-    datafiles.write_csv(csv_path, ["level", "beta_low", "beta_high",
-                                   "level_mean", "ratio_exact"], rows)
     z_exact = z(p["beta_max"])
-    return {"z_estimate": res.z_hat, "z_exact": z_exact,
-            "relative_error": abs(res.z_hat - z_exact) / z_exact,
-            "alpha_floor": res.alpha_floor}
+    return (["level", "beta_low", "beta_high", "level_mean", "ratio_exact"],
+            rows,
+            {"z_estimate": res.z_hat, "z_exact": z_exact,
+             "relative_error": abs(res.z_hat - z_exact) / z_exact,
+             "alpha_floor": res.alpha_floor})
 
 
 @_register(
@@ -663,7 +660,7 @@ def _mcmc_partition(p, seed, csv_path):
      "inner": Param("int", 60, "Metropolis steps per temperature")},
     needs_seed=True,
 )
-def _annealing(p, seed, csv_path):
+def _annealing(p, seed):
     bits = p["bits"]
     rng = np.random.default_rng(seed)
     energies = rng.normal(size=2 ** bits)
@@ -683,19 +680,20 @@ def _annealing(p, seed, csv_path):
         best = min(best, e)
         hits += e <= true_min + 1e-12
         rows.append((run_idx, state, e))
-    datafiles.write_csv(csv_path, ["run", "final_state", "final_energy"], rows)
-    return {"best_energy": best, "true_minimum": true_min,
-            "hit_fraction": hits / p["runs"]}
+    return (["run", "final_state", "final_energy"], rows,
+            {"best_energy": best, "true_minimum": true_min,
+             "hit_fraction": hits / p["runs"]})
 
 
 @_register(
     "mixing",
     "Classical and time-averaged quantum mixing on an odd cycle.",
-    {"n": Param("int", 9, "cycle length, odd"),
+    # both at their caps take 10.2 s; t_max = 10^5 alone (n = 9) takes 3.6 s
+    {"n": Param("int", 9, "cycle length, odd", hi=301),
      "eps": Param("float", 0.05, "distance threshold"),
-     "t_max": Param("int", 400, "horizon")},
+     "t_max": Param("int", 400, "horizon", hi=10 ** 5)},
 )
-def _mixing(p, seed, csv_path):
+def _mixing(p, seed):
     n = p["n"]
     if n % 2 == 0:
         raise ValueError("even cycles are periodic; use an odd length")
@@ -713,13 +711,12 @@ def _mixing(p, seed, csv_path):
     for t, quantum in enumerate(qres.distances, start=1):
         dist_cl = chain.matrix @ dist_cl
         rows.append((t, distributions.tvd(dist_cl, pi_cl), quantum))
-    datafiles.write_csv(csv_path, ["t", "classical_distance",
-                                   "quantum_average_distance"], rows)
     mres = classical.mixing_time(chain, p0, p["eps"])
-    return {"classical_mixing_time": mres[0],
-            "classical_lower_bound": mres[1],
-            "quantum_mixing_time": qres.steps,
-            "quantum_bound": qres.bound}
+    return (["t", "classical_distance", "quantum_average_distance"], rows,
+            {"classical_mixing_time": mres[0],
+             "classical_lower_bound": mres[1],
+             "quantum_mixing_time": qres.steps,
+             "quantum_bound": qres.bound})
 
 
 @_register(
@@ -727,9 +724,10 @@ def _mixing(p, seed, csv_path):
     "Corner-to-corner hitting on the hypercube: classical first arrival "
     "against one-shot and monitored quantum arrival.",
     {"dim": Param("int", 4, "hypercube dimension", lo=2, hi=8),
-     "horizon": Param("int", 100, "largest step count")},
+     # horizon 10^5 takes 6.9 s at dim 8
+     "horizon": Param("int", 100, "largest step count", hi=10 ** 5)},
 )
-def _hitting(p, seed, csv_path):
+def _hitting(p, seed):
     dim = p["dim"]
     if p["horizon"] < dim:
         raise ValueError(f"horizon {p['horizon']} is shorter than the {dim} "
@@ -744,10 +742,9 @@ def _hitting(p, seed, csv_path):
     ha = coined.hitting_analysis(op, psi0, target, p["horizon"])
     rows = [(t, f[t], ha.one_shot[t], ha.first_hit[t])
             for t in range(p["horizon"] + 1)]
-    datafiles.write_csv(csv_path, ["t", "classical_first_hit",
-                                   "quantum_one_shot", "quantum_first_hit"],
-                        rows)
     hres = classical.hitting_time(chain, 0, target, p["horizon"])
-    return {"classical_mean_truncated": hres.mean_truncated,
-            "classical_tail_mass": hres.tail_mass,
-            "quantum_concurrent": ha.concurrent}
+    return (["t", "classical_first_hit", "quantum_one_shot",
+             "quantum_first_hit"], rows,
+            {"classical_mean_truncated": hres.mean_truncated,
+             "classical_tail_mass": hres.tail_mass,
+             "quantum_concurrent": ha.concurrent})

@@ -153,7 +153,7 @@ class TestExitCodes:
 
     def test_declared_ranges_refused_before_the_run(self, tmp_path,
                                                      monkeypatch, capsys):
-        def refuse(params, seed, csv_path):
+        def refuse(params, seed):
             raise AssertionError("experiment entered")
 
         def range_text(key, meta):
@@ -201,14 +201,15 @@ class TestExitCodes:
                                "tolerance": "1e-30"},
                               None, str(tmp_path))
         assert run(spec) == 3
+        assert not list(tmp_path.iterdir())
 
     def test_non_finite_result_leaves_no_sidecar(self, tmp_path, monkeypatch,
                                                  capsys):
         exp = experiments.catalog()["line-walk"]
         monkeypatch.setitem(experiments._REGISTRY, "line-walk", exp._replace(
-            func=lambda params, seed, csv_path: {"x": float("nan")}))
+            func=lambda params, seed: (["x"], [(1,)], {"x": float("nan")})))
         assert run(ExperimentSpec("line-walk", {}, None, str(tmp_path))) == 3
-        assert not list(tmp_path.glob("*.json"))
+        assert not list(tmp_path.iterdir())
         assert "summary value x off by nan" in capsys.readouterr().err
 
     def test_marked_gap_violation_exits_3_with_its_size(
@@ -254,7 +255,25 @@ class TestExitCodes:
                                   str(tmp_path))
             assert run(spec) == 3, kind
             assert "column reduction off by" in capsys.readouterr().err
-        assert not list(tmp_path.glob("*.json"))
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("name, target, off, label", [
+        ("ctqw-hypercube", "ctqw.hypercube_antipode_prob",
+         lambda f: lambda *args: f(*args) + 1e-6, "closed form"),
+        ("analog-search", "ctqw.analog_search",
+         lambda f: lambda *args: f(*args) + 1e-6, "two-level closed form"),
+        ("szegedy-spectrum", "szegedy.spectrum_map",
+         lambda f: lambda p: dataclasses.replace(f(p), pairing_error=1e-6),
+         "phase pairing"),
+    ], ids=["ctqw-hypercube", "analog-search", "szegedy-spectrum"])
+    def test_failed_check_after_the_table_writes_nothing(
+            self, tmp_path, monkeypatch, capsys, name, target, off, label):
+        module, attr = target.split(".")
+        module = getattr(experiments, module)
+        monkeypatch.setattr(module, attr, off(getattr(module, attr)))
+        assert run(ExperimentSpec(name, {}, None, str(tmp_path))) == 3
+        assert f"{label} off by" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     def test_gate_fails_closed_on_nan(self):
         trace.check("residual", 1.0, 1.0)
@@ -264,7 +283,7 @@ class TestExitCodes:
 
     def test_other_errors_are_not_reported_as_failed_checks(
             self, tmp_path, monkeypatch):
-        def overflow(params, seed, csv_path):
+        def overflow(params, seed):
             raise RecursionError("not a numerical check")
         exp = experiments.catalog()["line-walk"]
         monkeypatch.setitem(experiments._REGISTRY, "line-walk",
