@@ -32,8 +32,8 @@ print("\nmarking vertices of the complete graph on 16 vertices:")
 pc = szegedy.from_markov_chain(classical.unbiased_chain(graphs.complete(16)))
 print(f"{'|M|':>4} {'block norm':>11} {'1 - de':>8} {'phi0':>8} {'2 sqrt(de)':>11}")
 for k in (1, 2, 4):
-    mc = szegedy.marked_modify(pc, range(k))
     gap = szegedy.marked_phase_gap(pc, range(k))
+    mc = gap.chain
     print(f"{k:4d} {mc.norm:11.6f} {mc.bound:8.4f} "
           f"{gap.phi0:8.4f} {gap.bound:11.4f}")
 print("the norm stays below its bound and the phase gap above its own")

@@ -93,7 +93,7 @@ def stationary_and_limit(chain):
     return StationaryResult(pi, values, _graphs.is_bipartite(g) and not g.loops)
 
 
-MixingResult = namedtuple("MixingResult", "steps spectral_bound")
+MixingResult = namedtuple("MixingResult", "steps spectral_bound distances")
 
 
 def spectral_lower_bound(lambda2, eps):
@@ -107,22 +107,24 @@ def mixing_time(chain, p0, eps, t_max=100_000):
     """First time after which the evolved distribution stays eps-close to
     the stationary one, checked at every integer step up to ``t_max``.
 
-    Also reports the spectral lower bound from the second eigenvalue.
+    Also reports the spectral lower bound from the second eigenvalue, and
+    in ``distances`` the distance at every step t = 0..t_max of the scan.
     Distances use the package's doubled total-variation convention, so
     eps = 2 is trivially satisfied at time 0.
     """
     pi, spectrum, bipartite = stationary_and_limit(chain)
     bound = spectral_lower_bound(float(spectrum[1]), eps)
     p = np.asarray(p0, dtype=float)
-    last_bad = -1
+    distances = np.empty(t_max + 1)
     for t in range(t_max + 1):
-        if tvd(p, pi) > eps:
-            last_bad = t
+        distances[t] = tvd(p, pi)
         p = chain.matrix @ p
+    bad = np.flatnonzero(distances > eps)
+    last_bad = int(bad[-1]) if bad.size else -1
     if last_bad == t_max:
         raise ValueError(f"no convergence within t_max={t_max} steps"
                          + (" (bipartite graph)" if bipartite else ""))
-    return MixingResult(last_bad + 1, bound)
+    return MixingResult(last_bad + 1, bound, distances)
 
 
 def first_hit_distribution(chain, start, target, horizon):
@@ -145,27 +147,28 @@ def first_hit_distribution(chain, start, target, horizon):
     return f
 
 
-HittingResult = namedtuple("HittingResult", "mean_truncated tail_mass restart_estimate")
+HittingResult = namedtuple("HittingResult",
+                           "mean_truncated tail_mass restart_estimate first_hit")
 
 
 def hitting_time(chain, start, target, horizon=100_000):
     """Truncated mean first-arrival time plus the not-yet-hit mass.
 
     The mean sums m * f(m) over the horizon, where f is the first-hit
-    distribution; on recurrent-but-null chains (the half-line walk toward
-    its endpoint) this grows without bound as the horizon does, which is the
-    faithful behavior.  The restart estimate is 1/p for p the cumulative hit
-    probability inside the horizon, the expected number of independent
-    restarts needed to see one arrival.
+    distribution, returned as ``first_hit``; on recurrent-but-null chains
+    (the half-line walk toward its endpoint) this grows without bound as the
+    horizon does, which is the faithful behavior.  The restart estimate is
+    1/p for p the cumulative hit probability inside the horizon, the
+    expected number of independent restarts needed to see one arrival.
     """
     if start == target:
-        return HittingResult(0.0, 0.0, 1.0)
+        return HittingResult(0.0, 0.0, 1.0, np.zeros(horizon + 1))
     f = first_hit_distribution(chain, start, target, horizon)
     steps = np.arange(horizon + 1)
     cumulative = float(f.sum())
     tail = 1.0 - cumulative
     restart = math.inf if cumulative == 0.0 else 1.0 / cumulative
-    return HittingResult(float(steps @ f), tail, restart)
+    return HittingResult(float(steps @ f), tail, restart, f)
 
 
 def absorbing_hit_prob_line(p_away):

@@ -21,8 +21,6 @@ __all__ = [
     "diffusion",
     "GroverResult",
     "grover_run",
-    "TwoDimTrajectory",
-    "grover_trajectory",
     "FixedPointResult",
     "fixed_point_run",
     "AbstractSearchResult",
@@ -90,7 +88,8 @@ def rotation_angle(n, k):
     return math.acos((n - 2.0 * k) / n)
 
 
-GroverResult = namedtuple("GroverResult", "state success queries")
+GroverResult = namedtuple("GroverResult",
+                          "state success queries components leakage")
 
 
 def _auto_steps(n, k):
@@ -110,28 +109,17 @@ def grover_run(n, marked, steps="auto"):
     With steps="auto" the count comes from solving (2m+1) theta/2 = pi/2
     and scanning two steps to either side, which also covers the usual
     round((pi/4) sqrt(n/k)) estimate.
+
+    ``components`` holds one row per state, from the start through the
+    last step: its components on the marked and the unmarked uniform
+    superpositions.  ``leakage`` is the largest norm any state has
+    outside that plane.
     """
     oracle = Oracle(n, marked)
-    m = _auto_steps(n, len(oracle.marked)) if steps == "auto" else int(steps)
-    state = np.full(n, 1.0 / math.sqrt(n))
-    for _ in range(m):
-        state = _diffuse(oracle.reflect(state))
-    return GroverResult(state, oracle.success(state), oracle.queries)
-
-
-@dataclass(frozen=True)
-class TwoDimTrajectory:
-    """Components of the evolving state on the marked and unmarked uniform
-    superpositions, one row per step."""
-
-    theta: float
-    components: np.ndarray = field(compare=False)
-    leakage: float = 0.0
-
-
-def grover_trajectory(n, marked, m):
-    oracle = Oracle(n, marked)
     k = len(oracle.marked)
+    m = _auto_steps(n, k) if steps == "auto" else int(steps)
+    if m < 0:
+        raise ValueError("step count must be nonnegative")
     t = np.zeros(n)
     t[oracle._mask] = 1.0 / math.sqrt(k)
     nv = np.zeros(n)
@@ -145,7 +133,8 @@ def grover_trajectory(n, marked, m):
             state - comps[j, 0] * t - comps[j, 1] * nv)))
         if j < m:
             state = _diffuse(oracle.reflect(state))
-    return TwoDimTrajectory(rotation_angle(n, k), comps, leakage)
+    return GroverResult(state, oracle.success(state), oracle.queries, comps,
+                        leakage)
 
 
 FixedPointResult = namedtuple("FixedPointResult", "failure queries")

@@ -107,7 +107,7 @@ class SubsetWalk:
 
 SubsetWalkResult = namedtuple(
     "SubsetWalkResult",
-    "success queries tau1 tau2 best_tau1 best_tau2 best_success")
+    "success queries tau1 tau2 best_tau1 best_tau2 best_success walk")
 
 
 def subset_walk_run(n, q, k, f, prop, schedule="auto"):
@@ -118,7 +118,8 @@ def subset_walk_run(n, q, k, f, prop, schedule="auto"):
     exactly zero.  With schedule="auto" the asymptotic round-offs
     tau1 = [pi/2 sqrt(q/k)], tau2 = [pi/4 (N/q)^{k/2}] are used and the
     best schedule in a +-2 window is reported alongside, since the
-    formulas assume N, q much larger than k.
+    formulas assume N, q much larger than k.  ``walk`` is the SubsetWalk
+    that ran, ready for further schedules on the same instance.
     """
     walk = SubsetWalk(n, q, f, prop, k)
     if schedule == "auto":
@@ -141,7 +142,7 @@ def subset_walk_run(n, q, k, f, prop, schedule="auto"):
                 if p > best[2] + 1e-12:
                     best = (t1, t2, p)
     return SubsetWalkResult(success, queries, tau1, tau2,
-                            best[0], best[1], best[2])
+                            best[0], best[1], best[2], walk)
 
 
 CostEstimate = namedtuple("CostEstimate", "exponent cost")

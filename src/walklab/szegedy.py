@@ -275,6 +275,7 @@ class PhaseGap:
     phi0: float
     bound: float
     invariance_residual: float = 0.0
+    chain: MarkedChain = field(default=None, compare=False)
 
 
 def marked_phase_gap(p, marked):
@@ -282,7 +283,8 @@ def marked_phase_gap(p, marked):
     the uniform unmarked state, against the guarantee 2 sqrt(delta eps).
 
     With nothing marked the uniform state is stationary and the measured
-    phase is zero.
+    phase is zero.  ``chain`` is the ``marked_modify`` result the walk was
+    built from, None when nothing is marked.
     """
     p = _check_row_stochastic(p)
     n = p.shape[0]
@@ -303,4 +305,5 @@ def marked_phase_gap(p, marked):
     phases = np.abs(np.angle(values[busy]))
     rotating = phases[phases > 1e-9]
     phi0 = float(rotating.min()) if rotating.size else 0.0
-    return PhaseGap(phi0, 2.0 * math.sqrt(mc.delta * mc.epsilon), invariance)
+    return PhaseGap(phi0, 2.0 * math.sqrt(mc.delta * mc.epsilon), invariance,
+                    mc)

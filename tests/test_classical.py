@@ -132,6 +132,19 @@ def test_trivial_epsilon_mixes_immediately():
     assert cl.mixing_time(chain, delta(8, 0), 2.0, t_max=50).steps == 0
 
 
+def test_mixing_distances_follow_the_stepped_chain():
+    chain = cl.unbiased_chain(graphs.cycle(7))
+    res = cl.mixing_time(chain, delta(7, 0), 0.05, t_max=300)
+    assert res.distances.shape == (301,)
+    pi = np.full(7, 1.0 / 7)
+    p = delta(7, 0)
+    for t in range(301):
+        assert res.distances[t] == pytest.approx(tvd(p, pi), abs=1e-15)
+        p = chain.matrix @ p
+    assert res.distances[res.steps - 1] > 0.05
+    assert np.all(res.distances[res.steps:] <= 0.05)
+
+
 def test_bipartite_chain_never_mixes():
     chain = cl.unbiased_chain(graphs.cycle(4))
     with pytest.raises(ValueError, match="bipartite"):
@@ -167,9 +180,21 @@ def test_restart_estimate():
     assert res.restart_estimate == pytest.approx(4.0, abs=1e-12)
 
 
+def test_hitting_time_returns_its_first_hit_distribution():
+    chain = cl.unbiased_chain(graphs.hypercube(3))
+    res = cl.hitting_time(chain, 0, 7, horizon=200)
+    f = cl.first_hit_distribution(chain, 0, 7, 200)
+    assert np.array_equal(res.first_hit, f)
+    assert res.mean_truncated == pytest.approx(float(np.arange(201) @ f),
+                                               abs=1e-12)
+
+
 def test_hitting_start_equals_target():
     chain = cl.unbiased_chain(graphs.cycle(5))
-    assert cl.hitting_time(chain, 3, 3) == (0.0, 0.0, 1.0)
+    res = cl.hitting_time(chain, 3, 3)
+    assert res[:3] == (0.0, 0.0, 1.0)
+    assert res.first_hit.shape == (100_001,)
+    assert not np.any(res.first_hit)
 
 
 def test_absorbing_hit_prob_line_closed_form():

@@ -101,7 +101,11 @@ class TestExitCodes:
                 ("fixed-point", {"levels": "-1"}, None),
                 ("marked-gap", {"k_max": "0"}, None),
                 ("cost-table", {"k_max": "0"}, None),
-                ("ctqw-cycle", {"d_max": "-1"}, None)]:
+                ("ctqw-cycle", {"d_max": "-1"}, None),
+                # a negative time is refused, not swapped for the default
+                ("ctqw-hypercube", {"t_max": "-5"}, None),
+                ("glued-trees", {"t_max": "-5"}, 1),
+                ("analog-search", {"t_max": "-5"}, None)]:
             spec = ExperimentSpec(name, params, seed, str(tmp_path))
             assert run(spec) == 2, (name, params)
         assert not list(tmp_path.glob("*.csv"))
@@ -292,6 +296,57 @@ class TestExitCodes:
             run(ExperimentSpec("line-walk", {}, None, str(tmp_path)))
 
 
+class TestEachWalkRunsOnce:
+    """Each body reads the series its library call computed, instead of
+    running the same walk, chain or construction a second time."""
+
+    @staticmethod
+    def count_calls(monkeypatch, owner, attr):
+        calls = []
+        original = getattr(owner, attr)
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+        monkeypatch.setattr(owner, attr, counted)
+        return calls
+
+    def test_grover_queries_the_oracle_once_per_step(self, tmp_path,
+                                                     monkeypatch):
+        calls = self.count_calls(monkeypatch, experiments.grover.Oracle,
+                                 "reflect")
+        meta, _, rows = run_ok(tmp_path, "grover", {"n": 64, "k": 2})
+        assert len(calls) == meta["queries"] == len(rows) - 1
+
+    def test_hitting_runs_the_classical_chain_once(self, tmp_path,
+                                                   monkeypatch):
+        calls = self.count_calls(monkeypatch, experiments.classical,
+                                 "first_hit_distribution")
+        run_ok(tmp_path, "hitting", {"dim": 3, "horizon": 40})
+        assert len(calls) == 1
+
+    def test_subset_find_builds_one_subset_graph(self, tmp_path, monkeypatch):
+        calls = self.count_calls(monkeypatch, experiments.graphs,
+                                 "subset_bipartite")
+        run_ok(tmp_path, "subset-find", {"n": 8, "q": 4, "k": 2, "r": 4},
+               seed=11)
+        assert len(calls) == 1
+
+    def test_marked_gap_freezes_each_marked_set_once(self, tmp_path,
+                                                     monkeypatch):
+        calls = self.count_calls(monkeypatch, experiments.szegedy,
+                                 "marked_modify")
+        run_ok(tmp_path, "marked-gap", {"n": 8, "k_max": 3})
+        assert len(calls) == 3
+
+    def test_mixing_body_measures_no_distance_itself(self, tmp_path,
+                                                     monkeypatch):
+        calls = self.count_calls(monkeypatch, experiments.distributions, "tvd")
+        _, _, rows = run_ok(tmp_path, "mixing", {"n": 5, "t_max": 250})
+        assert len(rows) == 250
+        assert len(calls) == 0
+
+
 class TestMetadataAndDeterminism:
     def test_metadata_schema(self, tmp_path):
         meta, _, _ = run_ok(tmp_path, "line-walk", {"m": 20})
@@ -452,6 +507,14 @@ class TestContinuousExperiments:
         assert max(r[1] for r in rows) > 0.999
         assert meta["krylov_dim"] == 5
         assert 0.0 <= meta["invariance_residual"] <= 1e-10
+
+    def test_longest_accepted_times_pass_their_closed_form(self, tmp_path):
+        for name, params in [("ctqw-hypercube", {"dim": 10, "t_max": 1e4}),
+                             ("analog-search", {"n": 4096, "marked": 7,
+                                                "t_max": 1e6})]:
+            meta, _, rows = run_ok(tmp_path, name, params)
+            assert rows[-1][0] == params["t_max"]
+            assert meta["params"]["t_max"] == params["t_max"]
 
     def test_broken_krylov_apply_exits_3_without_output(self, tmp_path,
                                                        monkeypatch, capsys):
@@ -618,7 +681,10 @@ class TestCommandLine:
     @pytest.mark.parametrize("demo", ["01_line_walks.py",
                                       "02_absorbing_wall.py",
                                       "03_decoherence.py",
-                                      "06_subset_search.py"])
+                                      "04_graph_search.py",
+                                      "05_szegedy.py",
+                                      "06_subset_search.py",
+                                      "09_markov_tools.py"])
     def test_demo_runs(self, tmp_path, demo):
         demo = Path(__file__).resolve().parents[1] / "demos" / demo
         proc = python_child([str(demo)], tmp_path)

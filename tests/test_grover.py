@@ -84,17 +84,23 @@ class TestGroverRun:
 
 class TestTrajectory:
     def test_closed_form_rotation(self):
-        tr = gr.grover_trajectory(64, {5}, 20)
+        tr = gr.grover_run(64, {5}, steps=20)
+        theta = gr.rotation_angle(64, 1)
+        assert tr.components.shape == (21, 2)
         for j in range(21):
-            angle = (2 * j + 1) * tr.theta / 2
+            angle = (2 * j + 1) * theta / 2
             assert abs(tr.components[j, 0] - math.sin(angle)) < 1e-12
             assert abs(tr.components[j, 1] - math.cos(angle)) < 1e-12
 
     def test_stays_in_the_plane(self):
-        tr = gr.grover_trajectory(128, {1, 2, 3}, 15)
+        tr = gr.grover_run(128, {1, 2, 3}, steps=15)
         assert tr.leakage <= 1e-12
         norms = (tr.components ** 2).sum(axis=1)
         assert np.max(np.abs(norms - 1.0)) < 1e-12
+
+    def test_negative_step_count_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            gr.grover_run(16, {3}, steps=-1)
 
 
 class TestFixedPoint:

@@ -41,6 +41,13 @@ class TestBasisAndBookkeeping:
             res = sb.subset_walk_run(10, 5, 2, f, prop, schedule=(tau1, tau2))
             assert res.queries == 5 + 2 * tau1 * tau2
 
+    def test_result_carries_the_walk_that_ran(self):
+        f, prop = collision_pair()
+        res = sb.subset_walk_run(8, 4, 2, f, prop, schedule=(2, 3))
+        assert isinstance(res.walk, sb.SubsetWalk)
+        assert res.walk.success(res.walk.run(2, 3)) == res.success
+        assert res.walk.queries == res.queries
+
     def test_auto_schedule_values(self):
         f, prop = collision_pair()
         res = sb.subset_walk_run(10, 5, 2, f, prop)

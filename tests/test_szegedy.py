@@ -250,6 +250,14 @@ class TestPhaseGap:
         pg = sz.marked_phase_gap(complete_chain(8), set())
         assert pg.phi0 == 0.0
         assert pg.bound == 0.0
+        assert pg.chain is None
+
+    def test_gap_carries_the_marked_chain_it_built(self):
+        p = complete_chain(12)
+        pg = sz.marked_phase_gap(p, {0, 3})
+        mc = sz.marked_modify(p, {0, 3})
+        assert pg.chain == mc
+        assert np.array_equal(pg.chain.p_prime, mc.p_prime)
 
     def test_everything_marked_rejected(self):
         with pytest.raises(ValueError, match="unmarked"):
