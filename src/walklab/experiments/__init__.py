@@ -596,8 +596,11 @@ def _analog_search(p, seed):
     "NAND trees from the adversarial distribution: ratio evaluation "
     "against boolean truth, with randomized classical query costs.",
     {"depth": Param("int", 5, "tree depth", lo=0, hi=16),
-     "instances": Param("int", 20, "how many trees to draw", lo=1),
-     "trials": Param("int", 4, "classical evaluations per tree", lo=1)},
+     # at depth 5, 10^4 instances take 4.2 s and 10^3 trials 1.1 s
+     "instances": Param("int", 20, "how many trees to draw",
+                        lo=1, hi=10 ** 4),
+     "trials": Param("int", 4, "classical evaluations per tree",
+                     lo=1, hi=1000)},
     needs_seed=True,
 )
 def _nand(p, seed):
@@ -625,8 +628,9 @@ def _nand(p, seed):
     "Telescoping partition-function estimate for independent spins, "
     "against the exact product form.",
     {"bits": Param("int", 6, "number of spins", lo=1, hi=20),
-     "levels": Param("int", 8, "temperature levels"),
-     "samples": Param("int", 200, "samples per level"),
+     # at bits 6, 1000 levels take 7.2 s and 10^4 samples 3.4 s
+     "levels": Param("int", 8, "temperature levels", lo=1, hi=1000),
+     "samples": Param("int", 200, "samples per level", lo=1, hi=10 ** 4),
      "beta_max": Param("float", 2.0, "final inverse temperature")},
     needs_seed=True,
 )
@@ -658,11 +662,13 @@ def _mcmc_partition(p, seed):
     "Geometric-cooling annealer on a random energy landscape over "
     "bitstrings.",
     {"bits": Param("int", 8, "number of bits", lo=1, hi=16),
-     "runs": Param("int", 20, "independent annealing runs", lo=1),
+     # at bits 8, 1000 runs take 9.2 s and 2000 inner steps 6.7 s
+     "runs": Param("int", 20, "independent annealing runs", lo=1, hi=1000),
      "t0": Param("float", 2.0, "starting temperature"),
      "mu": Param("float", 0.9, "cooling factor"),
      "tmin": Param("float", 0.05, "final temperature"),
-     "inner": Param("int", 60, "Metropolis steps per temperature")},
+     "inner": Param("int", 60, "Metropolis steps per temperature",
+                    lo=0, hi=2000)},
     needs_seed=True,
 )
 def _annealing(p, seed):

@@ -517,13 +517,34 @@ def absorbing_oracle(m_max):
 
 def test_absorbing_walk_matches_the_hand_written_update():
     # a longer buffer only adds sites the walker never reaches, so every
-    # shorter run is a prefix of the longest
-    per_step, cumulative, amplitudes = absorbing_oracle(200)
-    for m in range(1, 201):
-        res = cw.absorbing_line_quantum(m)
-        assert np.array_equal(res.cumulative, cumulative[:m + 1])
-        assert np.max(np.abs(res.per_step - per_step[:m + 1])) <= 1e-15
-        assert np.max(np.abs(res.amplitudes - amplitudes[:m + 1])) <= 1e-15
+    # shorter run is a prefix of the longest; at m_max = 3000 the far
+    # front is dropped from step 2045 on, not stepped as subnormals
+    for m_max, runs in ((200, range(1, 201)), (3000, [3000])):
+        per_step, cumulative, amplitudes = absorbing_oracle(m_max)
+        for m in runs:
+            res = cw.absorbing_line_quantum(m)
+            assert np.array_equal(res.cumulative, cumulative[:m + 1])
+            assert np.max(np.abs(res.per_step - per_step[:m + 1])) <= 1e-15
+            assert np.max(np.abs(res.amplitudes - amplitudes[:m + 1])) <= 1e-15
+
+
+def test_absorbing_window_stops_at_the_underflowed_front(monkeypatch):
+    step = cw.CoinedWalkOperator.step
+    edges = []
+
+    def spy(self, state, window=None):
+        # a dropped row is zeroed: nothing is left beyond the window
+        assert not state[window[1]:].any(), len(edges)
+        edges.append(window[1])
+        return step(self, state, window)
+
+    monkeypatch.setattr(cw.CoinedWalkOperator, "step", spy)
+    cw.absorbing_line_quantum(8000)
+    # step t runs on the sites [1, t + 1) until the front 2^(-t/2) sinks
+    # below tiny = 2^-1022 after step 2044
+    assert edges[:2044] == list(range(2, 2046))
+    assert edges[2044] < 2046
+    assert max(edges) < 8001 and len(edges) == 8000
 
 
 def inject_nan(state):
@@ -534,8 +555,18 @@ def leak(state):
     state *= 1.0 - 1e-6
 
 
-@pytest.mark.parametrize("damage", [inject_nan, leak], ids=["nan", "leak"])
-def test_absorbing_walk_fails_closed(monkeypatch, damage):
+def nan_beside_the_underflowed_front(state):
+    # one NaN into the front row once that row lies below tiny, where a
+    # rule that dropped rows with no entry >= tiny would discard it
+    front = np.flatnonzero(state.any(axis=1))[-1]
+    if np.abs(state[front]).max() < np.finfo(float).tiny:
+        state[front, 1] = np.nan
+
+
+@pytest.mark.parametrize("damage, m_max", [
+    (inject_nan, 10), (leak, 10), (nan_beside_the_underflowed_front, 2100),
+], ids=["nan", "leak", "nan-at-the-underflowed-front"])
+def test_absorbing_walk_fails_closed(monkeypatch, damage, m_max):
     step = cw.CoinedWalkOperator.step
 
     def damaged(self, state, window=None):
@@ -546,7 +577,7 @@ def test_absorbing_walk_fails_closed(monkeypatch, damage):
     monkeypatch.setattr(cw.CoinedWalkOperator, "step", damaged)
     with pytest.raises(ToleranceError,
                        match="absorbed plus remaining probability"):
-        cw.absorbing_line_quantum(10)
+        cw.absorbing_line_quantum(m_max)
 
 
 def test_absorbing_rejects_zero_steps():

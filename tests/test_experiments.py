@@ -86,6 +86,8 @@ class TestExitCodes:
                 ("line-walk", {"m": "0"}, None),
                 ("line-walk", {"m": "-1"}, None),
                 ("annealing", {"inner": "-1"}, 1),
+                # a schedule np.linspace could not allocate
+                ("mcmc-partition", {"levels": str(10 ** 12)}, 1),
                 ("mixing", {"t_max": "-1"}, None),
                 ("mixing", {"t_max": "0"}, None),
                 ("hitting", {"horizon": "0"}, None),
