@@ -2,8 +2,9 @@
 
 Classical random walks, discrete-time quantum walks (coined and scattering),
 Szegedy walks built from Markov chains, walk-based search algorithms, and
-continuous-time quantum walks, all as dense linear algebra on explicit
-graphs small enough to check every claim numerically.
+continuous-time quantum walks on explicit graphs small enough to check every
+claim numerically: structured steps, spectra compressed to an invariant
+subspace and Krylov evolution, held against dense references.
 
 Submodules
 ----------

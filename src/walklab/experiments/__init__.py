@@ -218,7 +218,8 @@ def _line_walk(p, seed):
 @_register(
     "hadamard-line",
     "Position distribution of the coined Hadamard walk after m steps.",
-    {"m": Param("int", 100, "number of steps"),
+    # m = 10^4 takes 1.8 s at one BLAS thread
+    {"m": Param("int", 100, "number of steps", hi=10 ** 4),
      "q": Param("float", 1.0, "weight of the up coin component"),
      "sigma": Param("float", 0.0, "relative phase of the down component")},
 )
@@ -235,7 +236,8 @@ def _hadamard_line(p, seed):
 @_register(
     "entropy-series",
     "Position entropy of the classical and Hadamard walks at every step.",
-    {"m_max": Param("int", 100, "largest step count", lo=0)},
+    # line_walk_binomial overflows a float past m = 1023, which takes 0.42 s
+    {"m_max": Param("int", 100, "largest step count", lo=0, hi=1023)},
 )
 def _entropy_series(p, seed):
     op = coined.line_operator(p["m_max"])
@@ -282,7 +284,8 @@ def _decoherence_sweep(p, seed):
     "absorbing-boundary",
     "Hadamard walker beside an absorbing wall: per-step and cumulative "
     "absorption, whose limit is 2/pi.",
-    {"m_max": Param("int", 4000, "number of steps")},
+    # m_max = 20,000 takes 1.3 s and 10^5 takes 33 s
+    {"m_max": Param("int", 4000, "number of steps", hi=20000)},
 )
 def _absorbing_boundary(p, seed):
     res = coined.absorbing_line_quantum(p["m_max"])
@@ -298,7 +301,8 @@ def _absorbing_boundary(p, seed):
     "complete-graph-search",
     "Edge walk searching k marked vertices of the complete graph inside "
     "its invariant subspace.",
-    {"n": Param("int", 100, "number of vertices"),
+    # n = 2000 takes 0.62 s and 266 MB, n = 4000 2.4 s and 885 MB
+    {"n": Param("int", 100, "number of vertices", hi=2000),
      "k": Param("int", 1, "number of marked vertices")},
 )
 def _complete_graph_search(p, seed):
@@ -316,7 +320,8 @@ def _complete_graph_search(p, seed):
     "star-search",
     "Edge walk on a star with one hidden extra edge, tracked inside its "
     "five-dimensional invariant subspace.",
-    {"n": Param("int", 400, "number of spikes"),
+    # n = 10^9 takes 0.74 s and 10^11 7.0 s
+    {"n": Param("int", 400, "number of spikes", hi=10 ** 9),
      "r0": Param("float", 0.0, "reflection coefficient of the special spikes")},
 )
 def _star_search(p, seed):
@@ -463,7 +468,9 @@ def _subset_find(p, seed):
     "cost-table",
     "Query exponents of the subset-walk variants: closed-form optimum "
     "against a grid scan over the subset-size exponent.",
-    {"k_max": Param("int", 5, "largest property size", lo=1),
+    # k_max = 100 takes 0.03 s (12.9 s with 10^6 grid points); past it
+    # the cost model's powers of N overflow a float
+    {"k_max": Param("int", 5, "largest property size", lo=1, hi=100),
      # 10^6 grid points take 0.52 s and 150 MB
      "grid": Param("int", 2001, "grid points for the scan", lo=2, hi=10 ** 6)},
 )

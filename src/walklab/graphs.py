@@ -6,9 +6,9 @@ matrix built downstream has a reproducible basis.
 
 The edges are stored once, as ``Graph.pairs``: an (m, 2) integer array of
 rows (u, v) with u < v, sorted and free of duplicates.  ``arcs`` gives both
-directions of every edge plus each loop, and degrees, matrices, neighbor
-lists and colorings are array operations on it.  ``Graph.edges`` is a
-frozenset view built on first use, for callers that want tuples.
+directions of every edge plus each loop in lexicographic order, and
+degrees, matrices, neighbor lists, colorings and the edge-state walks are
+array operations on it; ``arc_reversal`` indexes each arc's reversal.
 
 Canonical orders:
 
@@ -24,7 +24,6 @@ Canonical orders:
 
 import inspect
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -44,6 +43,7 @@ __all__ = [
     "subset_bipartite",
     "build_graph",
     "arcs",
+    "arc_reversal",
     "adjacency",
     "degree_matrix",
     "laplacian",
@@ -53,8 +53,6 @@ __all__ = [
     "is_connected",
     "is_bipartite",
     "color_edges",
-    "to_edge_list",
-    "parse_edge_list",
     "tree_columns",
 ]
 
@@ -87,7 +85,7 @@ class Graph:
             u, v = raw[np.argmax(bad)]
             raise ValueError(f"edge ({u},{v}) out of range")
         if np.any(raw[:, 0] == raw[:, 1]):
-            raise ValueError("self-loops belong in .loops, not .edges")
+            raise ValueError("self-loops belong in .loops, not .pairs")
         keys = raw.min(axis=1) * n + raw.max(axis=1)
         keys.sort()
         keys = keys[np.diff(keys, prepend=-1) != 0]
@@ -99,11 +97,6 @@ class Graph:
             raise ValueError(f"loop at {loops[np.argmax(bad)]} out of range")
         object.__setattr__(self, "pairs", pairs)
         object.__setattr__(self, "loops", frozenset(loops.tolist()))
-
-    @cached_property
-    def edges(self):
-        """The edges as a frozenset of (u, v) tuples with u < v."""
-        return frozenset(map(tuple, self.pairs.tolist()))
 
     @property
     def m(self):
@@ -131,9 +124,6 @@ class EdgeColoring:
 
     d: int
     next_vertex: np.ndarray = field(compare=False)
-
-    def apply(self, v, c):
-        return int(self.next_vertex[v, c])
 
 
 def line(n):
@@ -336,6 +326,14 @@ def arcs(g):
     return rows
 
 
+def arc_reversal(arcs):
+    """Index of each arc's reversal in a symmetric arc array in
+    lexicographic order, such as ``arcs(g)``."""
+    # the arc set is symmetric, so sorting by (dst, src) lists the
+    # reversed arcs in lexicographic order
+    return np.lexsort((arcs[:, 0], arcs[:, 1]))
+
+
 def neighbors(g):
     """Sorted adjacency lists, loops excluded."""
     src, dst = arcs(g).T
@@ -457,22 +455,3 @@ def _check_coloring(g, nxt):
         v, c = np.argwhere(~on_edges)[0]
         raise AssertionError(f"color {c} leaves the edge set at {v}")
 
-
-def to_edge_list(g):
-    """Serialize as 'n m' followed by one 'u v' line per edge (loops 'v v')."""
-    lines = [f"{g.n} {g.m}"]
-    lines.extend(f"{u} {v}" for u, v in g.pairs.tolist())
-    lines.extend(f"{v} {v}" for v in sorted(g.loops))
-    return "\n".join(lines) + "\n"
-
-
-def parse_edge_list(text):
-    lines = [ln for ln in text.strip().splitlines() if ln.strip()]
-    n, m = (int(tok) for tok in lines[0].split())
-    if len(lines) - 1 != m:
-        raise ValueError("edge count does not match the header")
-    pairs, loops = [], []
-    for ln in lines[1:]:
-        u, v = (int(tok) for tok in ln.split())
-        (loops if u == v else pairs).append((u, v))
-    return Graph(n, pairs, [u for u, _ in loops])

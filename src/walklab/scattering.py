@@ -16,7 +16,6 @@ import cmath
 import math
 from collections import namedtuple
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -24,8 +23,6 @@ from walklab import graphs as _graphs
 from walklab import linalg as _linalg
 
 __all__ = [
-    "EdgeBasis",
-    "edge_basis",
     "LocalCoin",
     "grover_coin",
     "reflective_coin",
@@ -41,42 +38,6 @@ __all__ = [
     "star_coins",
     "star_invariant_vectors",
 ]
-
-
-@dataclass(frozen=True, eq=False)
-class EdgeBasis:
-    """Directed-edge basis in lexicographic (source, destination) order.
-
-    ``src`` and ``dst`` are the arcs of the graph (``graphs.arcs``); the
-    tuple ``edges``, the dict ``index`` from arc to position and the
-    arc reversal ``reverse`` are built on first use.
-    """
-
-    src: np.ndarray
-    dst: np.ndarray
-
-    @property
-    def dim(self):
-        return len(self.src)
-
-    @cached_property
-    def edges(self):
-        return tuple(zip(self.src.tolist(), self.dst.tolist()))
-
-    @cached_property
-    def index(self):
-        return {e: i for i, e in enumerate(self.edges)}
-
-    @cached_property
-    def reverse(self):
-        # index of each arc's reversal: the arc set is symmetric, so
-        # sorting by (dst, src) lists the reversed arcs in basis order
-        return np.lexsort((self.src, self.dst))
-
-
-def edge_basis(g):
-    src, dst = _graphs.arcs(g).T
-    return EdgeBasis(src, dst)
 
 
 @dataclass(frozen=True)
@@ -123,16 +84,17 @@ def custom_coin(r0):
 
 
 class SqwOperator:
-    """Full step unitary on the directed-edge space of a graph."""
+    """Full step unitary on the directed-edge space of a graph, whose
+    basis is the arc array ``arcs`` (``graphs.arcs`` order)."""
 
-    def __init__(self, graph, basis, matrix):
+    def __init__(self, graph, arcs, matrix):
         self.graph = graph
-        self.basis = basis
+        self.arcs = arcs
         self._matrix = matrix
 
     @property
     def dim(self):
-        return self.basis.dim
+        return len(self.arcs)
 
     def step(self, state):
         state = np.asarray(state, dtype=complex)
@@ -145,7 +107,7 @@ class SqwOperator:
 
     def position_distribution(self, state):
         """Probability of finding the walker on each destination vertex."""
-        return np.bincount(self.basis.dst, weights=np.abs(state) ** 2,
+        return np.bincount(self.arcs[:, 1], weights=np.abs(state) ** 2,
                            minlength=self.graph.n)
 
 
@@ -157,9 +119,10 @@ def sqw_build(g, coins):
     vertex sends the edges arriving there to the edges leaving it; its
     unitarity is checked to 1e-10.
     """
-    basis = edge_basis(g)
-    bounds = np.searchsorted(basis.src, np.arange(g.n + 1))
-    u = np.zeros((basis.dim, basis.dim), dtype=complex)
+    arcs = _graphs.arcs(g)
+    reverse = _graphs.arc_reversal(arcs)
+    bounds = np.searchsorted(arcs[:, 0], np.arange(g.n + 1))
+    u = np.zeros((len(arcs), len(arcs)), dtype=complex)
     for l in range(g.n):
         out = slice(bounds[l], bounds[l + 1])
         d = int(out.stop - out.start)
@@ -170,8 +133,8 @@ def sqw_build(g, coins):
         if _linalg.unitarity_defect(m) > 1e-10:
             raise ValueError(f"local map at vertex {l} is not unitary")
         # arc (l, w_i) receives m[i, j] times the arc (w_j, l) arriving
-        u[out, basis.reverse[out]] = m
-    return SqwOperator(g, basis, u)
+        u[out, reverse[out]] = m
+    return SqwOperator(g, arcs, u)
 
 
 @dataclass(frozen=True)
@@ -198,12 +161,12 @@ def reduce_complete_graph(n, k, phase):
         raise ValueError("need at least three vertices")
     if not 1 <= k < n:
         raise ValueError("marked count must satisfy 1 <= k < n")
-    basis = edge_basis(_graphs.complete(n))
-    out_m, in_m = basis.src < k, basis.dst < k
+    src, dst = _graphs.arcs(_graphs.complete(n)).T
+    out_m, in_m = src < k, dst < k
     classes = {"um": ~out_m & in_m, "mu": out_m & ~in_m,
                "uu": ~out_m & ~in_m, "mm": out_m & in_m}
     labels = ("um", "mu", "uu") if k == 1 else ("um", "mu", "uu", "mm")
-    vectors = np.zeros((basis.dim, len(labels)))
+    vectors = np.zeros((len(src), len(labels)))
     for j, lab in enumerate(labels):
         size = np.count_nonzero(classes[lab])
         vectors[classes[lab], j] = 1.0 / math.sqrt(size)
@@ -328,17 +291,18 @@ def star_coins(n, r0):
 def star_invariant_vectors(g):
     """The five reduced vectors embedded in the full edge basis of a
     star-with-extra-edge graph."""
-    basis = edge_basis(g)
+    arcs = _graphs.arcs(g)
+    keys = arcs @ [g.n, 1]
+
+    def at(u, v):
+        return np.searchsorted(keys, np.multiply(u, g.n) + v)
+
     n = g.n - 1
-    vecs = np.zeros((basis.dim, 5))
     r2 = 1.0 / math.sqrt(2.0)
-    vecs[basis.index[(0, 1)], 0] = r2
-    vecs[basis.index[(0, 2)], 0] = r2
-    vecs[basis.index[(1, 0)], 1] = r2
-    vecs[basis.index[(2, 0)], 1] = r2
+    vecs = np.zeros((len(arcs), 5))
+    vecs[at(0, [1, 2]), 0] = r2
+    vecs[at([1, 2], 0), 1] = r2
     for j in range(3, n + 1):
-        vecs[basis.index[(0, j)], 2] = 1.0 / math.sqrt(n - 2.0)
-        vecs[basis.index[(j, 0)], 3] = 1.0 / math.sqrt(n - 2.0)
-    vecs[basis.index[(1, 2)], 4] = r2
-    vecs[basis.index[(2, 1)], 4] = r2
+        vecs[at(0, j), 2] = vecs[at(j, 0), 3] = 1.0 / math.sqrt(n - 2.0)
+    vecs[at([1, 2], [2, 1]), 4] = r2
     return vecs

@@ -21,7 +21,6 @@ from collections import namedtuple
 import numpy as np
 
 from walklab import graphs as _graphs
-from walklab import scattering as _scattering
 
 __all__ = [
     "SubsetWalk",
@@ -50,13 +49,13 @@ class SubsetWalk:
             raise ValueError("property size k must satisfy 1 <= k <= q")
         self.n, self.q, self.k = n, q, k
         g = _graphs.subset_bipartite(n, q)
-        basis = _scattering.edge_basis(g)
-        self._reverse = basis.reverse
+        arcs = _graphs.arcs(g)
+        self._reverse = _graphs.arc_reversal(arcs)
         n_left = math.comb(n, q)
         self.left_sets = [tuple(sorted(s)) for s in g.labels[:n_left]]
-        self.left_dim = int(np.searchsorted(basis.src, n_left))
-        self.right_dim = basis.dim - self.left_dim
-        self.dim = basis.dim
+        self.left_dim = int(np.searchsorted(arcs[:, 0], n_left))
+        self.dim = len(arcs)
+        self.right_dim = self.dim - self.left_dim
         self.values = {x: f(x) for x in range(n)}
         self.good_sets = np.array(
             [any(prop(tuple((x, self.values[x]) for x in sub))

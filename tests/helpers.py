@@ -1,5 +1,5 @@
 """Helpers shared by the tests: random matrices, a CSV reader for the
-package's own output files, and a probability-vector check."""
+package's own output files, a probability-vector check and an arc lookup."""
 
 import numpy as np
 
@@ -53,3 +53,8 @@ def check_distribution(p, tol=1e-9):
     if not abs(total - 1.0) <= tol:
         raise ValueError(f"probabilities sum to {total}, not 1")
     return p
+
+
+def arc_index(arcs):
+    """Position of each (source, destination) arc of an arc array."""
+    return {arc: i for i, arc in enumerate(map(tuple, arcs.tolist()))}

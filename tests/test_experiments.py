@@ -107,7 +107,15 @@ class TestExitCodes:
                 # a negative time is refused, not swapped for the default
                 ("ctqw-hypercube", {"t_max": "-5"}, None),
                 ("glued-trees", {"t_max": "-5"}, 1),
-                ("analog-search", {"t_max": "-5"}, None)]:
+                ("analog-search", {"t_max": "-5"}, None),
+                # sizes past their caps: out of memory, an overflow or
+                # a run without end
+                ("hadamard-line", {"m": str(10 ** 12)}, None),
+                ("absorbing-boundary", {"m_max": str(10 ** 12)}, None),
+                ("entropy-series", {"m_max": "1024"}, None),
+                ("complete-graph-search", {"n": str(10 ** 5)}, None),
+                ("star-search", {"n": str(10 ** 18)}, None),
+                ("cost-table", {"k_max": str(10 ** 9)}, None)]:
             spec = ExperimentSpec(name, params, seed, str(tmp_path))
             assert run(spec) == 2, (name, params)
         assert not list(tmp_path.glob("*.csv"))
@@ -593,25 +601,6 @@ class TestSamplingExperiments:
         assert 0.0 <= meta["hit_fraction"] <= 1.0
 
 
-GRAPH_EXPERIMENTS = ("analog-search", "complete-graph-search",
-                     "ctqw-hypercube", "glued-trees", "hitting", "mixing",
-                     "szegedy-spectrum", "marked-gap")
-
-
-def test_graph_experiments_never_read_edge_tuples(tmp_path, monkeypatch):
-    """Library code works on the edge arrays; the tuple views are for tests."""
-    def refuse(self):
-        raise AssertionError("library code read a tuple view of the edges")
-
-    monkeypatch.setattr(experiments.graphs.Graph, "edges", property(refuse))
-    for attr in ("edges", "index"):
-        monkeypatch.setattr(experiments.scattering.EdgeBasis, attr,
-                            property(refuse))
-    for name in GRAPH_EXPERIMENTS:
-        seed = 1 if experiments.catalog()[name].needs_seed else None
-        assert run(ExperimentSpec(name, {}, seed, str(tmp_path))) == 0, name
-
-
 def test_subset_find_builds_at_most_two_walks(tmp_path, monkeypatch):
     """One walk serves the auto schedule and its window probes, one more
     the tau2 sweep."""
@@ -626,6 +615,9 @@ def test_subset_find_builds_at_most_two_walks(tmp_path, monkeypatch):
                         counting_init)
     assert run(ExperimentSpec("subset-find", {}, 1, str(tmp_path))) == 0
     assert 1 <= len(built) <= 2
+
+
+DEMOS = Path(__file__).resolve().parents[1] / "demos"
 
 
 def python_child(args, cwd):
@@ -680,14 +672,8 @@ class TestCommandLine:
                            str(tmp_path / "nope")], tmp_path)
         assert proc.returncode == 2
 
-    @pytest.mark.parametrize("demo", ["01_line_walks.py",
-                                      "02_absorbing_wall.py",
-                                      "03_decoherence.py",
-                                      "04_graph_search.py",
-                                      "05_szegedy.py",
-                                      "06_subset_search.py",
-                                      "09_markov_tools.py"])
+    @pytest.mark.parametrize("demo", sorted(DEMOS.glob("*.py")),
+                             ids=lambda path: path.name)
     def test_demo_runs(self, tmp_path, demo):
-        demo = Path(__file__).resolve().parents[1] / "demos" / demo
         proc = python_child([str(demo)], tmp_path)
         assert proc.returncode == 0, proc.stderr

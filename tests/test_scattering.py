@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from helpers import arc_index
 from walklab import coined, graphs, scattering as sc
 
 
@@ -20,22 +21,23 @@ def complete_coins(n, k, phase):
 class TestEdgeBasis:
     def test_lexicographic_order_and_size(self):
         g = graphs.cycle(4)
-        b = sc.edge_basis(g)
-        assert b.dim == 2 * len(g.edges)
-        assert list(b.edges) == sorted(b.edges)
-        assert b.edges[0] == (0, 1)
-        assert b.index[(3, 0)] == b.edges.index((3, 0))
+        arcs = graphs.arcs(g)
+        assert len(arcs) == 2 * len(g.pairs)
+        assert arcs.tolist() == sorted(arcs.tolist())
+        assert arcs[0].tolist() == [0, 1]
+        assert arc_index(arcs)[(3, 0)] == 6
 
     def test_loops_contribute_one_state(self):
         g = graphs.complete(4, loops=True)
-        b = sc.edge_basis(g)
-        assert b.dim == 2 * len(g.edges) + 4
-        assert (2, 2) in b.index
+        arcs = graphs.arcs(g)
+        assert len(arcs) == 2 * len(g.pairs) + 4
+        assert (2, 2) in arc_index(arcs)
 
     def test_edge_space_matches_position_coin_space_on_regular_graphs(self):
         for g, d in [(graphs.cycle(8), 2), (graphs.complete(6), 5),
                      (graphs.hypercube(3), 3)]:
-            assert sc.edge_basis(g).dim == g.n * d
+            assert len(graphs.arcs(g)) == g.n * d
+            assert sc.sqw_build(g, sc.grover_coin()).dim == g.n * d
 
 
 class TestLocalCoins:
@@ -80,8 +82,9 @@ class TestBuild:
         # everything arriving at a vertex leaves through that same vertex
         op = sc.sqw_build(graphs.complete_bipartite(3, 4), sc.grover_coin())
         u = op.dense()
-        for (ak, al), i in op.basis.index.items():
-            for (bs, bd), j in op.basis.index.items():
+        arcs = op.arcs.tolist()
+        for i, (ak, al) in enumerate(arcs):
+            for j, (bs, bd) in enumerate(arcs):
                 if abs(u[j, i]) > 1e-14:
                     assert bs == al
 
@@ -91,28 +94,29 @@ class TestBuild:
         coins[0] = sc.reflective_coin(0.0)
         coins[6] = sc.reflective_coin(0.0)
         op = sc.sqw_build(g, coins)
-        b = op.basis
+        b = arc_index(op.arcs)
         r2 = 1 / math.sqrt(2)
         v = np.zeros(op.dim, complex)
-        v[b.index[(2, 3)]] = 1.0
+        v[b[(2, 3)]] = 1.0
         w = op.step(v)
-        assert abs(w[b.index[(3, 2)]] - r2) < 1e-12
-        assert abs(w[b.index[(3, 4)]] - r2) < 1e-12
+        assert abs(w[b[(3, 2)]] - r2) < 1e-12
+        assert abs(w[b[(3, 4)]] - r2) < 1e-12
         v = np.zeros(op.dim, complex)
-        v[b.index[(4, 3)]] = 1.0
+        v[b[(4, 3)]] = 1.0
         w = op.step(v)
-        assert abs(w[b.index[(3, 2)]] - r2) < 1e-12
-        assert abs(w[b.index[(3, 4)]] + r2) < 1e-12
+        assert abs(w[b[(3, 2)]] - r2) < 1e-12
+        assert abs(w[b[(3, 4)]] + r2) < 1e-12
 
     def test_reflective_pi_flips_the_amplitude(self):
         g = graphs.line(3)
         coins = {0: sc.reflective_coin(math.pi), 1: sc.grover_coin(),
                  2: sc.reflective_coin(0.0)}
         op = sc.sqw_build(g, coins)
+        b = arc_index(op.arcs)
         v = np.zeros(op.dim, complex)
-        v[op.basis.index[(1, 0)]] = 1.0
+        v[b[(1, 0)]] = 1.0
         w = op.step(v)
-        assert abs(w[op.basis.index[(0, 1)]] + 1.0) < 1e-12
+        assert abs(w[b[(0, 1)]] + 1.0) < 1e-12
 
     def test_non_unitary_local_map_rejected(self):
         class Leaky(sc.LocalCoin):
@@ -214,12 +218,12 @@ class TestCompleteGraphReduction:
     def test_swapping_two_unmarked_vertices_commutes_with_the_walk(self):
         n, k = 8, 2
         op = sc.sqw_build(graphs.complete(n), complete_coins(n, k, math.pi))
-        b = op.basis
+        b = arc_index(op.arcs)
         swap = {5: 6, 6: 5}
         relab = lambda v: swap.get(v, v)
         p = np.zeros((op.dim, op.dim))
-        for (s, d), i in b.index.items():
-            p[b.index[(relab(s), relab(d))], i] = 1.0
+        for (s, d), i in b.items():
+            p[b[(relab(s), relab(d))], i] = 1.0
         u = op.dense()
         assert np.max(np.abs(u @ p - p @ u)) <= 1e-12
 
@@ -347,7 +351,7 @@ class TestCoinedCorrespondence:
         g = graphs.cycle(n)
         r0 = t0 = 1 / math.sqrt(2)
         op_s = sc.sqw_build(g, sc.custom_coin(r0))
-        b = op_s.basis
+        b = arc_index(op_s.arcs)
 
         def coin_for(x):
             if min((x - 1) % n, (x + 1) % n) == (x - 1) % n:
@@ -357,10 +361,10 @@ class TestCoinedCorrespondence:
         op_c = coined.CoinedWalkOperator(g, [coin_for(x) for x in range(n)])
 
         def to_edge(psi):
-            phi = np.zeros(b.dim, complex)
+            phi = np.zeros(op_s.dim, complex)
             for x in range(n):
-                phi[b.index[((x - 1) % n, x)]] = psi[x, 0]
-                phi[b.index[((x + 1) % n, x)]] = psi[x, 1]
+                phi[b[((x - 1) % n, x)]] = psi[x, 0]
+                phi[b[((x + 1) % n, x)]] = psi[x, 1]
             return phi
 
         rng = np.random.default_rng(7)
@@ -408,8 +412,7 @@ class TestRandomizedProperties:
             assert abs(np.linalg.norm(out) - 1.0) < 1e-10
             assert abs(op.position_distribution(out).sum() - 1.0) < 1e-10
             # each column only feeds edges leaving the scattering vertex
-            src = np.array([e[0] for e in op.basis.edges])
-            dst = np.array([e[1] for e in op.basis.edges])
+            src, dst = op.arcs.T
             for i in rng.choice(op.dim, size=3, replace=False):
                 hit = np.abs(u[:, i]) > 1e-14
                 assert np.all(src[hit] == dst[i])
