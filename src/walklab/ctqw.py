@@ -74,10 +74,12 @@ class Hamiltonian:
 
 def graph_hamiltonian(g, kind="adjacency"):
     """Adjacency, laplacian, or negative-adjacency Hamiltonian of a graph."""
-    if kind == "negative-adjacency":
+    if kind == "adjacency":
+        m = _graphs.adjacency(g)
+    elif kind == "negative-adjacency":
         m = -_graphs.adjacency(g)
-    elif kind in ("adjacency", "laplacian"):
-        m = _graphs.matrix(g, kind)
+    elif kind == "laplacian":
+        m = _graphs.laplacian(g)
     else:
         raise ValueError(f"unknown Hamiltonian kind {kind!r}")
     return Hamiltonian(m, tuple(g.labels) if g.labels else None)
@@ -124,7 +126,7 @@ def complete_search_apply(n, marked):
 
 def ctqw_run(h, t, psi0):
     """State exp(-i H t) psi0."""
-    return _linalg.evolve_hermitian(h.matrix, t, psi0)
+    return _linalg.evolve_many(h.matrix, [t], psi0)[0]
 
 
 BesselCheck = namedtuple("BesselCheck", "exact approx difference")

@@ -76,8 +76,9 @@ FIXED_POINT_MAX_APPLICATIONS = 3 ** 12
 _FIXED_POINT_MAX_LEVELS = len(np.base_repr(FIXED_POINT_MAX_APPLICATIONS, 3)) - 1
 
 # Vertex count of each one-size graph family, so that an oversized Szegedy
-# request is refused before its edge list is built.  The exponential ones
-# cap the exponent: 2**64 is already over any limit.
+# request is refused before its edge list is built.  Each key is the name of
+# its builder in ``graphs``.  The exponential ones cap the exponent: 2**64 is
+# already over any limit.
 _VERTEX_COUNTS = {
     "line": lambda n: n,
     "cycle": lambda n: n,
@@ -205,7 +206,7 @@ def list_experiments(file=None):
 @_register(
     "line-walk",
     "Exact m-step fair walk on the integers with its Gaussian envelope.",
-    {"m": Param("int", 100, "number of steps")},
+    {"m": Param("int", 100, "number of steps", lo=1)},
 )
 def _line_walk(p, seed):
     positions, probs = classical.line_walk_binomial(p["m"])
@@ -219,7 +220,7 @@ def _line_walk(p, seed):
     "hadamard-line",
     "Position distribution of the coined Hadamard walk after m steps.",
     # m = 10^4 takes 1.8 s at one BLAS thread
-    {"m": Param("int", 100, "number of steps", hi=10 ** 4),
+    {"m": Param("int", 100, "number of steps", lo=0, hi=10 ** 4),
      "q": Param("float", 1.0, "weight of the up coin component"),
      "sigma": Param("float", 0.0, "relative phase of the down component")},
 )
@@ -285,7 +286,7 @@ def _decoherence_sweep(p, seed):
     "Hadamard walker beside an absorbing wall: per-step and cumulative "
     "absorption, whose limit is 2/pi.",
     # m_max = 20,000 takes 1.3 s and 10^5 takes 33 s
-    {"m_max": Param("int", 4000, "number of steps", hi=20000)},
+    {"m_max": Param("int", 4000, "number of steps", lo=1, hi=20000)},
 )
 def _absorbing_boundary(p, seed):
     res = coined.absorbing_line_quantum(p["m_max"])
@@ -302,8 +303,8 @@ def _absorbing_boundary(p, seed):
     "Edge walk searching k marked vertices of the complete graph inside "
     "its invariant subspace.",
     # n = 2000 takes 0.62 s and 266 MB, n = 4000 2.4 s and 885 MB
-    {"n": Param("int", 100, "number of vertices", hi=2000),
-     "k": Param("int", 1, "number of marked vertices")},
+    {"n": Param("int", 100, "number of vertices", lo=3, hi=2000),
+     "k": Param("int", 1, "number of marked vertices", lo=1)},
 )
 def _complete_graph_search(p, seed):
     n, k = p["n"], p["k"]
@@ -321,7 +322,7 @@ def _complete_graph_search(p, seed):
     "Edge walk on a star with one hidden extra edge, tracked inside its "
     "five-dimensional invariant subspace.",
     # n = 10^9 takes 0.74 s and 10^11 7.0 s
-    {"n": Param("int", 400, "number of spikes", hi=10 ** 9),
+    {"n": Param("int", 400, "number of spikes", lo=3, hi=10 ** 9),
      "r0": Param("float", 0.0, "reflection coefficient of the special spikes")},
 )
 def _star_search(p, seed):
@@ -339,8 +340,8 @@ def _star_search(p, seed):
     "Grover iteration over an unstructured list, tracked in the plane of "
     "the marked and unmarked superpositions.",
     # n = 2^20 takes about 8 s at one BLAS thread
-    {"n": Param("int", 1024, "list size", hi=2 ** 20),
-     "k": Param("int", 1, "number of marked items")},
+    {"n": Param("int", 1024, "list size", lo=2, hi=2 ** 20),
+     "k": Param("int", 1, "number of marked items", lo=1)},
 )
 def _grover(p, seed):
     n, k = p["n"], p["k"]
@@ -362,8 +363,8 @@ def _grover(p, seed):
                      lo=0, hi=_FIXED_POINT_MAX_LEVELS),
      # level 10 takes 0.41 s at n = 8, 0.59 s at n = 1024 and 1.68 s at
      # n = 8192, so the cap keeps the deepest run near the n = 8 budget
-     "n": Param("int", 8, "list size", hi=1024),
-     "k": Param("int", 1, "number of marked items"),
+     "n": Param("int", 8, "list size", lo=2, hi=1024),
+     "k": Param("int", 1, "number of marked items", lo=1),
      "base": Param("str", "identity", "identity or grover-iterate")},
 )
 def _fixed_point(p, seed):
@@ -389,7 +390,7 @@ def _szegedy_chain(p):
     if count > SZEGEDY_MAX_VERTICES:
         raise ValueError(f"{family} n={n} has {count} vertices; the "
                          f"Szegedy walk takes at most {SZEGEDY_MAX_VERTICES}")
-    g = graphs.build_graph(family, n)
+    g = getattr(graphs, family)(n)
     return szegedy.from_markov_chain(classical.unbiased_chain(g))
 
 
@@ -398,7 +399,7 @@ def _szegedy_chain(p):
     "Eigenvalues of a chain's discriminant against the eigenphases of its "
     "two-register walk.",
     {"graph": Param("str", "cycle", f"graph family: {_FAMILIES}"),
-     "n": Param("int", 8, "graph size parameter")},
+     "n": Param("int", 8, "graph size parameter", lo=1)},
 )
 def _szegedy_spectrum(p, seed):
     smap = szegedy.spectrum_map(_szegedy_chain(p))
@@ -418,7 +419,7 @@ def _szegedy_spectrum(p, seed):
     "Freezing marked vertices of a symmetric chain: unmarked-block norm "
     "and walk phase gap against their spectral bounds.",
     {"graph": Param("str", "complete", f"graph family: {_FAMILIES}"),
-     "n": Param("int", 16, "graph size parameter"),
+     "n": Param("int", 16, "graph size parameter", lo=1),
      "k_max": Param("int", 4, "largest marked-set size", lo=1)},
 )
 def _marked_gap(p, seed):
@@ -441,9 +442,9 @@ def _marked_gap(p, seed):
     "subset-find",
     "Bipartite subset walk hunting q-subsets that contain k equal values "
     "of a random function.",
-    {"n": Param("int", 10, "domain size"),
-     "q": Param("int", 5, "subset size"),
-     "k": Param("int", 2, "how many equal values count as a hit"),
+    {"n": Param("int", 10, "domain size", hi=14),
+     "q": Param("int", 5, "subset size", lo=1),
+     "k": Param("int", 2, "how many equal values count as a hit", lo=1),
      "r": Param("int", 25, "range size of the random function", lo=1)},
     needs_seed=True,
 )
@@ -492,7 +493,7 @@ def _cost_table(p, seed):
     "Continuous walk wavefront on a long cycle against the squared Bessel "
     "law.",
     # n = 10^5 takes 0.54 s at the default d_max
-    {"n": Param("int", 600, "cycle length", hi=10 ** 5),
+    {"n": Param("int", 600, "cycle length", lo=1, hi=10 ** 5),
      "t": Param("float", 20.0, "evolution time"),
      "d_max": Param("int", 60, "largest displacement", lo=0),
      "tolerance": Param("float", 5e-3, "allowed exact-vs-Bessel gap",
@@ -550,7 +551,7 @@ def _ctqw_hypercube(p, seed):
     {"kind": Param("str", "plain", "plain or cycle"),
      # the line is evolved densely: n = 1000 takes 1.43 s and 248 MB, and
      # n = 10^4 would ask for gigabytes
-     "n": Param("int", 4, "tree depth", hi=1000),
+     "n": Param("int", 4, "tree depth", lo=2, hi=1000),
      "t_max": Param("float", 0.0, "largest time; 0 means 4n", lo=0.0),
      "points": Param("int", 201, "time samples", lo=2, hi=10 ** 5)},
 )
@@ -572,8 +573,8 @@ def _glued_trees(p, seed):
     "analog-search",
     "Hamiltonian search on the complete graph: two-level closed form "
     "against evolution in the Krylov block of the uniform state.",
-    {"n": Param("int", 64, "number of vertices", hi=2 ** 20),
-     "marked": Param("int", 1, "number of marked vertices"),
+    {"n": Param("int", 64, "number of vertices", lo=2, hi=2 ** 20),
+     "marked": Param("int", 1, "number of marked vertices", lo=1),
      # at 10^7, (n, marked) = (3, 2), (64, 1) and (4096, 7) are off by 1.1e-9
      # to 6.9e-9 against the 1e-9 budget; some sizes fail below the cap too,
      # e.g. (10^5, 5 * 10^4) at 10^3 and (65536, 3) at 10^5
@@ -707,9 +708,9 @@ def _annealing(p, seed):
     "mixing",
     "Classical and time-averaged quantum mixing on an odd cycle.",
     # both at their caps take 10.2 s; t_max = 10^5 alone (n = 9) takes 3.6 s
-    {"n": Param("int", 9, "cycle length, odd", hi=301),
+    {"n": Param("int", 9, "cycle length, odd", lo=3, hi=301),
      "eps": Param("float", 0.05, "distance threshold"),
-     "t_max": Param("int", 400, "horizon", hi=10 ** 5)},
+     "t_max": Param("int", 400, "horizon", lo=1, hi=10 ** 5)},
 )
 def _mixing(p, seed):
     n = p["n"]
@@ -738,7 +739,7 @@ def _mixing(p, seed):
     "against one-shot and monitored quantum arrival.",
     {"dim": Param("int", 4, "hypercube dimension", lo=2, hi=8),
      # horizon 10^5 takes 6.9 s at dim 8
-     "horizon": Param("int", 100, "largest step count", hi=10 ** 5)},
+     "horizon": Param("int", 100, "largest step count", lo=2, hi=10 ** 5)},
 )
 def _hitting(p, seed):
     dim = p["dim"]

@@ -22,7 +22,6 @@ Canonical orders:
   before (q+1)-element ones.
 """
 
-import inspect
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -41,13 +40,11 @@ __all__ = [
     "glued_trees",
     "glued_trees_cycle",
     "subset_bipartite",
-    "build_graph",
     "arcs",
     "arc_reversal",
     "adjacency",
     "degree_matrix",
     "laplacian",
-    "matrix",
     "degrees",
     "neighbors",
     "is_connected",
@@ -287,33 +284,6 @@ def _colex_subsets(n_items, k):
     return subs
 
 
-_FAMILIES = {
-    "line": line,
-    "cycle": cycle,
-    "complete": complete,
-    "complete_bipartite": complete_bipartite,
-    "m_partite": m_partite,
-    "hypercube": hypercube,
-    "star_extra_edge": star_extra_edge,
-    "glued_trees": glued_trees,
-    "glued_trees_cycle": glued_trees_cycle,
-    "subset_bipartite": subset_bipartite,
-}
-
-
-def build_graph(family, *args, **kwargs):
-    """Build a graph by family name; see the module docstring for the list."""
-    try:
-        builder = _FAMILIES[family]
-    except KeyError:
-        raise ValueError(f"unknown graph family {family!r}") from None
-    try:
-        inspect.signature(builder).bind(*args, **kwargs)
-    except TypeError as err:
-        raise ValueError(f"graph family {family!r}: {err}") from None
-    return builder(*args, **kwargs)
-
-
 def arcs(g):
     """Both directions of every edge plus each loop once, as a (k, 2) array
     of (source, destination) rows in lexicographic order."""
@@ -361,15 +331,6 @@ def degree_matrix(g):
 def laplacian(g):
     """Adjacency minus degree, so row sums vanish and the diagonal is -d."""
     return adjacency(g) - degree_matrix(g)
-
-
-def matrix(g, kind):
-    """Matrix of the requested kind: adjacency, laplacian, or degree."""
-    table = {"adjacency": adjacency, "laplacian": laplacian, "degree": degree_matrix}
-    try:
-        return table[kind](g)
-    except KeyError:
-        raise ValueError(f"unknown matrix kind {kind!r}") from None
 
 
 def is_connected(g):

@@ -15,7 +15,6 @@ __all__ = [
     "hermiticity_defect",
     "unitarity_defect",
     "eig_hermitian",
-    "evolve_hermitian",
     "evolve_many",
     "invariant_block",
     "evolve_krylov",
@@ -68,11 +67,6 @@ def eig_hermitian(h):
         raise ValueError(f"matrix is not Hermitian (defect {defect:.3g})")
     values, vectors = np.linalg.eigh(h)
     return values, vectors
-
-
-def evolve_hermitian(h, t, psi):
-    """Apply exp(-i h t) to the state vector ``psi``."""
-    return evolve_many(h, [t], psi)[0]
 
 
 def evolve_many(h, times, psi):

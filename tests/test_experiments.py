@@ -124,7 +124,8 @@ class TestExitCodes:
             self, tmp_path, monkeypatch):
         def refuse(*args):
             raise AssertionError("graph built")
-        monkeypatch.setattr(experiments.graphs, "build_graph", refuse)
+        for family in experiments._VERTEX_COUNTS:
+            monkeypatch.setattr(experiments.graphs, family, refuse)
         for name, params in [("szegedy-spectrum",
                               {"graph": "complete", "n": "100000"}),
                              ("szegedy-spectrum",
@@ -133,6 +134,13 @@ class TestExitCodes:
             spec = ExperimentSpec(name, params, None, str(tmp_path))
             assert run(spec) == 2, (name, params)
         assert not list(tmp_path.iterdir())
+
+    def test_vertex_counts_match_the_graph_builders(self):
+        for family, count in experiments._VERTEX_COUNTS.items():
+            for n in (3, 4):
+                g = getattr(experiments.graphs, family)(n)
+                assert g.family == family, (family, n)
+                assert g.n == count(n), (family, n)
 
     def test_oversized_decoherence_sweep_refused_before_it_is_built(
             self, tmp_path, monkeypatch):
@@ -203,7 +211,7 @@ class TestExitCodes:
                     err = capsys.readouterr().err
                     assert f"{key}={value} is outside" in err, err
                     cases += 1
-        assert cases >= 30
+        assert cases >= 83
         assert not list(tmp_path.iterdir())
 
     def test_missing_seed(self, tmp_path):

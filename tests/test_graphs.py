@@ -25,16 +25,6 @@ def test_line_and_cycle_shapes():
         G.cycle(2)
 
 
-def test_build_graph_dispatch():
-    g = G.build_graph("complete_bipartite", 3, 4)
-    assert g.n == 7
-    assert len(g.pairs) == 12
-    with pytest.raises(ValueError):
-        G.build_graph("moebius", 3)
-    with pytest.raises(ValueError, match="complete_bipartite"):
-        G.build_graph("complete_bipartite", 3)
-
-
 def test_m_partite_counts():
     g = G.m_partite(3, 2)
     assert g.n == 6
@@ -163,7 +153,6 @@ def test_laplacian_is_adjacency_minus_degree():
         else:
             g = G.complete(int(rng.integers(2, 9)), loops=bool(rng.integers(0, 2)))
         assert np.array_equal(G.laplacian(g), G.adjacency(g) - G.degree_matrix(g))
-        assert np.array_equal(G.matrix(g, "adjacency"), G.adjacency(g))
 
 
 def test_hypercube_adjacency_row_sums():
@@ -229,7 +218,7 @@ def test_coloring_check_catches_a_shift_off_the_edges():
     ("glued_trees", (3,)), ("glued_trees_cycle", (3, 1)),
     ("subset_bipartite", (5, 2))])
 def test_arc_reversal_pairs_each_arc_with_its_reverse(family, args):
-    arcs = G.arcs(G.build_graph(family, *args))
+    arcs = G.arcs(getattr(G, family)(*args))
     rev = G.arc_reversal(arcs)
     assert np.array_equal(arcs[rev], arcs[:, ::-1])
     assert np.array_equal(rev[rev], np.arange(len(arcs)))

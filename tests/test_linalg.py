@@ -6,7 +6,6 @@ from walklab import coined, ctqw, graphs, scattering, szegedy
 from walklab.linalg import (
     dephased_probabilities,
     eig_hermitian,
-    evolve_hermitian,
     evolve_krylov,
     evolve_many,
     group_indices_by_phase,
@@ -71,13 +70,13 @@ def test_evolution_identity_at_zero_time():
     h = random_hermitian(6, rng)
     psi = rng.normal(size=6) + 1j * rng.normal(size=6)
     psi /= np.linalg.norm(psi)
-    assert np.allclose(evolve_hermitian(h, 0.0, psi), psi, atol=1e-12)
+    assert np.allclose(evolve_many(h, [0.0], psi)[0], psi, atol=1e-12)
 
 
 def test_evolution_two_level_closed_form():
     theta = 0.7341
     psi = np.array([1.0, 0.0], dtype=complex)
-    out = evolve_hermitian(SIGMA_X, theta, psi)
+    out = evolve_many(SIGMA_X, [theta], psi)[0]
     expected = np.array([np.cos(theta), -1j * np.sin(theta)])
     assert np.allclose(out, expected, atol=1e-12)
 
@@ -92,18 +91,19 @@ def test_evolution_composition_and_isometry():
         phi = rng.normal(size=n) + 1j * rng.normal(size=n)
         phi /= np.linalg.norm(phi)
         t1, t2 = rng.uniform(-3, 3, size=2)
-        once = evolve_hermitian(h, t1 + t2, psi)
-        twice = evolve_hermitian(h, t1, evolve_hermitian(h, t2, psi))
+        once = evolve_many(h, [t1 + t2], psi)[0]
+        twice = evolve_many(h, [t1], evolve_many(h, [t2], psi)[0])[0]
         assert np.max(np.abs(once - twice)) < 1e-9
         # inner products are preserved
         before = np.vdot(phi, psi)
-        after = np.vdot(evolve_hermitian(h, t1, phi), evolve_hermitian(h, t1, psi))
+        after = np.vdot(evolve_many(h, [t1], phi)[0],
+                        evolve_many(h, [t1], psi)[0])
         assert abs(before - after) < 1e-9
 
 
 def test_evolution_dimension_mismatch():
     with pytest.raises(ValueError):
-        evolve_hermitian(SIGMA_X, 1.0, np.ones(3))
+        evolve_many(SIGMA_X, [1.0], np.ones(3))
 
 
 def test_evolve_many_matches_single():
@@ -114,7 +114,7 @@ def test_evolve_many_matches_single():
     times = [0.0, 0.3, 1.7, 4.0]
     block = evolve_many(h, times, psi)
     for row, t in zip(block, times):
-        assert np.allclose(row, evolve_hermitian(h, t, psi), atol=1e-10)
+        assert np.allclose(row, evolve_many(h, [t], psi)[0], atol=1e-10)
 
 
 KRYLOV_TIMES = np.linspace(0.0, 4.0, 17)
