@@ -10,7 +10,7 @@ ratio recursion.
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +27,6 @@ __all__ = [
     "BesselCheck",
     "cycle_bessel_check",
     "ctqw_limiting",
-    "TimeAverage",
     "time_averaged_distribution",
     "hypercube_antipode_prob",
     "WeightedLine",
@@ -46,10 +45,9 @@ NAND_SENTINEL = 1e12
 
 @dataclass(frozen=True)
 class Hamiltonian:
-    """Real symmetric generator of a continuous walk, with basis labels."""
+    """Real symmetric generator of a continuous walk."""
 
     matrix: np.ndarray
-    labels: tuple = None
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
@@ -58,18 +56,10 @@ class Hamiltonian:
         if _linalg.hermiticity_defect(m) > SYMMETRY_TOL:
             raise ValueError("Hamiltonian must be symmetric")
         object.__setattr__(self, "matrix", m)
-        labels = self.labels
-        if labels is None:
-            labels = tuple(range(m.shape[0]))
-        object.__setattr__(self, "labels", tuple(labels))
 
     @property
     def dim(self):
         return self.matrix.shape[0]
-
-    @property
-    def norm(self):
-        return float(np.max(np.abs(np.linalg.eigvalsh(self.matrix))))
 
 
 def graph_hamiltonian(g, kind="adjacency"):
@@ -82,7 +72,7 @@ def graph_hamiltonian(g, kind="adjacency"):
         m = _graphs.laplacian(g)
     else:
         raise ValueError(f"unknown Hamiltonian kind {kind!r}")
-    return Hamiltonian(m, tuple(g.labels) if g.labels else None)
+    return Hamiltonian(m)
 
 
 def search_hamiltonian(g, gamma, marked):
@@ -170,44 +160,25 @@ def ctqw_limiting(h, start):
         vectors, _linalg.group_indices_by_phase(values), np.eye(h.dim)[start])
 
 
-TimeAverage = namedtuple("TimeAverage", "distribution quadrature_error")
-
-
-def _simpson_average(probs, count):
-    weights = np.ones(count + 1)
-    weights[1:-1:2] = 4.0
-    weights[2:-1:2] = 2.0
-    # Simpson integral divided by T: the h/3 prefactor and the 1/T
-    # cancel into 1/(3*count)
-    return (weights[:, None] * probs).sum(axis=0) / (3.0 * count)
-
-
 def time_averaged_distribution(h, start, big_t):
-    """Average of |<y|exp(-iHt)|start>|^2 over t in [0, T], by quadrature.
+    """Average of |<y|exp(-iHt)|start>|^2 over t in [0, T], in closed form.
 
-    Composite Simpson with step at most 0.05/|H|, refined once; the
-    returned distribution is the Richardson combination of the two grids
-    and the error field is their largest pointwise gap.
+    With real eigenpairs (E_j, v_j) the average is
+    sum_jk v_j(y) v_j(s) g((E_j - E_k) T) v_k(s) v_k(y), where
+    g(x) = (1 - exp(-ix)) / (ix) is the mean of exp(-iEt) over the window
+    and g(0) = 1 carries each degenerate level.
     """
-    if big_t <= 0:
-        raise ValueError("averaging time must be positive")
+    if not 0.0 < big_t < math.inf:
+        raise ValueError("averaging time must be positive and finite")
     if not 0 <= start < h.dim:
         raise ValueError("start vertex out of range")
     values, vectors = _linalg.eig_hermitian(h.matrix)
-    norm = float(np.max(np.abs(values)))
-    count = int(math.ceil(big_t / (0.05 / max(norm, 1e-12))))
-    count += count % 2
-    coeff = vectors.conj().T @ np.eye(h.dim)[start]
-
-    def averaged(n_intervals):
-        ts = np.linspace(0.0, big_t, n_intervals + 1)
-        states = (np.exp(-1j * np.outer(ts, values)) * coeff) @ vectors.T
-        return _simpson_average(np.abs(states) ** 2, n_intervals)
-
-    coarse = averaged(count)
-    fine = averaged(2 * count)
-    richardson = (16.0 * fine - coarse) / 15.0
-    return TimeAverage(richardson, float(np.max(np.abs(fine - coarse))))
+    x = np.subtract.outer(values, values) * big_t
+    g = np.ones(x.shape, dtype=complex)
+    apart = x != 0.0
+    g[apart] = -np.expm1(-1j * x[apart]) / (1j * x[apart])
+    w = vectors * vectors[start]
+    return ((w @ g) * w).sum(axis=1).real
 
 
 def hypercube_antipode_prob(n, t):
