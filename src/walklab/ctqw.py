@@ -122,28 +122,26 @@ def ctqw_run(h, t, psi0):
 BesselCheck = namedtuple("BesselCheck", "exact approx difference")
 
 
-def cycle_bessel_check(n, x, y, t):
-    """Compare the exact cycle transition probability with |J_d(2t)|^2.
+def cycle_bessel_check(n, t, d_max):
+    """Compare the exact cycle wavefront with |J_d(2t)|^2 at d = 0..d_max.
 
-    The exact value comes from the plane-wave eigenbasis of the negative
-    adjacency matrix; the comparison only makes sense while the
-    wavefront, which travels at speed 2, cannot feel the wrap-around, so
-    n >= 8t + |y - x| is required.
+    On a cycle only the displacement d matters.  The exact amplitude is the
+    plane-wave mean (1/n) sum_k exp(2it cos p_k + i p_k d), p_k = 2 pi k/n,
+    of the negative adjacency, which one inverse FFT gives at every d.  The
+    comparison only makes sense while the wavefront, which travels at speed
+    2, cannot feel the wrap-around, so n >= 8|t| + d_max is required.
     """
-    if not 0 <= x < n or not 0 <= y < n:
-        raise ValueError("vertices out of range")
-    d = y - x
-    if n < 8 * t + abs(d):
+    if not 0 <= d_max < n:
+        raise ValueError("largest displacement out of range")
+    if not n >= 8 * abs(t) + d_max:  # a NaN time is refused too
         raise ValueError("wrap-around regime: cycle too short for this time")
-    k = np.arange(n)
-    p = 2.0 * math.pi * k / n
-    amp = np.mean(np.exp(2j * t * np.cos(p) + 1j * p * d))
-    exact = float(abs(amp) ** 2)
+    p = 2.0 * math.pi * np.arange(n) / n
+    exact = np.abs(np.fft.ifft(np.exp(2j * t * np.cos(p)))[:d_max + 1]) ** 2
     # Imported here so that importing the package does not load scipy.special.
     from scipy.special import jv
 
-    approx = float(jv(abs(d), 2.0 * t)) ** 2
-    return BesselCheck(exact, approx, abs(exact - approx))
+    approx = jv(np.arange(d_max + 1), 2.0 * t) ** 2
+    return BesselCheck(exact, approx, np.abs(exact - approx))
 
 
 def ctqw_limiting(h, start):

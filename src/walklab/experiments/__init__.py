@@ -442,7 +442,7 @@ def _marked_gap(p, seed):
     "subset-find",
     "Bipartite subset walk hunting q-subsets that contain k equal values "
     "of a random function.",
-    {"n": Param("int", 10, "domain size", hi=14),
+    {"n": Param("int", 10, "domain size", lo=2, hi=14),
      "q": Param("int", 5, "subset size", lo=1),
      "k": Param("int", 2, "how many equal values count as a hit", lo=1),
      "r": Param("int", 25, "range size of the random function", lo=1)},
@@ -492,7 +492,8 @@ def _cost_table(p, seed):
     "ctqw-cycle",
     "Continuous walk wavefront on a long cycle against the squared Bessel "
     "law.",
-    # n = 10^5 takes 0.54 s at the default d_max
+    # n = 10^5 takes 0.01 s at the default d_max and 0.34 s, mostly the
+    # CSV, at d_max = n - 1
     {"n": Param("int", 600, "cycle length", lo=1, hi=10 ** 5),
      "t": Param("float", 20.0, "evolution time"),
      "d_max": Param("int", 60, "largest displacement", lo=0),
@@ -500,15 +501,11 @@ def _cost_table(p, seed):
                         lo=0.0)},
 )
 def _ctqw_cycle(p, seed):
-    rows = []
-    worst = 0.0
-    for d in range(p["d_max"] + 1):
-        check = ctqw.cycle_bessel_check(p["n"], 0, d, p["t"])
-        worst = max(worst, check.difference)
-        rows.append((d, check.exact, check.approx, check.difference))
+    check = ctqw.cycle_bessel_check(p["n"], p["t"], p["d_max"])
+    worst = float(np.max(check.difference))
     trace.check("Bessel law", worst, p["tolerance"])
-    return (["position", "probability", "bessel_squared", "difference"], rows,
-            {"worst_difference": worst})
+    return (["position", "probability", "bessel_squared", "difference"],
+            zip(range(p["d_max"] + 1), *check), {"worst_difference": worst})
 
 
 def _time_grid(p, default_t_max):
@@ -589,7 +586,8 @@ def _analog_search(p, seed):
     times = _time_grid(p, 1.25 * t_star)
     psi0 = np.full(n, 1.0 / math.sqrt(n))
     coeffs, q, residual = linalg.evolve_krylov(apply, times, psi0)
-    dense = (np.abs(coeffs @ q[:m].T) ** 2).sum(axis=1)
+    # the marked vertices are interchangeable, so their rows of q are equal
+    dense = m * np.abs(coeffs @ q[0]) ** 2
     closed = np.array([ctqw.analog_search(n, t, m) for t in times])
     worst = float(np.max(np.abs(closed - dense)))
     trace.check("two-level closed form", worst, 1e-9)

@@ -17,7 +17,7 @@ the invariance residual max|W Q - Q B| before they trust it.
 ``szegedy_build`` still forms the dense walk, as the reference the tests
 hold the compressed spectra against.
 
-The classical_walks module keeps column-stochastic matrices; transpose
+The classical module keeps column-stochastic matrices; transpose
 at this boundary (``from_markov_chain`` does it for you).
 """
 
@@ -60,7 +60,7 @@ def _check_row_stochastic(p):
 
 
 def from_markov_chain(chain):
-    """Row-stochastic matrix of a classical_walks chain (which stores the
+    """Row-stochastic matrix of a classical chain (which stores the
     column-stochastic convention)."""
     return np.asarray(chain.matrix).T.copy()
 

@@ -62,11 +62,20 @@ class TestHamiltonians:
         assert np.max(np.abs(out - ref)) < 1e-12
 
 
+def dense_cycle_probabilities(n, t, start):
+    h = ctqw.graph_hamiltonian(graphs.cycle(n), "negative-adjacency")
+    psi0 = np.zeros(n)
+    psi0[start] = 1.0
+    return abs(ctqw.ctqw_run(h, t, psi0)) ** 2
+
+
 class TestCycleWavefront:
     def test_origin_at_time_zero(self):
-        check = ctqw.cycle_bessel_check(64, 3, 3, 0.0)
-        assert abs(check.exact - 1.0) < 1e-12
-        assert abs(check.approx - 1.0) < 1e-12
+        check = ctqw.cycle_bessel_check(64, 0.0, 5)
+        assert abs(check.exact[0] - 1.0) < 1e-12
+        assert abs(check.approx[0] - 1.0) < 1e-12
+        assert np.max(check.exact[1:]) < 1e-12
+        assert np.max(check.approx[1:]) < 1e-12
 
     def test_bessel_j0_of_2_against_series_oracle(self):
         # J_0(2) = sum_k (-1)^k / (k!)^2; alternating with decreasing terms,
@@ -76,43 +85,44 @@ class TestCycleWavefront:
         for k in range(0, 26):
             total += Fraction((-1) ** k, math.factorial(k) ** 2)
         bound = 1.0 / math.factorial(26) ** 2
-        approx = ctqw.cycle_bessel_check(64, 0, 0, 1.0).approx
+        approx = ctqw.cycle_bessel_check(64, 1.0, 0).approx[0]
         assert abs(approx - float(total ** 2)) <= bound + 1e-14
 
     def test_exact_route_matches_dense_evolution(self):
-        check = ctqw.cycle_bessel_check(60, 5, 9, 3.0)
-        h = ctqw.graph_hamiltonian(graphs.cycle(60), "negative-adjacency")
-        psi0 = np.zeros(60)
-        psi0[5] = 1.0
-        ref = abs(ctqw.ctqw_run(h, 3.0, psi0)[9]) ** 2
-        assert abs(check.exact - ref) < 1e-12
+        # every displacement the guard allows, from vertex 5 of cycle(60)
+        check = ctqw.cycle_bessel_check(60, 3.0, 36)
+        ref = dense_cycle_probabilities(60, 3.0, 5)
+        assert np.max(np.abs(check.exact - ref[5:42])) < 1e-12
 
     def test_long_cycle_agrees_with_bessel(self):
         # N = 600, t = 20: the squared Bessel law holds to machine
         # precision across the wavefront
-        worst = 0.0
-        for d in (0, 1, 13, 40, 59):
-            check = ctqw.cycle_bessel_check(600, 0, d, 20.0)
-            worst = max(worst, check.difference)
-        assert worst < 1e-12
+        check = ctqw.cycle_bessel_check(600, 20.0, 60)
+        assert check.exact.shape == check.approx.shape == (61,)
+        assert np.max(check.difference) < 1e-12
 
     def test_outside_light_cone_is_dark(self):
-        check = ctqw.cycle_bessel_check(600, 0, 100, 10.0)
-        assert check.exact < 1e-6
-        assert check.approx < 1e-6
+        check = ctqw.cycle_bessel_check(600, 10.0, 100)
+        assert check.exact[100] < 1e-6
+        assert check.approx[100] < 1e-6
 
     def test_negative_displacement(self):
-        fwd = ctqw.cycle_bessel_check(400, 200, 215, 6.0)
-        back = ctqw.cycle_bessel_check(400, 200, 185, 6.0)
-        assert abs(fwd.exact - back.exact) < 1e-14
+        # the value at displacement d holds on both sides of the start
+        check = ctqw.cycle_bessel_check(400, 6.0, 15)
+        ref = dense_cycle_probabilities(400, 6.0, 200)
+        assert np.max(np.abs(check.exact - ref[200:216])) < 1e-12
+        assert np.max(np.abs(check.exact - ref[200:184:-1])) < 1e-12
+        assert abs(ref[215] - ref[185]) < 1e-14
 
     def test_wrap_around_refused(self):
-        with pytest.raises(ValueError, match="wrap"):
-            ctqw.cycle_bessel_check(50, 0, 5, 10.0)
+        for t in (10.0, -10.0, math.nan):
+            with pytest.raises(ValueError, match="wrap"):
+                ctqw.cycle_bessel_check(50, t, 5)
 
     def test_vertex_range(self):
-        with pytest.raises(ValueError, match="range"):
-            ctqw.cycle_bessel_check(20, 0, 25, 1.0)
+        for d_max in (-1, 20, 25):
+            with pytest.raises(ValueError, match="range"):
+                ctqw.cycle_bessel_check(20, 0.0, d_max)
 
 
 class TestLimitingDistribution:

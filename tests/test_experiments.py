@@ -104,6 +104,9 @@ class TestExitCodes:
                 ("marked-gap", {"k_max": "0"}, None),
                 ("cost-table", {"k_max": "0"}, None),
                 ("ctqw-cycle", {"d_max": "-1"}, None),
+                ("ctqw-cycle", {"t": "0", "d_max": "600"}, None),
+                # the wavefront wraps at a negative time as at a positive one
+                ("ctqw-cycle", {"n": "100", "t": "-1000", "d_max": "5"}, None),
                 # a negative time is refused, not swapped for the default
                 ("ctqw-hypercube", {"t_max": "-5"}, None),
                 ("glued-trees", {"t_max": "-5"}, 1),
@@ -211,7 +214,7 @@ class TestExitCodes:
                     err = capsys.readouterr().err
                     assert f"{key}={value} is outside" in err, err
                     cases += 1
-        assert cases >= 83
+        assert cases >= 84
         assert not list(tmp_path.iterdir())
 
     def test_missing_seed(self, tmp_path):
@@ -584,6 +587,23 @@ class TestContinuousExperiments:
         assert max(r[1] for r in rows) > 0.999
         assert meta["krylov_dim"] == 2
         assert 0.0 <= meta["invariance_residual"] <= 1e-10
+
+    def test_half_marked_million_vertices(self, tmp_path):
+        meta, _, rows = run_ok(tmp_path, "analog-search",
+                               {"n": 2 ** 20, "marked": 2 ** 19,
+                                "points": 10 ** 5})
+        assert len(rows) == 10 ** 5
+        assert meta["worst_difference"] < 1e-9
+
+    @pytest.mark.parametrize("n, m", [(1000, 7), (12345, 6789)])
+    def test_one_marked_row_stands_for_all(self, n, m):
+        psi0 = np.full(n, 1.0 / np.sqrt(n))
+        times = np.linspace(0.0, 1.25 * np.pi / 2.0 * np.sqrt(n / m), 201)
+        coeffs, q, _ = experiments.linalg.evolve_krylov(
+            experiments.ctqw.complete_search_apply(n, m), times, psi0)
+        rows = (np.abs(coeffs @ q[:m].T) ** 2).sum(axis=1)
+        one = m * np.abs(coeffs @ q[0]) ** 2
+        assert np.max(np.abs(one - rows)) <= 1e-15
 
     def test_nand_consistency(self, tmp_path):
         meta, _, rows = run_ok(tmp_path, "nand",
