@@ -7,7 +7,6 @@ decomposed densely.
 """
 
 import numpy as np
-import scipy.linalg
 
 from walklab import trace
 
@@ -141,6 +140,9 @@ def unitary_eigensystem(u):
     defect = unitarity_defect(u)
     if defect > UNITARY_TOL:
         raise ValueError(f"matrix is not unitary (defect {defect:.3g})")
+    # Imported here so that importing the package does not load scipy.linalg.
+    import scipy.linalg
+
     t, z = scipy.linalg.schur(u, output="complex")
     trace.check("Schur off-diagonal", _largest(t - np.diag(np.diag(t))), 1e-7)
     return np.diag(t).copy(), z

@@ -125,8 +125,8 @@ def szegedy_build(p):
     return TwoRegisterWalk(p, t, r1, r2, swap, r2 @ r1)
 
 
-def _invariant_block(p):
-    """The walk compressed to span{T, S T}.
+def _invariant_block(p, d):
+    """The walk of P compressed to span{T, S T}, given its discriminant d.
 
     Every discriminant eigenpair (lam, v) gives the unit vector T v and,
     when |lam| < 1, the unit vector (S T v - lam T v) / sqrt(1 - lam^2);
@@ -137,7 +137,7 @@ def _invariant_block(p):
     max|W Q - Q B|, gated by :func:`walklab.linalg.invariant_block`.
     """
     root, swap = _lift(p)
-    lams, vecs = _linalg.eig_hermitian(discriminant(p))
+    lams, vecs = _linalg.eig_hermitian(d)
     tv = _t_apply(root, vecs)
     rotating = np.abs(lams) < 1.0 - PAIR_CUT
     lam = lams[rotating]
@@ -174,10 +174,11 @@ def spectrum_map(p):
     every dimension outside span{T, S T}; ``residual_values`` holds the
     ones no prediction claimed.
     """
-    p = _check_row_stochastic(p)
+    d = discriminant(p)
+    p = np.asarray(p, dtype=float)
     n = p.shape[0]
-    d_values = np.sort(np.linalg.eigvalsh(discriminant(p)))[::-1]
-    _, q, b, invariance = _invariant_block(p)
+    d_values = np.sort(np.linalg.eigvalsh(d))[::-1]
+    _, q, b, invariance = _invariant_block(p, d)
     w_values, _ = _linalg.unitary_eigensystem(b)
     predicted = []
     for lam in d_values:
@@ -294,7 +295,8 @@ def marked_phase_gap(p, marked):
     if not marked:
         return PhaseGap(0.0, 0.0)
     mc = marked_modify(p, marked)
-    root, q, b, invariance = _invariant_block(mc.p_prime)
+    root, q, b, invariance = _invariant_block(mc.p_prime,
+                                              discriminant(mc.p_prime))
     unmarked = mc.unmarked
     o = np.zeros((n, 1))
     o[unmarked] = 1.0 / math.sqrt(len(unmarked))

@@ -661,6 +661,46 @@ def module_cli(args, cwd):
     return python_child(["-m", "walklab.experiments", *args], cwd)
 
 
+# Run in a fresh interpreter with the output directory as argv[1].
+LAZY_SCIPY = """
+import sys
+import numpy as np
+from walklab import experiments, linalg, trace
+
+assert {"scipy.linalg", "scipy.special"}.isdisjoint(sys.modules)
+spec = experiments.ExperimentSpec("hadamard-line", {}, None, sys.argv[1])
+assert experiments.run(spec) == 0
+assert "scipy.linalg" not in sys.modules
+u = np.eye(4)[[1, 0, 3, 2]].astype(complex)  # eigenvalues +1, +1, -1, -1
+values, vectors = linalg.unitary_eigensystem(u)
+assert np.max(np.abs(vectors.conj().T @ vectors - np.eye(4))) < 1e-12
+assert np.max(np.abs((vectors * values) @ vectors.conj().T - u)) < 1e-12
+assert "scipy.linalg" in sys.modules
+import scipy.linalg
+schur = scipy.linalg.schur
+
+
+def skewed_schur(a, output):
+    t, z = schur(a, output=output)
+    return t + 1e-3, z
+
+
+scipy.linalg.schur = skewed_schur
+try:
+    linalg.unitary_eigensystem(u)
+except trace.ToleranceError as err:
+    assert "Schur off-diagonal" in str(err)
+else:
+    raise AssertionError("the Schur gate did not fire")
+"""
+
+
+def test_scipy_loads_only_for_a_schur_decomposition(tmp_path):
+    proc = python_child(["-c", LAZY_SCIPY, str(tmp_path)], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "hadamard-line.csv").exists()
+
+
 class TestCommandLine:
     def test_list_prints_catalog(self, tmp_path):
         proc = module_cli(["list"], tmp_path)

@@ -44,7 +44,7 @@ def nearest_matching_distance(a, b):
 
 def compressed_spectrum(p):
     """Walk eigenvalues from the invariant block plus the +1s outside it."""
-    _, q, b, _ = sz._invariant_block(p)
+    _, q, b, _ = sz._invariant_block(p, sz.discriminant(p))
     values, _ = linalg.unitary_eigensystem(b)
     n = p.shape[0]
     return np.concatenate([values, np.ones(n * n - q.shape[1])])
@@ -318,6 +318,19 @@ class TestCompressedSpectrum:
         assert sz.spectrum_map(complete_chain(6)).pairing_error < 1e-8
         pg = sz.marked_phase_gap(complete_chain(6), {0})
         assert pg.phi0 >= pg.bound - 1e-12
+
+    def test_spectrum_map_validates_and_builds_the_discriminant_once(
+            self, monkeypatch):
+        calls = []
+        for name in ("_check_row_stochastic", "discriminant"):
+            def counting(p, inner=getattr(sz, name), name=name):
+                calls.append(name)
+                return inner(p)
+            monkeypatch.setattr(sz, name, counting)
+        sz.spectrum_map(complete_chain(6))
+        assert sorted(calls) == ["_check_row_stochastic", "discriminant"]
+        with pytest.raises(ValueError, match="sum to one"):
+            sz.spectrum_map(np.full((3, 3), 0.5))
 
     def test_broken_invariance_fails_before_the_eigensolve(self, monkeypatch):
         lift = sz._lift
