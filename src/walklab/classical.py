@@ -8,6 +8,7 @@ probability of stepping from vertex i to vertex j, so distributions evolve as
 ``p_next = matrix @ p``.
 """
 
+import contextlib
 import math
 from collections import namedtuple
 from dataclasses import dataclass
@@ -348,8 +349,11 @@ class EnergyModel:
     """Finite state space with an energy function and a proposal kernel.
 
     ``energy`` maps a state index to a real energy; ``propose`` maps
-    (state, rng) to a candidate state and must be symmetric for Metropolis
-    sampling to target the Gibbs distribution.
+    (state, draws) to a candidate state and must be symmetric for Metropolis
+    sampling to target the Gibbs distribution.  ``draws`` is not the caller's
+    Generator but a source with its ``integers`` and ``random`` methods,
+    which return the numbers the Generator would have given; ``propose``
+    must draw only through these two, and only from the source it is given.
     """
 
     num_states: int
@@ -357,32 +361,139 @@ class EnergyModel:
     propose: callable
 
 
+class _Draws:
+    """Scalar ``integers(k)`` and ``random()`` of a PCG64 Generator,
+    replayed from its raw 64-bit words, which it fetches in blocks.
+
+    ``random()`` is (w >> 11) 2^-53 of a fresh word.  ``integers(k)`` for
+    1 <= k <= 2^32 is Lemire's multiply-and-reject (ACM TOMACS 29(1), 2019)
+    on a 32-bit half-word: PCG64 hands out a word's low half and keeps the
+    high half (``has_uint32``/``uinteger``) for the next 32-bit request, and
+    k = 1 draws nothing.  Any other arguments or bound go to the Generator
+    between a hand-back and a restart.  ``close`` hands the stream back
+    at the state the same calls on the Generator would have left.  NEP 19
+    does not promise these streams across numpy versions; the tests hold
+    the replay against the installed numpy draw for draw.
+    """
+
+    def __init__(self, rng):
+        self._rng = rng
+        self._bits = rng.bit_generator
+        self._start()
+
+    def _start(self):
+        self._saved = self._bits.state
+        self._has = self._saved["has_uint32"]
+        self._half = self._saved["uinteger"]
+        self._fetched, self._words = 0, iter(())
+        self._word = self._words.__next__
+
+    def close(self):
+        bits = self._bits
+        bits.state = self._saved
+        bits.advance(self._fetched - self._words.__length_hint__())
+        state = bits.state
+        state["has_uint32"], state["uinteger"] = self._has, self._half
+        bits.state = state
+
+    def _refill(self):
+        block = min(2 * self._fetched or 64, 4096)
+        self._fetched += block
+        self._words = iter(self._bits.random_raw(block).tolist())
+        self._word = self._words.__next__
+        return self._word()
+
+    def random(self, *args, **kwargs):
+        if args or kwargs:
+            return self._defer("random", args, kwargs)
+        try:
+            w = self._word()
+        except StopIteration:
+            w = self._refill()
+        return (w >> 11) * 2.0 ** -53
+
+    def integers(self, low, *args, **kwargs):
+        k = low  # with no high, numpy's bound: draws lie in [0, low)
+        if args or kwargs or type(k) is not int or not 0 < k <= 1 << 32:
+            return self._defer("integers", (k, *args), kwargs)
+        while k > 1:
+            if self._has:
+                self._has = 0
+                x = self._half
+            else:
+                try:
+                    w = self._word()
+                except StopIteration:
+                    w = self._refill()
+                self._has = 1
+                self._half = w >> 32
+                x = w & 0xFFFFFFFF
+            m = x * k
+            low = m & 0xFFFFFFFF
+            if low >= k or low >= (1 << 32) % k:
+                return m >> 32
+        return 0
+
+    def _defer(self, name, args, kwargs):
+        self.close()
+        try:
+            return getattr(self._rng, name)(*args, **kwargs)
+        finally:
+            self._start()
+
+
+@contextlib.contextmanager
+def _draws(rng):
+    """``rng`` as the draw source of one sampling call: a ``_Draws`` for
+    PCG64, handed back on every exit, and the Generator itself otherwise."""
+    if type(rng.bit_generator) is not np.random.PCG64:
+        yield rng
+        return
+    draws = _Draws(rng)
+    try:
+        yield draws
+    finally:
+        draws.close()
+
+
+def _metropolis(model, beta, steps, draws, state, e_here, visited=None):
+    """Run ``steps`` Metropolis moves from ``state`` of energy ``e_here``;
+    returns the final state, its energy and the number of accepted moves,
+    and appends each state reached to ``visited`` when given."""
+    if steps < 0:
+        raise ValueError(f"Metropolis step count must be nonnegative, got {steps}")
+    propose, energy, random = model.propose, model.energy, draws.random
+    accepted = 0
+    for _ in range(steps):
+        candidate = propose(state, draws)
+        e_there = energy(candidate)
+        de = e_there - e_here
+        if de <= 0.0 or random() < math.exp(-beta * de):
+            state, e_here = candidate, e_there
+            accepted += 1
+        if visited is not None:
+            visited.append(state)
+    return state, e_here, accepted
+
+
 def metropolis_chain(model, beta, steps, rng, start=None):
     """Sample the Gibbs distribution at inverse temperature ``beta``.
 
     Proposals with lower or equal energy are always taken; uphill moves are
-    accepted with probability exp(-beta dE).  Returns the visited states
-    (including the start) and the number of accepted moves.
+    accepted with probability exp(-beta dE).  ``model.propose`` draws from
+    a source that replays ``rng`` (see ``EnergyModel``), and ``rng`` ends
+    where the same draws made on it directly would leave it.  Returns the
+    visited states (including the start) and the number of accepted moves.
     """
     if beta < 0:
         raise ValueError("inverse temperature must be nonnegative")
-    if steps < 0:
-        raise ValueError(f"Metropolis step count must be nonnegative, got {steps}")
     rng = np.random.default_rng(rng)
-    state = int(rng.integers(model.num_states)) if start is None else start
-    samples = np.empty(steps + 1, dtype=np.int64)
-    samples[0] = state
-    accepted = 0
-    e_here = model.energy(state)
-    for i in range(1, steps + 1):
-        candidate = model.propose(state, rng)
-        e_there = model.energy(candidate)
-        de = e_there - e_here
-        if de <= 0.0 or rng.random() < math.exp(-beta * de):
-            state, e_here = candidate, e_there
-            accepted += 1
-        samples[i] = state
-    return samples, accepted
+    with _draws(rng) as draws:
+        state = int(draws.integers(model.num_states)) if start is None else start
+        visited = [state]
+        _, _, accepted = _metropolis(model, beta, steps, draws, state,
+                                     model.energy(state), visited)
+    return np.array(visited, dtype=np.int64), accepted
 
 
 def simulated_annealing(model, t0, mu, tmin, inner_steps, rng):
@@ -393,13 +504,15 @@ def simulated_annealing(model, t0, mu, tmin, inner_steps, rng):
     if tmin <= 0.0:
         raise ValueError("final temperature must be positive")
     rng = np.random.default_rng(rng)
-    state = int(rng.integers(model.num_states))
-    t = t0
-    while t >= tmin:
-        samples, _ = metropolis_chain(model, 1.0 / t, inner_steps, rng, start=state)
-        state = int(samples[-1])
-        t *= mu
-    return state
+    with _draws(rng) as draws:
+        state = int(draws.integers(model.num_states))
+        e_here = model.energy(state)
+        t = t0
+        while t >= tmin:
+            state, e_here, _ = _metropolis(model, 1.0 / t, inner_steps, draws,
+                                           state, e_here)
+            t *= mu
+    return int(state)
 
 
 TelescopingResult = namedtuple("TelescopingResult", "z_hat level_means alpha_floor")
@@ -426,16 +539,17 @@ def telescoping_partition_estimate(model, betas, samples_per_level, rng,
     if betas[0] != 0.0 or any(b1 > b2 for b1, b2 in zip(betas, betas[1:])):
         raise ValueError("schedule must increase from beta = 0")
     rng = np.random.default_rng(rng)
-    state = int(rng.integers(model.num_states))
     level_means = []
-    for b_here, b_next in zip(betas[:-1], betas[1:]):
-        db = b_next - b_here
-        total = 0.0
-        for _ in range(samples_per_level):
-            samples, _ = metropolis_chain(model, b_here, thin_steps, rng,
-                                          start=state)
-            state = int(samples[-1])
-            total += math.exp(-db * model.energy(state))
-        level_means.append(total / samples_per_level)
+    with _draws(rng) as draws:
+        state = int(draws.integers(model.num_states))
+        e_here = model.energy(state)
+        for b_here, b_next in zip(betas[:-1], betas[1:]):
+            db = b_next - b_here
+            total = 0.0
+            for _ in range(samples_per_level):
+                state, e_here, _ = _metropolis(model, b_here, thin_steps, draws,
+                                               state, e_here)
+                total += math.exp(-db * e_here)
+            level_means.append(total / samples_per_level)
     z_hat = model.num_states * float(np.prod(level_means))
     return TelescopingResult(z_hat, level_means, min(level_means))

@@ -678,6 +678,9 @@ def _mcmc_partition(p, seed):
     needs_seed=True,
 )
 def _annealing(p, seed):
+    if not 0 < p["tmin"] <= p["t0"]:
+        raise ValueError(f"annealing needs 0 < tmin <= t0, got "
+                         f"t0={p['t0']} and tmin={p['tmin']}")
     bits = p["bits"]
     rng = np.random.default_rng(seed)
     energies = rng.normal(size=2 ** bits)

@@ -179,7 +179,9 @@ def fixed_point_run(levels, n, marked, base="identity"):
             return i(oracle.phase(-third, f(_uniform_phase(-third, i(st)))))
 
     out = fwd(np.full(n, 1.0 / math.sqrt(n), dtype=complex))
-    return FixedPointResult(1.0 - oracle.success(out), oracle.queries)
+    # the unmarked weight itself: 1 - success cancels below about 1e-13
+    failure = float(np.sum(np.abs(out[~oracle._mask]) ** 2))
+    return FixedPointResult(failure, oracle.queries)
 
 
 @dataclass(frozen=True)

@@ -287,18 +287,18 @@ def marked_phase_gap(p, marked):
     phase is zero.  ``chain`` is the ``marked_modify`` result the walk was
     built from, None when nothing is marked.
     """
-    p = _check_row_stochastic(p)
-    n = p.shape[0]
     marked = frozenset(int(x) for x in marked)
-    if len(marked) >= n:
-        raise ValueError("need at least one unmarked vertex to start from")
     if not marked:
+        _check_row_stochastic(p)
         return PhaseGap(0.0, 0.0)
-    mc = marked_modify(p, marked)
-    root, q, b, invariance = _invariant_block(mc.p_prime,
-                                              discriminant(mc.p_prime))
+    mc = marked_modify(p, marked)  # checks p; p_prime is then a chain too
     unmarked = mc.unmarked
-    o = np.zeros((n, 1))
+    if not unmarked:
+        raise ValueError("need at least one unmarked vertex to start from")
+    p_prime = mc.p_prime
+    root, q, b, invariance = _invariant_block(p_prime,
+                                              np.sqrt(p_prime * p_prime.T))
+    o = np.zeros((p_prime.shape[0], 1))
     o[unmarked] = 1.0 / math.sqrt(len(unmarked))
     start = q.T @ _t_apply(root, o)[:, 0]
     values, vectors = _linalg.unitary_eigensystem(b)

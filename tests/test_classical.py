@@ -393,6 +393,127 @@ def test_annealing_parameter_validation():
         cl.simulated_annealing(model, 1.0, 0.5, 0.0, 10, 0)
 
 
+# replayed draws: the Metropolis samplers draw through classical._draws,
+# which computes the scalar integers(k) and random() of a PCG64 Generator
+# from its raw words
+
+REPLAY_BOUNDS = (1, 2, 3, 10, 2 ** 31, 2 ** 31 + 1, 3 * 2 ** 30,
+                 2 ** 32 - 1, 2 ** 32, 2 ** 32 + 1)
+
+
+def call_pattern(seed, length=300):
+    """Mixed integers/random calls; 2^31 + 1 and 3 * 2^30 reject about half
+    and a quarter of their half-words, and 2^32 + 1 takes the fallback."""
+    pick = np.random.default_rng([seed, 99])
+    return [("random", ()) if pick.random() < 0.3
+            else ("integers", (REPLAY_BOUNDS[pick.integers(len(REPLAY_BOUNDS))],))
+            for _ in range(length)]
+
+
+def assert_same_stream(rng, twin):
+    """The two Generators stand at the same place: their next 100 draws,
+    and for PCG64 their whole state, buffered half-word included, agree."""
+    if isinstance(rng.bit_generator, np.random.PCG64):
+        assert rng.bit_generator.state == twin.bit_generator.state
+    assert rng.integers(7, size=50).tolist() == twin.integers(7, size=50).tolist()
+    assert rng.random(50).tolist() == twin.random(50).tolist()
+
+
+@pytest.mark.parametrize("seed", range(10))
+@pytest.mark.parametrize("prior", [0, 1])
+def test_replay_matches_generator_draw_for_draw(seed, prior):
+    """NEP 19 does not promise numpy's streams across versions, so this
+    pins the replay to the installed numpy, draw for draw.  One prior
+    integers call starts the replay with a half-word buffered."""
+    rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(prior):
+        rng.integers(5), twin.integers(5)
+    calls = call_pattern(seed)
+    with cl._draws(rng) as draws:
+        assert isinstance(draws, cl._Draws)
+        got = [getattr(draws, name)(*args) for name, args in calls]
+    want = [getattr(twin, name)(*args) for name, args in calls]
+    assert got == want
+    assert_same_stream(rng, twin)
+
+
+def test_replay_other_arguments_go_to_the_generator():
+    rng, twin = np.random.default_rng(8), np.random.default_rng(8)
+    calls = [("integers", (3,), {}), ("integers", (np.int64(7),), {}),
+             ("integers", (3,), {}), ("integers", (2, 9), {}),
+             ("integers", (5,), {"size": 3}), ("random", (), {}),
+             ("random", (2,), {}), ("integers", (3,), {}),
+             ("random", (), {"dtype": np.float32}), ("integers", (3,), {}),
+             ("integers", (True,), {}), ("integers", (10,), {})]
+    with cl._draws(rng) as draws:
+        got = [np.asarray(getattr(draws, name)(*args, **kwargs)).tolist()
+               for name, args, kwargs in calls]
+    want = [np.asarray(getattr(twin, name)(*args, **kwargs)).tolist()
+            for name, args, kwargs in calls]
+    assert got == want
+    assert_same_stream(rng, twin)
+
+
+def test_replay_leaves_other_bit_generators_alone():
+    rng = np.random.Generator(np.random.Philox(3))
+    with cl._draws(rng) as draws:
+        assert draws is rng
+
+
+def direct_chain(model, beta, steps, rng, start):
+    """Metropolis written against the Generator itself."""
+    state, e_here, visited = start, model.energy(start), [start]
+    for _ in range(steps):
+        candidate = model.propose(state, rng)
+        e_there = model.energy(candidate)
+        de = e_there - e_here
+        if de <= 0.0 or rng.random() < math.exp(-beta * de):
+            state, e_here = candidate, e_there
+        visited.append(state)
+    return visited
+
+
+def flip_model(bits, stop=None):
+    """Bit-flip proposals with a bit-count energy; ``propose`` raises
+    KeyError once it has been called ``stop`` times."""
+    calls = []
+
+    def propose(s, r):
+        if len(calls) == stop:
+            raise KeyError(stop)
+        calls.append(s)
+        return s ^ (1 << int(r.integers(bits)))
+
+    return cl.EnergyModel(2 ** bits, lambda s: float(s.bit_count()), propose)
+
+
+@pytest.mark.parametrize("make", [np.random.PCG64, np.random.Philox])
+def test_metropolis_chain_matches_direct_loop(make):
+    rng, twin = np.random.Generator(make(6)), np.random.Generator(make(6))
+    samples, _ = cl.metropolis_chain(flip_model(5), 0.7, 500, rng, start=3)
+    assert samples.tolist() == direct_chain(flip_model(5), 0.7, 500, twin, 3)
+    assert_same_stream(rng, twin)
+
+
+@pytest.mark.parametrize("stop", [0, 1, 57])
+def test_replay_hands_the_stream_back_when_propose_raises(stop):
+    rng, twin = np.random.default_rng(4), np.random.default_rng(4)
+    with pytest.raises(KeyError):
+        cl.metropolis_chain(flip_model(5, stop), 0.7, 100, rng, start=3)
+    with pytest.raises(KeyError):
+        direct_chain(flip_model(5, stop), 0.7, 100, twin, 3)
+    assert_same_stream(rng, twin)
+    rng, twin = np.random.default_rng(5), np.random.default_rng(5)
+    with pytest.raises(KeyError):
+        cl.simulated_annealing(flip_model(5, stop), 2.0, 0.5, 0.1, 20, rng)
+    model, state, t = flip_model(5, stop), int(twin.integers(32)), 2.0
+    with pytest.raises(KeyError):
+        while t >= 0.1:
+            state = direct_chain(model, 1.0 / t, 20, twin, state)[-1]
+            t *= 0.5
+    assert_same_stream(rng, twin)
+
+
 # telescoping partition estimator
 
 

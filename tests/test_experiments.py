@@ -86,6 +86,9 @@ class TestExitCodes:
                 ("line-walk", {"m": "0"}, None),
                 ("line-walk", {"m": "-1"}, None),
                 ("annealing", {"inner": "-1"}, 1),
+                # a start below the floor would report the random starts
+                ("annealing", {"t0": "-1"}, 1),
+                ("annealing", {"tmin": "3"}, 1),
                 # a schedule np.linspace could not allocate
                 ("mcmc-partition", {"levels": str(10 ** 12)}, 1),
                 ("mixing", {"t_max": "-1"}, None),

@@ -5,7 +5,10 @@ tolerance, and writes a strict-JSON sidecar.
 The references, the checker and the workload list live in ``perfbench/``;
 this test loads ``check.py`` and ``workloads.py`` by file path and only reads
 them.  Stochastic experiments run at the seed the benchmark gives them in
-workload seed 0, which the references cover.
+workload seed 0, which the references cover.  The Metropolis experiments
+also run at every other seed the references hold for them, and must repeat
+those CSVs byte for byte: their samplers replay numpy's stream from raw
+words, and any drift from the Generator's own draws shows here.
 """
 
 import importlib.util
@@ -29,11 +32,14 @@ def _load(name):
 check = _load("check")
 workloads = _load("workloads")
 DEFAULTS = workloads.WORKLOADS["defaults"]
+REFERENCE = check.Reference("defaults")
+SEEDED = sorted(key for key in REFERENCE.texts
+                if key.startswith(("mcmc-partition-s", "annealing-s")))
 
 
 @pytest.fixture(scope="module")
 def checker():
-    return check.RunChecker(check.Reference("defaults"))
+    return check.RunChecker(REFERENCE)
 
 
 @pytest.mark.parametrize("index", range(len(DEFAULTS)),
@@ -48,3 +54,15 @@ def test_default_run_matches_reference(tmp_path, checker, index):
     reason = checker.check(label, seed, status, stem.with_suffix(".csv"),
                            stem.with_suffix(".json"))
     assert reason is None, reason
+
+
+@pytest.mark.parametrize("key", SEEDED)
+def test_seeded_run_repeats_reference_bytes(tmp_path, checker, key):
+    name, _, seed = key.rpartition("-s")
+    status = experiments.run(
+        experiments.ExperimentSpec(name, {}, int(seed), str(tmp_path)))
+    stem = tmp_path / key
+    reason = checker.check(name, int(seed), status, stem.with_suffix(".csv"),
+                           stem.with_suffix(".json"))
+    assert reason is None, reason
+    assert stem.with_suffix(".csv").read_text() == REFERENCE.texts[key]

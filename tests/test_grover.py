@@ -127,6 +127,19 @@ class TestFixedPoint:
             fp = gr.fixed_point_run(level, 16, {0, 1}, base="grover-iterate")
             assert fp.queries == 3 ** level + (3 ** level - 1) // 2
 
+    def test_failure_never_negative_and_follows_the_cubing_law(self):
+        # the law falls below the rounding of 1 - success by level 5 at
+        # n = 8; the unmarked weight follows it down to about 1e-29
+        for n, marked, base in [(8, [0], "identity"), (64, [0], "identity"),
+                                (16, [0, 1], "grover-iterate")]:
+            f0 = gr.fixed_point_run(0, n, marked, base).failure
+            for level in range(9):
+                failure = gr.fixed_point_run(level, n, marked, base).failure
+                law = f0 ** (3 ** level)
+                assert failure >= 0.0, (n, level)
+                if law > 1e-300:
+                    assert failure == pytest.approx(law, rel=1e-6, abs=1e-24)
+
     def test_failure_equals_power_of_initial_failure(self):
         n, marked = 64, set(range(16))
         f0 = 1 - len(marked) / n

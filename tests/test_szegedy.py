@@ -263,6 +263,18 @@ class TestPhaseGap:
         with pytest.raises(ValueError, match="unmarked"):
             sz.marked_phase_gap(complete_chain(4), {0, 1, 2, 3})
 
+    def test_input_is_checked_once(self, monkeypatch):
+        checked = []
+        check = sz._check_row_stochastic
+        monkeypatch.setattr(sz, "_check_row_stochastic",
+                            lambda p: checked.append(1) or check(p))
+        for marked in ({0, 3}, set()):
+            checked.clear()
+            sz.marked_phase_gap(complete_chain(8), marked)
+            assert len(checked) == 1, marked
+        with pytest.raises(ValueError, match="sum to one"):
+            sz.marked_phase_gap(np.full((3, 3), 0.5), {0})
+
     def test_doubling_marked_fraction_raises_the_bound(self):
         one = sz.marked_phase_gap(complete_chain(16), {0})
         two = sz.marked_phase_gap(complete_chain(16), {0, 1})
