@@ -9,7 +9,7 @@ subspace and Krylov evolution, held against dense references.
 Submodules
 ----------
 trace          the numerical gate: check() and ToleranceError
-special        Catalan numbers, stationary-phase helper
+special        Catalan numbers and their squared partial sums
 linalg         Hermitian/unitary eigenwork and Schroedinger evolution
 distributions  distances, moments, and entropy of discrete distributions
 datafiles      deterministic CSV/JSON output helpers
@@ -17,7 +17,7 @@ graphs         graph families, matrices, edge colorings
 classical      classical random walks, Markov chain analysis, MCMC
 coined         coined discrete-time quantum walks on lines and graphs
 scattering     scattering (edge-based) quantum walks and graph search
-grover         Grover search, fixed-point search, abstract search
+grover         Grover search and fixed-point search
 szegedy        two-register quantization of stochastic matrices
 subset         subset-finding walk and its query-cost accounting
 ctqw           continuous-time quantum walks

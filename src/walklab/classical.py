@@ -1,6 +1,5 @@
 """Classical random walks on graphs, their limit theory, and walk-based
-classical algorithms: 2-SAT by random flips, memory-assisted graph traversal,
-Metropolis sampling, simulated annealing, and the telescoping-product
+sampling: Metropolis chains, simulated annealing, and the telescoping-product
 partition-function estimator.
 
 Markov chains are stored column-stochastically: ``matrix[j, i]`` is the
@@ -33,10 +32,6 @@ __all__ = [
     "absorbing_hit_prob_line",
     "line_walk_binomial",
     "line_walk_gaussian",
-    "SatFormula",
-    "two_sat_walk",
-    "traverse_hypercube_memory",
-    "traverse_glued_trees_memory",
     "EnergyModel",
     "metropolis_chain",
     "simulated_annealing",
@@ -210,138 +205,6 @@ def line_walk_gaussian(m, positions):
     x = np.asarray(positions, dtype=float)
     parity = 1.0 + (-1.0) ** (m - np.asarray(positions))
     return parity / math.sqrt(2.0 * math.pi * m) * np.exp(-x * x / (2.0 * m))
-
-
-@dataclass(frozen=True)
-class SatFormula:
-    """2-SAT formula; literals are signed 1-based variable indices."""
-
-    n: int
-    clauses: tuple
-
-    def __post_init__(self):
-        for clause in self.clauses:
-            if len(clause) != 2:
-                raise ValueError("every clause needs exactly two literals")
-            for lit in clause:
-                if lit == 0 or abs(lit) > self.n:
-                    raise ValueError(f"literal {lit} out of range")
-
-    def check(self, assignment):
-        """True when the 0/1 ``assignment`` (indexed from 0) satisfies all
-        clauses."""
-        return self.first_unsatisfied(assignment) is None
-
-    def first_unsatisfied(self, assignment):
-        for idx, (a, b) in enumerate(self.clauses):
-            if not (_lit_value(a, assignment) or _lit_value(b, assignment)):
-                return idx
-        return None
-
-
-def _lit_value(lit, assignment):
-    value = assignment[abs(lit) - 1]
-    return bool(value) if lit > 0 else not value
-
-
-def two_sat_walk(formula, rng, max_steps=None):
-    """Random-flip 2-SAT solver.
-
-    Starts from all-ones and, while some clause is unsatisfied, flips a
-    uniformly random literal of the lowest-index unsatisfied clause, for at
-    most 2 n^2 flips.  Returns the satisfying assignment as a tuple of 0/1,
-    or None, which for satisfiable formulas is wrong with probability at
-    most 1/2 per run.
-    """
-    rng = np.random.default_rng(rng)
-    if max_steps is None:
-        max_steps = 2 * formula.n * formula.n
-    assignment = [1] * formula.n
-    for _ in range(max_steps + 1):
-        bad = formula.first_unsatisfied(assignment)
-        if bad is None:
-            return tuple(assignment)
-        lit = formula.clauses[bad][int(rng.integers(2))]
-        var = abs(lit) - 1
-        assignment[var] ^= 1
-    return None
-
-
-def traverse_hypercube_memory(n, rng):
-    """Walk an n-hypercube from 0...0 to 1...1 in exactly n steps.
-
-    Uses only neighbor queries plus O(n) memory: after each move the walker
-    records which neighbors of its new position lead back toward the
-    entrance (those adjacent to the previous memory set) and excludes them
-    from the next choice, so every step climbs one layer.
-
-    Returns the visited path, entrance first, exit last.
-    """
-    rng = np.random.default_rng(rng)
-    g = _graphs.hypercube(n)
-    adj = [set(vs) for vs in _graphs.neighbors(g)]
-    entrance = 0
-    path = [entrance]
-    current = int(rng.choice(sorted(adj[entrance])))
-    path.append(current)
-    memory = {entrance}
-    for _ in range(n - 1):
-        options = sorted(adj[current] - memory)
-        nxt = int(rng.choice(options))
-        memory = {v for v in adj[nxt] if adj[v] & memory}
-        current = nxt
-        path.append(current)
-    return path
-
-
-def traverse_glued_trees_memory(g, rng, max_steps=None):
-    """Find the exit root of a glued-trees graph with a memory-assisted walk.
-
-    The walker knows the entrance (vertex 0) and recognizes the exit by
-    name on arrival; otherwise it only queries neighbor lists.  It first
-    descends non-backtracking to the central layer, which it recognizes by
-    its degree 2; afterwards, whenever it stumbles back onto a degree-2
-    central vertex after 2k further steps it rewinds its recorded trail to
-    the k-th position, since the wrong turn happened halfway.  Expected cost
-    is O(depth^2) random moves.
-
-    Returns (exit vertex, number of random moves taken).
-    """
-    rng = np.random.default_rng(rng)
-    adj = [tuple(vs) for vs in _graphs.neighbors(g)]
-    entrance, exit_vertex = 0, g.n - 1
-    if max_steps is None:
-        max_steps = 400 * g.n
-    steps = 0
-    # phase 1: non-backtracking descent to the first degree-2 vertex
-    trail = [entrance]
-    current = entrance
-    previous = None
-    while len(adj[current]) != 2 or current == entrance:
-        if steps > max_steps:
-            raise ValueError(f"no central layer within max_steps={max_steps}")
-        options = [v for v in adj[current] if v != previous]
-        previous, current = current, int(rng.choice(options))
-        trail.append(current)
-        steps += 1
-    # phase 2: climb toward the exit, rewinding half-way on every return
-    # to the central layer
-    trail = [current]
-    while current != exit_vertex:
-        if steps > max_steps:
-            raise ValueError(f"exit not reached within max_steps={max_steps}")
-        back = trail[-2] if len(trail) >= 2 else previous
-        options = [v for v in adj[current] if v != back]
-        current = int(rng.choice(options))
-        trail.append(current)
-        steps += 1
-        if len(adj[current]) == 2 and current != exit_vertex:
-            # back on the central layer after 2k moves; the wrong turn was
-            # at move k, so rewind the trail to that point
-            k = (len(trail) - 1) // 2
-            trail = trail[: k + 1]
-            current = trail[-1]
-    return current, steps
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,11 @@
 """Continuous-time quantum walks.
 
 A single Hermitian matrix, or its structured action, drives everything
-here: Schrodinger evolution under a graph Hamiltonian, its time-averaged
-and limiting distributions, closed-form special cases (cycle wavefronts,
-hypercube traversal, the analog version of Grover search), symmetry
-reductions of the glued-trees graphs to weighted lines, and the NAND-tree
-ratio recursion.
+here: Schrodinger evolution under a graph Hamiltonian, its limiting
+distribution, closed-form special cases (cycle wavefronts, hypercube
+traversal, the analog version of Grover search), symmetry reductions of
+the glued-trees graphs to weighted lines, and the NAND-tree ratio
+recursion.
 """
 
 import math
@@ -27,7 +27,6 @@ __all__ = [
     "BesselCheck",
     "cycle_bessel_check",
     "ctqw_limiting",
-    "time_averaged_distribution",
     "hypercube_antipode_prob",
     "WeightedLine",
     "GluedTreesReduction",
@@ -156,27 +155,6 @@ def ctqw_limiting(h, start):
     values, vectors = _linalg.eig_hermitian(h.matrix)
     return _linalg.dephased_probabilities(
         vectors, _linalg.group_indices_by_phase(values), np.eye(h.dim)[start])
-
-
-def time_averaged_distribution(h, start, big_t):
-    """Average of |<y|exp(-iHt)|start>|^2 over t in [0, T], in closed form.
-
-    With real eigenpairs (E_j, v_j) the average is
-    sum_jk v_j(y) v_j(s) g((E_j - E_k) T) v_k(s) v_k(y), where
-    g(x) = (1 - exp(-ix)) / (ix) is the mean of exp(-iEt) over the window
-    and g(0) = 1 carries each degenerate level.
-    """
-    if not 0.0 < big_t < math.inf:
-        raise ValueError("averaging time must be positive and finite")
-    if not 0 <= start < h.dim:
-        raise ValueError("start vertex out of range")
-    values, vectors = _linalg.eig_hermitian(h.matrix)
-    x = np.subtract.outer(values, values) * big_t
-    g = np.ones(x.shape, dtype=complex)
-    apart = x != 0.0
-    g[apart] = -np.expm1(-1j * x[apart]) / (1j * x[apart])
-    w = vectors * vectors[start]
-    return ((w @ g) * w).sum(axis=1).real
 
 
 def hypercube_antipode_prob(n, t):

@@ -69,9 +69,10 @@ DECOHERENCE_MAX_BYTES = 2 ** 24
 _DECOHERENCE_MAX_M = (math.isqrt(DECOHERENCE_MAX_BYTES // 16) - 10) // 4
 
 # Most operator applications fixed-point accepts at its deepest level, which
-# applies the oracle and the diffusion (3^levels - 1)/2 times each.  At n = 8
-# one costs about 7.6 us (level 9 in 0.15 s), so the deepest accepted level,
-# 12 = floor(log3 of the budget), takes about 4 s and a whole run about 6 s.
+# applies the oracle and the uniform-state phase (3^levels - 1)/2 times each.
+# At n = 8 one costs about 7.6 us (level 9 in 0.15 s), so the deepest accepted
+# level, 12 = floor(log3 of the budget), takes about 4 s and a whole run about
+# 6 s.
 FIXED_POINT_MAX_APPLICATIONS = 3 ** 12
 _FIXED_POINT_MAX_LEVELS = len(np.base_repr(FIXED_POINT_MAX_APPLICATIONS, 3)) - 1
 

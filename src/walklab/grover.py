@@ -1,33 +1,24 @@
 """Unstructured search on a flat register.
 
-Three layers: the plain Grover iteration with exact oracle accounting,
+Two layers: the plain Grover iteration with exact oracle accounting, and
 the phase-pi/3 fixed-point composition that trades the quadratic speedup
-for monotone convergence, and a spectral analysis of search operators
-V * R_target for an arbitrary real unitary V, which locates the slow
-rotation plane the algorithm actually lives in.
+for monotone convergence.
 """
 
 import cmath
 import math
 from collections import namedtuple
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from walklab import linalg as _linalg
-
 __all__ = [
     "Oracle",
-    "diffusion",
+    "rotation_angle",
     "GroverResult",
     "grover_run",
     "FixedPointResult",
     "fixed_point_run",
-    "AbstractSearchResult",
-    "abstract_search_analyze",
 ]
-
-PAIRING_TOL = 1e-8
 
 
 class Oracle:
@@ -66,11 +57,6 @@ class Oracle:
 
     def success(self, state):
         return float(np.sum(np.abs(np.asarray(state)[self._mask]) ** 2))
-
-
-def diffusion(n):
-    """Inversion about the average as an explicit matrix."""
-    return 2.0 / n * np.ones((n, n)) - np.eye(n)
 
 
 def _diffuse(state):
@@ -182,79 +168,3 @@ def fixed_point_run(levels, n, marked, base="identity"):
     # the unmarked weight itself: 1 - success cancels below about 1e-13
     failure = float(np.sum(np.abs(out[~oracle._mask]) ** 2))
     return FixedPointResult(failure, oracle.queries)
-
-
-@dataclass(frozen=True)
-class AbstractSearchResult:
-    """Spectral picture of a search operator V * R_target.
-
-    ``pair_phases`` and ``pair_coefficients`` describe the expansion of
-    the target state over the conjugate eigenvector pairs of V, with
-    phases chosen so each coefficient is real and nonnegative;
-    ``minus_one_weight`` collects the -1 eigenspace.  ``alpha`` is the
-    smallest positive eigenphase of V * R_target, and the two overlaps
-    measure how well the initial state and the target sit inside the slow
-    rotation plane spanned by ``alpha_minus`` and ``alpha_plus``.
-    """
-
-    psi_init: np.ndarray = field(compare=False)
-    a: float = 0.0
-    pair_phases: np.ndarray = field(default=None, compare=False)
-    pair_coefficients: np.ndarray = field(default=None, compare=False)
-    minus_one_weight: float = 0.0
-    alpha: float = 0.0
-    alpha_plus: np.ndarray = field(default=None, compare=False)
-    alpha_minus: np.ndarray = field(default=None, compare=False)
-    init_overlap: float = 0.0
-    target_overlap: float = 0.0
-
-
-def abstract_search_analyze(v, target):
-    v = np.asarray(v)
-    if np.iscomplexobj(v) and np.max(np.abs(v.imag)) > 0:
-        raise ValueError("the driving operator must be real")
-    v = v.astype(float)
-    n = v.shape[0]
-    if not 0 <= target < n:
-        raise ValueError("target index out of range")
-    values, vectors = _linalg.unitary_eigensystem(v)
-    phases = np.angle(values)
-    ones = np.flatnonzero(np.abs(phases) <= PAIRING_TOL)
-    if len(ones) != 1:
-        raise ValueError("the +1 eigenspace must be one-dimensional")
-    psi_init = vectors[:, ones[0]].real
-    psi_init = psi_init / np.linalg.norm(psi_init)
-    if psi_init[np.argmax(np.abs(psi_init))] < 0:
-        psi_init = -psi_init
-    a = float(psi_init[target])
-
-    minus = np.flatnonzero(np.abs(np.abs(phases) - math.pi) <= PAIRING_TOL)
-    big_a = math.sqrt(float(np.sum(np.abs(vectors[target, minus]) ** 2)))
-
-    pos = np.flatnonzero((phases > PAIRING_TOL)
-                         & (phases < math.pi - PAIRING_TOL))
-    pair_phases = np.sort(phases[pos])
-    order = np.argsort(phases[pos])
-    pair_coefficients = np.abs(vectors[target, pos][order])
-
-    u = v * np.where(np.arange(n) == target, -1.0, 1.0)
-    uvalues, uvectors = _linalg.unitary_eigensystem(u)
-    uphases = np.angle(uvalues)
-    positive = np.flatnonzero(uphases > 1e-12)
-    if len(positive) == 0:
-        raise ValueError("search operator has no rotating eigenplane")
-    best = positive[np.argmin(uphases[positive])]
-    alpha = float(uphases[best])
-    valpha = uvectors[:, best].copy()
-    anchor = valpha[target]
-    if abs(anchor) < 1e-12:
-        anchor = valpha[np.argmax(np.abs(valpha))]
-    valpha *= cmath.exp(-1j * cmath.phase(anchor))
-    vminus = valpha.conj()
-    alpha_plus = (valpha + vminus) / math.sqrt(2.0)
-    alpha_minus = (valpha - vminus) / math.sqrt(2.0)
-    init_overlap = float(abs(np.vdot(psi_init, alpha_minus)))
-    target_overlap = float(abs(alpha_plus[target]))
-    return AbstractSearchResult(psi_init, a, pair_phases, pair_coefficients,
-                                big_a, alpha, alpha_plus, alpha_minus,
-                                init_overlap, target_overlap)

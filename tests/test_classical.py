@@ -230,88 +230,6 @@ def test_absorbing_hit_prob_small_monte_carlo():
         assert abs(estimate - cl.absorbing_hit_prob_line(p_away)) < 0.005
 
 
-# 2-SAT random flips
-
-
-def test_two_sat_single_clause():
-    f = cl.SatFormula(1, ((1, 1),))
-    assert cl.two_sat_walk(f, 0) == (1,)
-    assert f.check((1,))
-
-
-def test_two_sat_unsatisfiable_pair():
-    f = cl.SatFormula(1, ((1, 1), (-1, -1)))
-    for seed in range(20):
-        assert cl.two_sat_walk(f, seed) is None
-
-
-def test_two_sat_random_satisfiable_instances():
-    rng = np.random.default_rng(7)
-    n = 20
-    hidden = rng.integers(2, size=n)
-    clauses = []
-    for _ in range(3 * n):
-        i, j = rng.choice(n, size=2, replace=False)
-        li = int(i + 1) if rng.integers(2) else -int(i + 1)
-        lj = int(j + 1) if rng.integers(2) else -int(j + 1)
-        if not (cl._lit_value(li, hidden) or cl._lit_value(lj, hidden)):
-            li = int(i + 1) if hidden[i] else -int(i + 1)
-        clauses.append((li, lj))
-    f = cl.SatFormula(n, tuple(clauses))
-    assert f.check(tuple(hidden))
-    successes = 0
-    for seed in range(200):
-        result = cl.two_sat_walk(f, seed)
-        if result is not None:
-            assert f.check(result)
-            successes += 1
-    assert successes >= 100
-
-
-def test_sat_formula_validation():
-    with pytest.raises(ValueError):
-        cl.SatFormula(2, ((1, 2, 1),))
-    with pytest.raises(ValueError):
-        cl.SatFormula(2, ((0, 1),))
-    with pytest.raises(ValueError):
-        cl.SatFormula(2, ((3, 1),))
-
-
-# memory-assisted traversals
-
-
-def test_hypercube_traversal_always_exits():
-    n = 10
-    for seed in range(100):
-        path = cl.traverse_hypercube_memory(n, seed)
-        assert len(path) == n + 1
-        assert path[0] == 0
-        assert path[-1] == 2**n - 1
-        weights = [bin(v).count("1") for v in path]
-        assert weights == list(range(n + 1))
-
-
-def test_glued_trees_traversal_small():
-    g = graphs.glued_trees(2)
-    vertex, steps = cl.traverse_glued_trees_memory(g, 0)
-    assert vertex == g.n - 1
-    assert steps == 2
-
-
-def test_glued_trees_traversal_quadratic_budget():
-    for n in (4, 6):
-        g = graphs.glued_trees(n)
-        for seed in range(50):
-            vertex, steps = cl.traverse_glued_trees_memory(g, seed)
-            assert vertex == g.n - 1
-            assert steps <= 10 * n * n
-
-
-def test_glued_trees_traversal_out_of_budget_is_a_bad_request():
-    with pytest.raises(ValueError, match="max_steps=0"):
-        cl.traverse_glued_trees_memory(graphs.glued_trees(4), 0, max_steps=0)
-
-
 # Metropolis sampling and annealing
 
 

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from walklab import ctqw, graphs, linalg
-from walklab.distributions import tvd
 
 
 def dense_propagator(h, t):
@@ -157,44 +156,6 @@ class TestLimitingDistribution:
         h = ctqw.graph_hamiltonian(graphs.cycle(5))
         with pytest.raises(ValueError, match="range"):
             ctqw.ctqw_limiting(h, 5)
-
-    def test_finite_time_average_converges(self):
-        n = 9
-        h = ctqw.graph_hamiltonian(graphs.cycle(n))
-        big_t = 20.0 * n * math.log(n)
-        avg = ctqw.time_averaged_distribution(h, 0, big_t)
-        assert abs(avg.sum() - 1.0) < 1e-8
-        assert tvd(np.clip(avg, 0.0, None), ctqw.ctqw_limiting(h, 0)) < 0.01
-
-    def test_long_average_reaches_the_limit_through_degenerate_levels(self):
-        # the cycle's energies 2cos(2 pi k/9) come in degenerate pairs, equal
-        # or a few ulps apart after eigh: g must be 1 (or next to it) across
-        # each pair, since the limit keeps the in-level cross terms
-        h = ctqw.graph_hamiltonian(graphs.cycle(9))
-        avg = ctqw.time_averaged_distribution(h, 0, 1e6)
-        assert np.max(np.abs(avg - ctqw.ctqw_limiting(h, 0))) < 1e-6
-
-    def test_long_average_on_a_large_cycle_is_a_distribution(self):
-        h = ctqw.graph_hamiltonian(graphs.cycle(64))
-        avg = ctqw.time_averaged_distribution(h, 0, 1e6)
-        assert abs(avg.sum() - 1.0) < 1e-12
-
-    def test_two_state_average_closed_form(self):
-        # H = sigma_x from state 0: p0(t) = cos^2 t, whose average over
-        # [0, T] is 1/2 + sin(2T)/(4T)
-        h = ctqw.Hamiltonian(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        big_t = 3.3
-        avg = ctqw.time_averaged_distribution(h, 0, big_t)
-        p0 = 0.5 + math.sin(2 * big_t) / (4 * big_t)
-        assert abs(avg[0] - p0) < 1e-14
-        assert abs(avg[1] - (1.0 - p0)) < 1e-14
-
-    @pytest.mark.parametrize("big_t", [0.0, -1.0, math.nan, math.inf],
-                             ids=["zero", "negative", "nan", "inf"])
-    def test_average_time_validation(self, big_t):
-        h = ctqw.graph_hamiltonian(graphs.cycle(5))
-        with pytest.raises(ValueError, match="positive and finite"):
-            ctqw.time_averaged_distribution(h, 0, big_t)
 
 
 class TestHypercubeTraversal:

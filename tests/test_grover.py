@@ -1,5 +1,4 @@
-"""Search iteration, query ledger, fixed-point composition, and the
-spectral analysis of real search operators."""
+"""Search iteration, query ledger, and fixed-point composition."""
 
 import math
 
@@ -34,19 +33,6 @@ class TestOracle:
             gr.Oracle(4, {0, 1, 2, 3})
         with pytest.raises(ValueError, match="out of range"):
             gr.Oracle(4, {7})
-
-
-class TestDiffusion:
-    def test_matrix_form(self):
-        n = 6
-        s = np.full(n, 1 / math.sqrt(n))
-        assert np.allclose(gr.diffusion(n), 2 * np.outer(s, s) - np.eye(n))
-
-    def test_diffusion_is_minus_reflection_about_uniform(self):
-        n = 5
-        s = np.full(n, 1 / math.sqrt(n))
-        reflection = np.eye(n) - 2 * np.outer(s, s)
-        assert np.allclose(gr.diffusion(n), -reflection)
 
 
 class TestGroverRun:
@@ -164,63 +150,6 @@ class TestFixedPoint:
             gr.fixed_point_run(-1, 8, {0})
         with pytest.raises(ValueError, match="unknown base"):
             gr.fixed_point_run(1, 8, {0}, base="magic")
-
-
-class TestAbstractSearch:
-    def test_diffusion_alpha_matches_rotation_angle(self):
-        res = gr.abstract_search_analyze(gr.diffusion(64), 5)
-        assert abs(res.alpha - gr.rotation_angle(64, 1)) < 1e-9
-
-    def test_expansion_is_complete(self):
-        res = gr.abstract_search_analyze(gr.diffusion(64), 5)
-        total = (res.a ** 2 + 2 * np.sum(res.pair_coefficients ** 2)
-                 + res.minus_one_weight ** 2)
-        assert abs(total - 1.0) < 1e-10
-
-    def test_evolution_lands_on_the_plus_combination(self):
-        n, target = 256, 17
-        res = gr.abstract_search_analyze(gr.diffusion(n), target)
-        u = gr.diffusion(n) @ (np.eye(n)
-                               - 2 * np.outer(np.eye(n)[target], np.eye(n)[target]))
-        psi = res.psi_init.astype(complex)
-        for _ in range(int(math.floor(math.pi / (2 * res.alpha)))):
-            psi = u @ psi
-        assert abs(np.vdot(res.alpha_plus, psi)) >= 0.99
-        assert res.target_overlap >= 0.99
-
-    def test_initial_state_close_to_minus_combination(self):
-        res = gr.abstract_search_analyze(gr.diffusion(256), 0)
-        assert res.init_overlap >= 0.99
-
-    def test_conjugate_pair_extraction(self):
-        c, s = math.cos(0.5), math.sin(0.5)
-        v = np.eye(3)
-        v[1:, 1:] = [[c, -s], [s, c]]
-        rng = np.random.default_rng(2)
-        q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
-        res = gr.abstract_search_analyze(q @ v @ q.T, 1)
-        assert len(res.pair_phases) == 1
-        assert abs(res.pair_phases[0] - 0.5) < 1e-10
-        assert res.minus_one_weight < 1e-10
-
-    def test_eigenphases_of_real_unitary_pair_up(self):
-        rng = np.random.default_rng(6)
-        for _ in range(5):
-            q, _ = np.linalg.qr(rng.normal(size=(6, 6)))
-            ev = np.sort_complex(np.linalg.eigvals(q))
-            assert np.max(np.abs(np.sort_complex(ev.conj()) - ev)) < 1e-10
-
-    def test_degenerate_plus_one_rejected(self):
-        with pytest.raises(ValueError, match="one-dimensional"):
-            gr.abstract_search_analyze(np.eye(4), 0)
-
-    def test_complex_operator_rejected(self):
-        with pytest.raises(ValueError, match="real"):
-            gr.abstract_search_analyze(1j * np.eye(4), 0)
-
-    def test_target_range_checked(self):
-        with pytest.raises(ValueError, match="target"):
-            gr.abstract_search_analyze(gr.diffusion(4), 9)
 
 
 class TestRandomizedProperties:
