@@ -8,6 +8,9 @@ subspace and Krylov evolution, held against dense references.
 
 Submodules
 ----------
+Each is imported on first access (``walklab.grover``, ``from walklab import
+grover``), so ``import walklab`` executes none of them.
+
 trace          the numerical gate: check() and ToleranceError
 special        Catalan numbers and their squared partial sums
 linalg         Hermitian/unitary eigenwork and Schroedinger evolution
@@ -24,20 +27,7 @@ ctqw           continuous-time quantum walks
 experiments    named, reproducible experiment runner (python -m walklab.experiments)
 """
 
-from walklab import (
-    classical,
-    coined,
-    ctqw,
-    datafiles,
-    distributions,
-    graphs,
-    grover,
-    linalg,
-    scattering,
-    special,
-    subset,
-    szegedy,
-)
+import importlib
 
 __all__ = [
     "classical",
@@ -55,3 +45,16 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+_SUBMODULES = (*__all__, "experiments", "trace")
+
+
+def __getattr__(name):
+    # PEP 562: ``walklab.<submodule>`` imports that submodule on first access
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *_SUBMODULES})

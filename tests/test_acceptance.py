@@ -8,7 +8,6 @@ module suites hold the finer-grained coverage.
 import math
 
 import numpy as np
-import pytest
 
 from walklab import (
     classical,

@@ -303,6 +303,20 @@ class TestExitCodes:
         assert f"{label} off by" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
+    def test_grover_plane_leakage_exits_3(self, tmp_path, monkeypatch,
+                                          capsys):
+        reflect = experiments.grover.Oracle.reflect
+
+        def leaky(self, state):
+            out = reflect(self, state)
+            out[-1] += 1e-6  # item n - 1 is unmarked
+            return out
+
+        monkeypatch.setattr(experiments.grover.Oracle, "reflect", leaky)
+        assert run(ExperimentSpec("grover", {}, None, str(tmp_path))) == 3
+        assert "plane leakage off by" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_gate_fails_closed_on_nan(self):
         trace.check("residual", 1.0, 1.0)
         for bad in (float("nan"), float("inf"), float("-inf")):
@@ -702,6 +716,83 @@ def test_scipy_loads_only_for_a_schur_decomposition(tmp_path):
     proc = python_child(["-c", LAZY_SCIPY, str(tmp_path)], tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "hadamard-line.csv").exists()
+
+
+# Run in a fresh interpreter with the output directory as argv[1].  A module
+# loaded lazily sits in sys.modules with only its import metadata until it runs.
+LAZY_MODULES = """
+import io
+import sys
+import walklab
+from walklab import experiments
+
+LAZY = ["classical", "coined", "ctqw", "distributions", "graphs", "grover",
+        "linalg", "scattering", "subset", "szegedy"]
+
+
+def executed():
+    return {name for name in LAZY + ["special"]
+            if f"walklab.{name}" in sys.modules
+            and "__all__" in object.__getattribute__(
+                sys.modules[f"walklab.{name}"], "__dict__")}
+
+
+assert executed() == set()
+experiments.list_experiments(io.StringIO())
+assert executed() == set()
+spec = experiments.ExperimentSpec("grover", {}, None, sys.argv[1])
+assert experiments.run(spec) == 0
+assert executed() == {"grover"}, executed()
+from walklab import classical, grover, szegedy
+assert classical is experiments.classical and grover is experiments.grover
+assert szegedy is experiments.szegedy
+for name in LAZY:
+    assert getattr(walklab, name) is getattr(experiments, name)
+    assert getattr(walklab, name) is sys.modules[f"walklab.{name}"]
+assert executed() == set(LAZY)
+assert set(walklab.__all__) | {"experiments", "trace"} <= set(dir(walklab))
+try:
+    walklab.nope
+except AttributeError as err:
+    assert "nope" in str(err)
+else:
+    raise AssertionError("walklab.nope resolved")
+assert "walklab.special" not in sys.modules
+"""
+
+# Run in a fresh interpreter with the output directory as argv[1].
+PATCHED_BEFORE_FIRST_RUN = """
+import sys
+import walklab
+from walklab import experiments
+
+calls = []
+grover_run = walklab.grover.grover_run
+
+
+def counted(*args):
+    calls.append(args)
+    return grover_run(*args)
+
+
+walklab.grover.grover_run = counted
+spec = experiments.ExperimentSpec("grover", {"n": "64"}, None, sys.argv[1])
+assert experiments.run(spec) == 0
+assert len(calls) == 1, calls
+"""
+
+
+def test_library_modules_load_on_first_use(tmp_path):
+    proc = python_child(["-c", LAZY_MODULES, str(tmp_path)], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "grover.csv").exists()
+
+
+def test_a_patch_before_the_first_run_is_seen_by_it(tmp_path):
+    proc = python_child(["-c", PATCHED_BEFORE_FIRST_RUN, str(tmp_path)],
+                        tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "grover.csv").exists()
 
 
 class TestCommandLine:
