@@ -106,16 +106,18 @@ def mixing_time(chain, p0, eps, t_max=100_000):
     Also reports the spectral lower bound from the second eigenvalue, and
     in ``distances`` the distance at every step t = 0..t_max of the scan.
     Distances use the package's doubled total-variation convention, so
-    eps = 2 is trivially satisfied at time 0.
+    eps = 2 is trivially satisfied at time 0.  A NaN distance is not
+    eps-close, so a NaN start never converges.
     """
     pi, spectrum, bipartite = stationary_and_limit(chain)
     bound = spectral_lower_bound(float(spectrum[1]), eps)
     p = np.asarray(p0, dtype=float)
+    matrix = chain.matrix
     distances = np.empty(t_max + 1)
     for t in range(t_max + 1):
         distances[t] = tvd(p, pi)
-        p = chain.matrix @ p
-    bad = np.flatnonzero(distances > eps)
+        p = matrix @ p
+    bad = np.flatnonzero(~(distances <= eps))
     last_bad = int(bad[-1]) if bad.size else -1
     if last_bad == t_max:
         raise ValueError(f"no convergence within t_max={t_max} steps"

@@ -137,17 +137,18 @@ class CoinedWalkOperator:
     The directions are the graph's canonical ``graphs.color_edges``, which
     checks that every color is a permutation on the edge set.  The coin
     may be a single ``Coin`` shared by every vertex or a sequence with one
-    ``Coin`` per vertex.  One kernel applies the walk unitary
-    structurally (coin blocks, then the color permutations as a single
-    gather) to arrays of shape (..., k, d) that hold k consecutive rows of
-    a state, leading axes being a batch that steps together.  ``step``
-    runs it on whole states, or on a cycle on one state inside a window of
-    rows; ``decohere_evolve`` runs it on both sides of a density matrix,
-    kept on a cycle as the block of sites its start can reach until that
-    block would wrap, and as the whole matrix from then on or on any other
-    graph.  ``dense`` materializes the matrix for spectral work; it is
-    built independently of the kernel and serves as its check.  ``dtype``
-    is the coins' dtype: a real coin keeps real states real.
+    ``Coin`` per vertex.  The walk unitary is applied structurally: one
+    coin product on k consecutive rows of a state, then the shift.
+    ``step`` runs it on whole states of shape (..., n, d), leading axes
+    being a batch that steps together, shifting by one gather through the
+    color permutations; on a cycle it can run on one state inside a window
+    of rows, where each color shifts by one slice copy.
+    ``decohere_evolve`` runs the gather kernel on both sides of a density
+    matrix, kept on a cycle as the block of sites its start can reach until
+    that block would wrap, and as the whole matrix from then on or on any
+    other graph.  ``dense`` materializes the matrix for spectral work; it
+    is built independently of the kernel and serves as its check.
+    ``dtype`` is the coins' dtype: a real coin keeps real states real.
     """
 
     def __init__(self, graph, coins):
@@ -183,8 +184,12 @@ class CoinedWalkOperator:
 
         ``window=(lo, hi)`` says that the rows of one (n, d) state on a
         cycle vanish outside lo <= v < hi, where 1 <= lo and hi <= n - 1.
-        The walk then runs on rows lo-1..hi alone, whose two end rows are
-        zero, and every other row of the result is zero.
+        The coin then acts on rows lo-1..hi alone, whose two end rows are
+        zero, each color shifts them by one slice copy, and every other row
+        of the result is zero.  The result equals, bit for bit, the gather
+        kernel's on those rows, except that at a window touching the wrap
+        an end row's emptied entry is its own coined zero, where the gather
+        clipped a source wrapping round to the far end row's.
         """
         if window is None:
             return self._coin_shift(state, 0)
@@ -193,31 +198,39 @@ class CoinedWalkOperator:
                 and 1 <= lo < hi <= self.n - 1):
             raise ValueError(f"window {window} does not fit a state "
                              "on this operator")
-        out = np.zeros(state.shape, np.promote_types(self.dtype, state.dtype))
-        self._coin_shift(state[lo - 1:hi + 1], lo - 1, out[lo - 1:hi + 1])
+        mixed = self._coin(state[lo - 1:hi + 1], lo - 1)
+        out = np.zeros(state.shape, mixed.dtype)
+        rows = out[lo - 1:hi + 1]
+        rows[...] = mixed
+        # each color moves every row one site up or down; the end row it
+        # leaves keeps its own coined entry, a zero
+        for c, target in enumerate(self.coloring.next_vertex[lo].tolist()):
+            if target == lo + 1:
+                rows[1:, c] = mixed[:-1, c]
+            else:
+                rows[:-1, c] = mixed[1:, c]
         return out
 
-    def _coin_shift(self, part, start, out=None):
-        """The walk on the k consecutive rows from ``start`` of a state,
-        given as ``part`` of shape (..., k, d): the coin on every row, then
-        the shift as one gather.  Unless k = n, a source outside the k rows
-        clips to the first or last of them, so those two must be zero, and
-        the gather writes to ``out`` (contiguous, shaped like ``part``)
-        when one is given.  The result is returned.
+    def _coin(self, part, start):
+        """The coin on the k consecutive rows from ``start`` of a state,
+        given as ``part`` of shape (..., k, d)."""
+        if self._coin_t is not None:
+            return (part.reshape(-1, self.d) @ self._coin_t).reshape(part.shape)
+        k = part.shape[-2]
+        return np.einsum("vcd,...vd->...vc", self._coins[start:start + k], part)
+
+    def _coin_shift(self, part, start):
+        """The gather kernel: the walk on the k consecutive rows from
+        ``start`` of a state, given as ``part`` of shape (..., k, d), as
+        ``_coin`` on every row, then the shift as one gather.  Unless k = n,
+        a source outside the k rows clips to the first or last of them, so
+        those two must be zero.  The result is returned.
         """
         k = part.shape[-2]
-        if self._coin_t is not None:
-            mixed = part.reshape(-1, self.d) @ self._coin_t
-        else:
-            mixed = np.einsum("vcd,...vd->...vc",
-                              self._coins[start:start + k], part)
-        flat = mixed.reshape(-1, k * self.d)
+        flat = self._coin(part, start).reshape(-1, k * self.d)
         first = start * self.d
         source = self._source[first:first + k * self.d] - first
-        if out is not None:
-            out = out.reshape(flat.shape)
-        return flat.take(source, axis=-1, mode="clip",
-                         out=out).reshape(part.shape)
+        return flat.take(source, axis=-1, mode="clip").reshape(part.shape)
 
     def dense(self):
         """The step operator as an (n d) x (n d) matrix, basis v*d + c."""
@@ -456,7 +469,8 @@ def quantum_mixing_time(op, psi0, eps, t_max):
     Also reports the spectral upper bound on that distance, evaluated at
     the returned T: twice the sum of |a_i|^2 / |lambda_i - lambda_j| over
     eigenvalue pairs with distinct phases, divided by T; and the distance
-    itself at every horizon 1..t_max.  A t_max too short is a ValueError.
+    itself at every horizon 1..t_max.  A t_max too short is a ValueError,
+    and so is a NaN start: a NaN distance is not eps-close.
     """
     if t_max < 1:
         raise ValueError(f"horizon t_max must be at least 1, got {t_max}")
@@ -473,7 +487,7 @@ def quantum_mixing_time(op, psi0, eps, t_max):
     for t in range(1, t_max + 1):
         acc += position_distribution(psi)
         distances[t - 1] = tvd(acc / t, pi)
-        if distances[t - 1] > eps:
+        if not distances[t - 1] <= eps:
             last_bad = t
         psi = op.step(psi)
     if last_bad == t_max:

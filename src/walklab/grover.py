@@ -65,7 +65,9 @@ def _diffuse(state):
 
 def _uniform_phase(angle, state):
     # selective phase on the uniform superposition; no oracle involved
-    return state + (cmath.exp(1j * angle) - 1.0) * state.mean() * np.ones_like(state)
+    # state.mean() without its Python-level dispatch
+    mean = np.add.reduce(state) / state.size
+    return state + (cmath.exp(1j * angle) - 1.0) * mean
 
 
 def rotation_angle(n, k):

@@ -127,6 +127,12 @@ def test_mixing_bound_below_measured_on_cycle():
     assert 0.0 < res.spectral_bound <= res.steps
 
 
+def test_mixing_fails_closed_on_a_nan_start():
+    chain = cl.unbiased_chain(graphs.complete(8, loops=True))
+    with pytest.raises(ValueError, match="no convergence"):
+        cl.mixing_time(chain, np.full(8, np.nan), 0.01, t_max=50)
+
+
 def test_trivial_epsilon_mixes_immediately():
     chain = cl.unbiased_chain(graphs.complete(8, loops=True))
     assert cl.mixing_time(chain, delta(8, 0), 2.0, t_max=50).steps == 0

@@ -121,6 +121,13 @@ def windowed_state(rng, n, lo, hi, dtype):
     return psi
 
 
+def gathered(op, psi, lo, hi):
+    """The gather kernel on rows lo-1..hi of psi, placed into zeros."""
+    out = np.zeros(psi.shape, np.promote_types(op.dtype, psi.dtype))
+    out[lo - 1:hi + 1] = op._coin_shift(psi[lo - 1:hi + 1], lo - 1)
+    return out
+
+
 @pytest.mark.parametrize("kind", ["hadamard", "balanced", "per-vertex"])
 def test_windowed_step_equals_full_step(kind):
     rng = np.random.default_rng(11)
@@ -130,14 +137,24 @@ def test_windowed_step_equals_full_step(kind):
                 random_unitary_coin(rng, 2) for _ in range(n)])
         else:
             op = cycle_walk(n, kind)
-        # in the middle, next to the wrap on either side, and full width
-        for lo, hi in [(n // 2, n // 2 + 2), (1, 3), (n - 3, n - 1),
-                       (1, n - 1)]:
+        # in the middle, wide, next to the wrap on either side, and full
+        # width
+        for lo, hi in [(n // 2, n // 2 + 2), (2, n - 2), (1, 3),
+                       (n - 3, n - 1), (1, n - 1)]:
             for dtype in (float, complex):
                 psi = windowed_state(rng, n, lo, hi, dtype)
+                # a zero row inside the window, of signed zeros
+                psi[(lo + hi) // 2] *= -0.0
                 got = op.step(psi, (lo, hi))
                 assert got.dtype == op.step(psi).dtype
                 assert np.array_equal(got, op.step(psi))
+                # Bit for bit, signed zeros included, as the gather over
+                # the same rows.  At a window that touches the wrap the
+                # gather fills an end row's empty entry from the far end
+                # row, whose source wraps round; the step keeps the end
+                # row's own entry.  Both are zeros, and may differ in sign.
+                if lo > 1 and hi < n - 1:
+                    assert got.tobytes() == gathered(op, psi, lo, hi).tobytes()
 
 
 def test_window_must_fit_one_state_on_a_cycle():
@@ -395,6 +412,12 @@ def test_quantum_mixing_unreachable():
     op = cycle_walk(5)
     with pytest.raises(ValueError, match="by horizon 30"):
         cw.quantum_mixing_time(op, localized(op), 1e-4, 30)
+
+
+def test_quantum_mixing_fails_closed_on_a_nan_start():
+    op = cycle_walk(5)
+    with pytest.raises(ValueError, match="by horizon 30"):
+        cw.quantum_mixing_time(op, np.full((5, 2), np.nan), 0.05, 30)
 
 
 # hitting
@@ -673,9 +696,9 @@ def spy_coin_shift(monkeypatch):
     shift = cw.CoinedWalkOperator._coin_shift
     blocks = []
 
-    def spy(self, part, start, out=None):
+    def spy(self, part, start):
         blocks.append((start, part.shape[-2], part.dtype))
-        return shift(self, part, start, out)
+        return shift(self, part, start)
 
     monkeypatch.setattr(cw.CoinedWalkOperator, "_coin_shift", spy)
     return blocks

@@ -28,6 +28,10 @@ def test_tvd_shape_mismatch():
         tvd([1.0], [0.5, 0.5])
 
 
+def same_bits(a, b):
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
 def test_tvd_is_symmetric_and_bounded():
     rng = np.random.default_rng(3)
     for _ in range(120):
@@ -37,6 +41,17 @@ def test_tvd_is_symmetric_and_bounded():
         d = tvd(p, q)
         assert d == tvd(q, p)
         assert 0.0 <= d <= 2.0 + 1e-12
+        # the reduction np.sum runs, bit for bit; also on 2-D and list input
+        assert same_bits(d, float(np.sum(np.abs(p - q))))
+        if n % 2 == 0:
+            p2, q2 = p.reshape(2, -1), q.reshape(2, -1)
+            assert same_bits(tvd(p2, q2), float(np.sum(np.abs(p2 - q2))))
+        assert same_bits(tvd(list(p), list(q)), d)
+
+
+def test_tvd_propagates_nan():
+    assert math.isnan(tvd([math.nan, 0.5], [0.5, 0.5]))
+    assert math.isnan(tvd(np.full((2, 2), 0.25), [[0.25, 0.25], [0.25, math.nan]]))
 
 
 def test_entropy_point_mass():

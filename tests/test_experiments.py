@@ -12,6 +12,7 @@ import walklab
 from helpers import read_csv
 from walklab import experiments, trace
 from walklab.experiments import ExperimentSpec, run
+from walklab.special import catalan
 
 ALL_NAMES = {
     "line-walk", "hadamard-line", "entropy-series", "decoherence-sweep",
@@ -316,6 +317,27 @@ class TestExitCodes:
         assert run(ExperimentSpec("grover", {}, None, str(tmp_path))) == 3
         assert "plane leakage off by" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
+
+    # the absorbed probability read one step late, and C_(k+1) in place of C_k
+    @pytest.mark.parametrize("shift", [1, -4], ids=["step", "catalan-index"])
+    def test_absorbing_boundary_off_by_one_exits_3(self, tmp_path, monkeypatch,
+                                                   capsys, shift):
+        closed_form = experiments._absorbed_closed_form
+        monkeypatch.setattr(experiments, "_absorbed_closed_form",
+                            lambda m_max: np.roll(closed_form(m_max), shift))
+        spec = ExperimentSpec("absorbing-boundary", {"m_max": "40"}, None,
+                              str(tmp_path))
+        assert run(spec) == 3
+        assert "absorption closed form off by" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_absorbed_closed_form_is_the_catalan_law(self):
+        exact = experiments._absorbed_closed_form(403)
+        want = np.zeros(404)
+        want[1] = 0.5
+        for k in range(101):
+            want[4 * k + 3] = catalan(k) ** 2 / (8 * 16 ** k)
+        assert np.allclose(exact, want, rtol=1e-13, atol=0.0)
 
     def test_gate_fails_closed_on_nan(self):
         trace.check("residual", 1.0, 1.0)

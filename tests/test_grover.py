@@ -1,5 +1,6 @@
 """Search iteration, query ledger, and fixed-point composition."""
 
+import cmath
 import math
 
 import numpy as np
@@ -144,6 +145,19 @@ class TestFixedPoint:
         failures = [gr.fixed_point_run(lv, 32, set(range(8))).failure
                     for lv in range(5)]
         assert all(b <= a + 1e-12 for a, b in zip(failures, failures[1:]))
+
+    def test_uniform_phase_matches_the_mean_form_byte_for_byte(self):
+        rng = np.random.default_rng(24)
+        zeros = np.array([complex(re, im) for re in (0.0, -0.0)
+                          for im in (0.0, -0.0)])
+        for n in (2, 7, 64, 1000):
+            state = rng.normal(size=n) + 1j * rng.normal(size=n)
+            state[rng.integers(n, size=n // 3 + 1)] = rng.choice(zeros, n // 3 + 1)
+            for angle in (math.pi, -math.pi, math.pi / 3, -math.pi / 3, 0.7):
+                want = state + ((cmath.exp(1j * angle) - 1.0) * state.mean()
+                                * np.ones_like(state))
+                got = gr._uniform_phase(angle, state)
+                assert got.tobytes() == want.tobytes(), (n, angle)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="levels"):
