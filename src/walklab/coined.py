@@ -549,18 +549,27 @@ def absorbing_line_quantum(m_max):
 
     Each step the amplitude arriving at the origin is recorded and
     removed.  The walker lives on a cycle of sites 0..m_max+2 and steps
-    inside its light cone, the sites [1, hi) with hi <= step + 1 before
-    step ``step``, so nothing ever reaches the far end and no amplitude can
-    wrap around to the wall; absorbed amplitude only ever arrives moving
-    leftward.  After each step the far edge of that range sheds, and
-    zeroes, every row whose entries all lie below ``np.finfo(float).tiny``:
-    the front decays as 2^(-t/2), passes below it after step 2,044, and
-    would otherwise stick at the subnormal 5e-324 (true value near
-    1e-1200) at the cost of subnormal arithmetic.  This is safe: the step
-    is unitary, so the state moves by about the norm dropped (at most
-    7.3e-304 over 8,000 steps), which squares to 0, and a NaN or inf row
-    is never dropped.  The wall side is never trimmed.  The absorbed and
-    the remaining probability sum to one, to 1e-9.
+    only the sites [1, hi), with hi <= step + 1 before step ``step``, so
+    nothing ever reaches the far end and no amplitude can wrap around to
+    the wall; absorbed amplitude only ever arrives moving leftward.  A step
+    is ``_coin`` on the rows [0, hi], whose two end rows are zero, then one
+    slice copy per color back into the same state array.  After each step
+    the far edge of that range zeroes two kinds of row:
+
+    - rows outside the wall's backward light cone.  A row at site x after
+      step t first reaches the wall at step t + x, so no row beyond
+      x = m_max - t changes a recorded amplitude.  Their probability is
+      counted as remaining; by the last step every row has left the cone.
+    - rows whose entries all lie below ``np.finfo(float).tiny``.  The front
+      decays as 2^(-t/2), passes below it after step 2,044, and would
+      otherwise stick at the subnormal 5e-324 (true value near 1e-1200) at
+      the cost of subnormal arithmetic.  This is safe: the step is unitary,
+      so the state moves by about the norm dropped (at most 7.3e-304 over
+      8,000 steps), which squares to 0, and a NaN or inf row is never
+      dropped.
+
+    The wall side is never trimmed.  The absorbed and the remaining
+    probability sum to one, to 1e-9.
 
     Returns per-step absorbed probabilities (index = step), their running
     sum, and the absorbed amplitudes themselves.
@@ -568,24 +577,39 @@ def absorbing_line_quantum(m_max):
     if m_max < 1:
         raise ValueError("need at least one step")
     op = CoinedWalkOperator(_graphs.cycle(m_max + 3), coin("hadamard"))
+    # the color that moves a walker one site left, toward the wall
+    left = int(op.coloring.next_vertex[1, 1] == 0)
+    right = 1 - left
     psi = np.zeros((op.n, 2))
     psi[1, 0] = 1.0
     per_step = np.zeros(m_max + 1)
     amplitudes = np.zeros(m_max + 1, dtype=complex)
+    remaining = 0.0
     hi = 2
     for step in range(1, m_max + 1):
-        psi = op.step(psi, (1, hi))
+        mixed = op._coin(psi[:hi + 1], 0)
+        # the entry each color leaves behind, at row 0 or row hi, was zero
+        # and stays zero
+        psi[1:hi + 1, right] = mixed[:-1, right]
+        psi[:hi, left] = mixed[1:, left]
         trace.check("amplitude at the buffer edge", abs(psi[-1, 0]), 1e-12)
-        amplitudes[step] = psi[0, 1]
-        per_step[step] = abs(psi[0, 1]) ** 2 + abs(psi[0, 0]) ** 2
+        amplitudes[step] = psi[0, left]
+        per_step[step] = abs(psi[0, left]) ** 2 + abs(psi[0, right]) ** 2
         psi[0] = 0.0
         hi += 1
+        cone = m_max - step + 1
+        if hi > cone:
+            gone = psi[cone:hi]
+            remaining += float(np.vdot(gone, gone))
+            gone[...] = 0.0
+            hi = cone
         while hi > 2 and _underflowed(psi[hi - 1]):
             psi[hi - 1] = 0.0
             hi -= 1
     cumulative = np.cumsum(per_step)
     trace.check("absorbed plus remaining probability",
-                abs(cumulative[-1] + np.vdot(psi, psi) - 1.0), 1e-9)
+                abs(cumulative[-1] + remaining + np.vdot(psi, psi) - 1.0),
+                1e-9)
     return AbsorbingLine(per_step, cumulative, amplitudes)
 
 

@@ -299,6 +299,8 @@ def hard_nand_instance(depth, rng, value=None):
     zeros, so evaluations short-circuit as rarely as possible; a value-0
     node is forced to children (1, 1).  On balanced trees these
     instances drive the randomized evaluator to its N^0.753 scaling.
+    ``rng`` may be any object with a numpy-style scalar ``integers``
+    method; only ``integers(2)`` is called.
     """
     if depth < 0:
         raise ValueError("tree depth must be nonnegative")
@@ -319,7 +321,9 @@ def classical_nand_cost(tree, rng, trials):
     """Mean leaf queries of randomized recursive NAND evaluation.
 
     Each trial descends into a uniformly chosen child first and skips
-    the sibling whenever the first branch returns 0.
+    the sibling whenever the first branch returns 0.  ``rng`` may be any
+    object with a numpy-style scalar ``integers`` method; only
+    ``integers(2)`` is called.
     """
     _check_nand_tree(tree)
 

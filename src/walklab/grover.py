@@ -26,7 +26,8 @@ class Oracle:
 
     ``reflect`` flips the sign of marked amplitudes; ``phase`` applies a
     selective phase instead.  Every application, including inverses, adds
-    one query to the ledger.
+    one query to the ledger.  Both, and ``success``, touch the marked
+    entries alone, through their sorted indices.
     """
 
     def __init__(self, n, marked):
@@ -42,25 +43,22 @@ class Oracle:
         self.queries = 0
         self._mask = np.zeros(n, dtype=bool)
         self._mask[sorted(marked)] = True
+        self._index = np.flatnonzero(self._mask)
 
     def reflect(self, state):
         self.queries += 1
         out = np.array(state, copy=True)
-        out[self._mask] *= -1
+        out[self._index] *= -1
         return out
 
     def phase(self, angle, state):
         self.queries += 1
         out = np.array(state, dtype=complex, copy=True)
-        out[self._mask] *= cmath.exp(1j * angle)
+        out[self._index] *= cmath.exp(1j * angle)
         return out
 
     def success(self, state):
-        return float(np.sum(np.abs(np.asarray(state)[self._mask]) ** 2))
-
-
-def _diffuse(state):
-    return 2.0 * state.mean() - state
+        return float(np.sum(np.abs(np.asarray(state)[self._index]) ** 2))
 
 
 def _uniform_phase(angle, state):
@@ -108,19 +106,28 @@ def grover_run(n, marked, steps="auto"):
     m = _auto_steps(n, k) if steps == "auto" else int(steps)
     if m < 0:
         raise ValueError("step count must be nonnegative")
+    index = oracle._index
     t = np.zeros(n)
-    t[oracle._mask] = 1.0 / math.sqrt(k)
+    t[index] = 1.0 / math.sqrt(k)
     nv = np.zeros(n)
     nv[~oracle._mask] = 1.0 / math.sqrt(n - k)
     state = np.full(n, 1.0 / math.sqrt(n))
     comps = np.empty((m + 1, 2))
     leakage = 0.0
+    # t and nv have disjoint supports, so c0 t + c1 nv is c1 nv with the
+    # marked entries set to c0 t: the residual it leaves differs from
+    # state - c0 t - c1 nv at most in the sign of a zero
+    plane = np.empty(n)
     for j in range(m + 1):
-        comps[j] = (t @ state, nv @ state)
-        leakage = max(leakage, float(np.linalg.norm(
-            state - comps[j, 0] * t - comps[j, 1] * nv)))
+        c0, c1 = comps[j] = (t @ state, nv @ state)
+        np.multiply(nv, c1, out=plane)
+        plane[index] = c0 * t[index]
+        np.subtract(state, plane, out=plane)
+        leakage = max(leakage, float(np.linalg.norm(plane)))
         if j < m:
-            state = _diffuse(oracle.reflect(state))
+            # the diffusion 2 mean - s, in place on the reflected copy
+            state = oracle.reflect(state)
+            np.subtract(2.0 * state.mean(), state, out=state)
     return GroverResult(state, oracle.success(state), oracle.queries, comps,
                         leakage)
 

@@ -38,6 +38,8 @@ class SubsetWalk:
     Each set's pointer register is its block of out-arcs, n - q wide on
     the left and q + 1 on the right; ``left_sets`` lists the q-sets in
     colex order.  ``queries`` counts the oracle calls of the last run.
+    ``runs`` yields every prefix of one schedule's trajectory, so a scan
+    over the outer count steps each state once.
     """
 
     def __init__(self, n, q, f, prop, k):
@@ -95,12 +97,21 @@ class SubsetWalk:
     def right_mass(self, state):
         return float(np.sum(np.abs(state[self.left_dim :]) ** 2))
 
-    def run(self, tau1, tau2):
+    def runs(self, tau1, tau2):
+        """The states after 0, 1, ..., tau2 outer iterations of tau1 inner
+        ones, one at a time, each with ``queries`` as ``run`` leaves it."""
         state = self.initial_state()
+        yield state
         for _ in range(tau2):
             state = self.phase(state)
             for _ in range(2 * tau1):
                 state = self.shift(self.coin(state))
+            yield state
+
+    def run(self, tau1, tau2):
+        """The last state of ``runs``."""
+        for state in self.runs(tau1, tau2):
+            pass
         return state
 
 
@@ -133,11 +144,12 @@ def subset_walk_run(n, q, k, f, prop, schedule="auto"):
 
     best = (tau1, tau2, success)
     if schedule == "auto":
+        # each t1 reads its t2 from one trajectory, in the same order
         for t1 in range(max(1, tau1 - 2), tau1 + 3):
-            for t2 in range(max(1, tau2 - 2), tau2 + 3):
-                if (t1, t2) == (tau1, tau2):
+            for t2, state in enumerate(walk.runs(t1, tau2 + 2)):
+                if t2 < max(1, tau2 - 2) or (t1, t2) == (tau1, tau2):
                     continue
-                p = walk.success(walk.run(t1, t2))
+                p = walk.success(state)
                 if p > best[2] + 1e-12:
                     best = (t1, t2, p)
     return SubsetWalkResult(success, queries, tau1, tau2,

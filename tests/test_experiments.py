@@ -318,6 +318,19 @@ class TestExitCodes:
         assert "plane leakage off by" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
+    def test_grover_unreflected_marked_sign_exits_3(self, tmp_path,
+                                                    monkeypatch, capsys):
+        # the state then never turns: it stays in the plane, but off the
+        # closed form from the first step
+        def unreflected(self, state):
+            self.queries += 1
+            return np.array(state, copy=True)
+
+        monkeypatch.setattr(experiments.grover.Oracle, "reflect", unreflected)
+        assert run(ExperimentSpec("grover", {}, None, str(tmp_path))) == 3
+        assert "amplitude closed form off by" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     # the absorbed probability read one step late, and C_(k+1) in place of C_k
     @pytest.mark.parametrize("shift", [1, -4], ids=["step", "catalan-index"])
     def test_absorbing_boundary_off_by_one_exits_3(self, tmp_path, monkeypatch,
@@ -391,6 +404,20 @@ class TestEachWalkRunsOnce:
         run_ok(tmp_path, "subset-find", {"n": 8, "q": 4, "k": 2, "r": 4},
                seed=11)
         assert len(calls) == 1
+
+    def test_subset_find_steps_each_trajectory_once(self, tmp_path,
+                                                    monkeypatch):
+        calls = self.count_calls(monkeypatch, experiments.subset.SubsetWalk,
+                                 "shift")
+        meta, _, rows = run_ok(tmp_path, "subset-find", {}, seed=1)
+        tau1, tau2 = meta["auto_tau1"], meta["auto_tau2"]
+        assert (tau1, tau2) == (2, 2)
+        # the auto run; one trajectory to tau2 + 2 for each tau1 of the
+        # window, 1..tau1 + 2; one to 2 tau2 + 2 for the table
+        window = sum(2 * t1 * (tau2 + 2) for t1 in range(1, tau1 + 3))
+        assert len(rows) == 2 * tau2 + 3
+        assert len(calls) == 2 * tau1 * tau2 + window + 2 * tau1 * (
+            2 * tau2 + 2) == 112
 
     def test_marked_gap_freezes_each_marked_set_once(self, tmp_path,
                                                      monkeypatch):

@@ -6,9 +6,10 @@ The references, the checker and the workload list live in ``perfbench/``;
 this test loads ``check.py`` and ``workloads.py`` by file path and only reads
 them.  Stochastic experiments run at the seed the benchmark gives them in
 workload seed 0, which the references cover.  The Metropolis experiments
-also run at every other seed the references hold for them, and must repeat
-those CSVs byte for byte: their samplers replay numpy's stream from raw
-words, and any drift from the Generator's own draws shows here.
+and ``nand`` also run at every other seed the references hold for them,
+and must repeat those CSVs byte for byte: their samplers and tree draws
+replay numpy's stream from raw words, and any drift from the Generator's
+own draws shows here.
 """
 
 import importlib.util
@@ -34,7 +35,8 @@ workloads = _load("workloads")
 DEFAULTS = workloads.WORKLOADS["defaults"]
 REFERENCE = check.Reference("defaults")
 SEEDED = sorted(key for key in REFERENCE.texts
-                if key.startswith(("mcmc-partition-s", "annealing-s")))
+                if key.startswith(("mcmc-partition-s", "annealing-s",
+                                   "nand-s")))
 
 
 @pytest.fixture(scope="module")

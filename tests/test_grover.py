@@ -85,6 +85,33 @@ class TestTrajectory:
         norms = (tr.components ** 2).sum(axis=1)
         assert np.max(np.abs(norms - 1.0)) < 1e-12
 
+    @pytest.mark.parametrize("n, marked", [
+        (16, [3]), (1000, range(0, 1000, 3)), (4096, range(4000))])
+    def test_in_place_run_keeps_every_byte(self, n, marked):
+        # the masked reflection, the diffusion into a new array and the
+        # leakage through three temporaries, written out in full
+        res = gr.grover_run(n, marked)
+        mask = np.zeros(n, dtype=bool)
+        mask[list(marked)] = True
+        k = int(mask.sum())
+        t = np.where(mask, 1.0 / math.sqrt(k), 0.0)
+        nv = np.where(mask, 0.0, 1.0 / math.sqrt(n - k))
+        state = np.full(n, 1.0 / math.sqrt(n))
+        comps = np.empty((res.queries + 1, 2))
+        leakage = 0.0
+        for j in range(res.queries + 1):
+            comps[j] = (t @ state, nv @ state)
+            leakage = max(leakage, float(np.linalg.norm(
+                state - comps[j, 0] * t - comps[j, 1] * nv)))
+            if j < res.queries:
+                reflected = state.copy()
+                reflected[mask] *= -1
+                state = 2.0 * reflected.mean() - reflected
+        assert res.state.tobytes() == state.tobytes()
+        assert res.components.tobytes() == comps.tobytes()
+        assert res.leakage == leakage
+        assert res.success == float(np.sum(state[mask] ** 2))
+
     def test_negative_step_count_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
             gr.grover_run(16, {3}, steps=-1)

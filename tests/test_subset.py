@@ -66,6 +66,18 @@ class TestBasisAndBookkeeping:
         assert np.array_equal(again, first)
         assert walk.queries == 4 + 2 * 2 * 3
 
+    def test_runs_yields_each_prefix_run(self):
+        # every state the trajectory yields is run(tau1, t2), byte for
+        # byte, and stays so after later steps, with run's ledger
+        f, prop = collision_pair()
+        for n, q, tau1 in [(6, 2, 1), (8, 4, 2), (9, 4, 3), (7, 3, 0)]:
+            walk = sb.SubsetWalk(n, q, f, prop, 2)
+            got = [(state, walk.queries) for state in walk.runs(tau1, 5)]
+            assert len(got) == 6
+            for t2, (state, queries) in enumerate(got):
+                assert state.tobytes() == walk.run(tau1, t2).tobytes()
+                assert queries == walk.queries == q + 2 * tau1 * t2
+
     def test_validation(self):
         f, prop = singleton_marked(0)
         with pytest.raises(ValueError, match="too large"):
