@@ -25,11 +25,7 @@ print(f"4-cube corner to corner: mean hitting time "
 # independent spins: energy counts the raised bits, so the partition
 # function factorizes and the estimator can be graded against truth
 bits = 6
-model = classical.EnergyModel(
-    2 ** bits,
-    lambda s: float(bin(s).count("1")),
-    lambda s, rng: s ^ (1 << int(rng.integers(bits))),
-)
+model = classical.EnergyModel.bit_flip(bits, lambda s: float(bin(s).count("1")))
 
 betas = np.linspace(0.0, 2.0, 9)
 result = classical.telescoping_partition_estimate(
@@ -43,11 +39,7 @@ print(f"smallest level ratio: {result.alpha_floor:.3f} "
 
 rng = np.random.default_rng(3)
 energies = rng.normal(size=2 ** 8)
-rough = classical.EnergyModel(
-    2 ** 8,
-    lambda s: float(energies[s]),
-    lambda s, r: s ^ (1 << int(r.integers(8))),
-)
+rough = classical.EnergyModel.bit_flip(8, lambda s: float(energies[s]))
 found = min(
     energies[classical.simulated_annealing(rough, 2.0, 0.9, 0.05, 60, rng)]
     for _ in range(20)

@@ -33,7 +33,6 @@ __all__ = [
     "line_walk_binomial",
     "line_walk_gaussian",
     "EnergyModel",
-    "metropolis_chain",
     "simulated_annealing",
     "telescoping_partition_estimate",
     "TelescopingResult",
@@ -219,11 +218,33 @@ class EnergyModel:
     Generator but a source with its ``integers`` and ``random`` methods,
     which return the numbers the Generator would have given; ``propose``
     must draw only through these two, and only from the source it is given.
+
+    ``EnergyModel.bit_flip(bits, energy)`` declares the bit-flip form: the
+    states are the ``bits``-bit strings and a move flips the bit
+    ``draws.integers(bits)``.  Its ``propose`` carries the width, so the two
+    cannot disagree, and the samplers run its moves in one inlined loop on a
+    PCG64 Generator, drawing exactly what ``propose`` would.
     """
 
     num_states: int
     energy: callable
     propose: callable
+
+    @classmethod
+    def bit_flip(cls, bits, energy):
+        if type(bits) is not int or bits < 1:
+            raise ValueError(f"need a positive integer bit count, got {bits!r}")
+        return cls(2 ** bits, energy, _BitFlip(bits))
+
+
+@dataclass(frozen=True)
+class _BitFlip:
+    """The proposal of ``EnergyModel.bit_flip``: flip one uniform bit."""
+
+    bits: int
+
+    def __call__(self, state, draws):
+        return state ^ (1 << int(draws.integers(self.bits)))
 
 
 class _Draws:
@@ -299,6 +320,49 @@ class _Draws:
                 return m >> 32
         return 0
 
+    def flip_moves(self, bits, energy, beta, steps, state, e_here):
+        """``_metropolis`` for ``EnergyModel.bit_flip(bits, energy)``: each
+        move is ``integers(bits)`` above, the flip, and for an uphill or NaN
+        ``de`` one ``random()``, inlined, with ``energy`` the only call."""
+        has, half, word, exp = self._has, self._half, self._word, math.exp
+        # Lemire's threshold is below bits, so it alone decides as above
+        wide, threshold = bits > 1, (1 << 32) % bits
+        m = accepted = 0  # integers(1) draws nothing and returns 0
+        try:
+            for _ in range(steps):
+                while wide:
+                    if has:
+                        has = 0
+                        x = half
+                    else:
+                        try:
+                            w = word()
+                        except StopIteration:
+                            w = self._refill()
+                            word = self._word
+                        has = 1
+                        half = w >> 32
+                        x = w & 0xFFFFFFFF
+                    m = x * bits
+                    if m & 0xFFFFFFFF >= threshold:
+                        break
+                candidate = state ^ (1 << (m >> 32))
+                e_there = energy(candidate)
+                de = e_there - e_here
+                if not de <= 0.0:
+                    try:
+                        w = word()
+                    except StopIteration:
+                        w = self._refill()
+                        word = self._word
+                    if not (w >> 11) * 2.0 ** -53 < exp(-beta * de):
+                        continue
+                state, e_here = candidate, e_there
+                accepted += 1
+        finally:
+            self._has, self._half = has, half
+        return state, e_here, accepted
+
     def _defer(self, name, args, kwargs):
         self.close()
         try:
@@ -321,13 +385,20 @@ def _draws(rng):
         draws.close()
 
 
-def _metropolis(model, beta, steps, draws, state, e_here, visited=None):
+def _metropolis(model, beta, steps, draws, state, e_here):
     """Run ``steps`` Metropolis moves from ``state`` of energy ``e_here``;
-    returns the final state, its energy and the number of accepted moves,
-    and appends each state reached to ``visited`` when given."""
+    returns the final state, its energy and the number of accepted moves.
+
+    Proposals with lower or equal energy are always taken; uphill moves are
+    accepted with probability exp(-beta dE).  A bit-flip model drawing
+    through a ``_Draws`` runs ``_Draws.flip_moves``, which makes the same
+    draws; this loop is the reference it is tested against."""
     if steps < 0:
         raise ValueError(f"Metropolis step count must be nonnegative, got {steps}")
-    propose, energy, random = model.propose, model.energy, draws.random
+    propose, energy = model.propose, model.energy
+    if type(propose) is _BitFlip and type(draws) is _Draws:
+        return draws.flip_moves(propose.bits, energy, beta, steps, state, e_here)
+    random = draws.random
     accepted = 0
     for _ in range(steps):
         candidate = propose(state, draws)
@@ -336,29 +407,7 @@ def _metropolis(model, beta, steps, draws, state, e_here, visited=None):
         if de <= 0.0 or random() < math.exp(-beta * de):
             state, e_here = candidate, e_there
             accepted += 1
-        if visited is not None:
-            visited.append(state)
     return state, e_here, accepted
-
-
-def metropolis_chain(model, beta, steps, rng, start=None):
-    """Sample the Gibbs distribution at inverse temperature ``beta``.
-
-    Proposals with lower or equal energy are always taken; uphill moves are
-    accepted with probability exp(-beta dE).  ``model.propose`` draws from
-    a source that replays ``rng`` (see ``EnergyModel``), and ``rng`` ends
-    where the same draws made on it directly would leave it.  Returns the
-    visited states (including the start) and the number of accepted moves.
-    """
-    if beta < 0:
-        raise ValueError("inverse temperature must be nonnegative")
-    rng = np.random.default_rng(rng)
-    with _draws(rng) as draws:
-        state = int(draws.integers(model.num_states)) if start is None else start
-        visited = [state]
-        _, _, accepted = _metropolis(model, beta, steps, draws, state,
-                                     model.energy(state), visited)
-    return np.array(visited, dtype=np.int64), accepted
 
 
 def simulated_annealing(model, t0, mu, tmin, inner_steps, rng):

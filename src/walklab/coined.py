@@ -592,7 +592,6 @@ def absorbing_line_quantum(m_max):
         # and stays zero
         psi[1:hi + 1, right] = mixed[:-1, right]
         psi[:hi, left] = mixed[1:, left]
-        trace.check("amplitude at the buffer edge", abs(psi[-1, 0]), 1e-12)
         amplitudes[step] = psi[0, left]
         per_step[step] = abs(psi[0, left]) ** 2 + abs(psi[0, right]) ** 2
         psi[0] = 0.0

@@ -670,7 +670,7 @@ def _nand(p, seed):
     "Telescoping partition-function estimate for independent spins, "
     "against the exact product form.",
     {"bits": Param("int", 6, "number of spins", lo=1, hi=20),
-     # at bits 6, 1000 levels take 7.2 s and 10^4 samples 3.4 s
+     # at bits 6, 1000 levels take 1.9 s and 10^4 samples 0.7 s
      "levels": Param("int", 8, "temperature levels", lo=1, hi=1000),
      "samples": Param("int", 200, "samples per level", lo=1, hi=10 ** 4),
      "beta_max": Param("float", 2.0, "final inverse temperature")},
@@ -678,11 +678,7 @@ def _nand(p, seed):
 )
 def _mcmc_partition(p, seed):
     bits = p["bits"]
-    model = classical.EnergyModel(
-        2 ** bits,
-        lambda s: float(s.bit_count()),
-        lambda s, rng: s ^ (1 << int(rng.integers(bits))),
-    )
+    model = classical.EnergyModel.bit_flip(bits, lambda s: float(s.bit_count()))
     betas = np.linspace(0.0, p["beta_max"], p["levels"] + 1)
     res = classical.telescoping_partition_estimate(
         model, betas, p["samples"], np.random.default_rng(seed))
@@ -704,7 +700,7 @@ def _mcmc_partition(p, seed):
     "Geometric-cooling annealer on a random energy landscape over "
     "bitstrings.",
     {"bits": Param("int", 8, "number of bits", lo=1, hi=16),
-     # at bits 8, 1000 runs take 9.2 s and 2000 inner steps 6.7 s
+     # at bits 8, 1000 runs take 1.5 s and 2000 inner steps 0.9 s
      "runs": Param("int", 20, "independent annealing runs", lo=1, hi=1000),
      "t0": Param("float", 2.0, "starting temperature"),
      "mu": Param("float", 0.9, "cooling factor"),
@@ -720,11 +716,7 @@ def _annealing(p, seed):
     bits = p["bits"]
     rng = np.random.default_rng(seed)
     energies = rng.normal(size=2 ** bits)
-    model = classical.EnergyModel(
-        2 ** bits,
-        lambda s: float(energies[s]),
-        lambda s, r: s ^ (1 << int(r.integers(bits))),
-    )
+    model = classical.EnergyModel.bit_flip(bits, energies.tolist().__getitem__)
     rows = []
     best = math.inf
     hits = 0

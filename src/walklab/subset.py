@@ -59,9 +59,12 @@ class SubsetWalk:
         self.dim = len(arcs)
         self.right_dim = self.dim - self.left_dim
         self.values = {x: f(x) for x in range(n)}
+        # prop once per k-subset of the ground set; a q-set is good when
+        # one of its k-subsets is
+        good = {sub for sub in itertools.combinations(range(n), k)
+                if prop(tuple((x, self.values[x]) for x in sub))}
         self.good_sets = np.array(
-            [any(prop(tuple((x, self.values[x]) for x in sub))
-                 for sub in itertools.combinations(s, k))
+            [not good.isdisjoint(itertools.combinations(s, k))
              for s in self.left_sets])
         self._flips = np.repeat(self.good_sets, n - q)
         self.queries = 0

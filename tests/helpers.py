@@ -1,7 +1,10 @@
 """Helpers shared by the tests: random matrices, a CSV reader for the
-package's own output files, a probability-vector check and an arc lookup."""
+package's own output files, a probability-vector check, an arc lookup and a
+Metropolis chain that records every state it visits."""
 
 import numpy as np
+
+from walklab import classical
 
 
 def random_hermitian(n, rng, scale=1.0):
@@ -58,3 +61,28 @@ def check_distribution(p, tol=1e-9):
 def arc_index(arcs):
     """Position of each (source, destination) arc of an arc array."""
     return {arc: i for i, arc in enumerate(map(tuple, arcs.tolist()))}
+
+
+def metropolis_chain(model, beta, steps, rng, start=None):
+    """Sample the Gibbs distribution at inverse temperature ``beta`` through
+    ``classical._metropolis``, drawing from ``classical._draws(rng)``.
+
+    Returns the visited states (including the start) and the number of
+    accepted moves.  The states are read off the calls to ``propose``, so
+    the chain runs the generic loop whatever the model's form.
+    """
+    if beta < 0:
+        raise ValueError("inverse temperature must be nonnegative")
+    visited = []
+
+    def propose(state, draws):
+        visited.append(state)
+        return model.propose(state, draws)
+
+    recording = classical.EnergyModel(model.num_states, model.energy, propose)
+    rng = np.random.default_rng(rng)
+    with classical._draws(rng) as draws:
+        state = int(draws.integers(model.num_states)) if start is None else start
+        state, _, accepted = classical._metropolis(
+            recording, beta, steps, draws, state, model.energy(state))
+    return np.array(visited + [state], dtype=np.int64), accepted

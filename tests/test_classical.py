@@ -1,10 +1,12 @@
 """Classical walk machinery: chains, limits, hitting, and the walk-based
 algorithms."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from helpers import metropolis_chain
 
 from walklab import classical as cl
 from walklab import graphs
@@ -241,13 +243,13 @@ def test_absorbing_hit_prob_small_monte_carlo():
 
 def test_metropolis_accepts_everything_at_beta_zero():
     model = cl.EnergyModel(2, lambda s: float(s), lambda s, r: 1 - s)
-    _, accepted = cl.metropolis_chain(model, 0.0, 1000, 3)
+    _, accepted = metropolis_chain(model, 0.0, 1000, 3)
     assert accepted == 1000
 
 
 def test_metropolis_two_state_occupancy():
     model = cl.EnergyModel(2, lambda s: float(s), lambda s, r: 1 - s)
-    samples, _ = cl.metropolis_chain(model, 1.0, 1_000_000, 11)
+    samples, _ = metropolis_chain(model, 1.0, 1_000_000, 11)
     ratio = np.mean(samples == 1) / np.mean(samples == 0)
     assert abs(ratio - math.exp(-1.0)) / math.exp(-1.0) < 0.02
 
@@ -274,7 +276,7 @@ def test_metropolis_three_state_detailed_balance():
         return int((s + 1 + r.integers(2)) % 3)
 
     model = cl.EnergyModel(3, lambda s: energies[s], propose)
-    samples, _ = cl.metropolis_chain(model, beta, 300_000, 17)
+    samples, _ = metropolis_chain(model, beta, 300_000, 17)
     counts = np.zeros((3, 3))
     for a, b in zip(samples[:-1], samples[1:]):
         counts[b, a] += 1
@@ -285,13 +287,13 @@ def test_metropolis_three_state_detailed_balance():
 def test_metropolis_rejects_negative_beta():
     model = cl.EnergyModel(2, lambda s: float(s), lambda s, r: 1 - s)
     with pytest.raises(ValueError):
-        cl.metropolis_chain(model, -0.1, 10, 0)
+        metropolis_chain(model, -0.1, 10, 0)
 
 
 def test_metropolis_rejects_negative_step_count():
     model = cl.EnergyModel(2, lambda s: float(s), lambda s, r: 1 - s)
     with pytest.raises(ValueError, match="step count"):
-        cl.metropolis_chain(model, 1.0, -1, 0)
+        metropolis_chain(model, 1.0, -1, 0)
 
 
 def test_annealing_finds_quadratic_minimum():
@@ -414,7 +416,7 @@ def flip_model(bits, stop=None):
 @pytest.mark.parametrize("make", [np.random.PCG64, np.random.Philox])
 def test_metropolis_chain_matches_direct_loop(make):
     rng, twin = np.random.Generator(make(6)), np.random.Generator(make(6))
-    samples, _ = cl.metropolis_chain(flip_model(5), 0.7, 500, rng, start=3)
+    samples, _ = metropolis_chain(flip_model(5), 0.7, 500, rng, start=3)
     assert samples.tolist() == direct_chain(flip_model(5), 0.7, 500, twin, 3)
     assert_same_stream(rng, twin)
 
@@ -423,7 +425,7 @@ def test_metropolis_chain_matches_direct_loop(make):
 def test_replay_hands_the_stream_back_when_propose_raises(stop):
     rng, twin = np.random.default_rng(4), np.random.default_rng(4)
     with pytest.raises(KeyError):
-        cl.metropolis_chain(flip_model(5, stop), 0.7, 100, rng, start=3)
+        metropolis_chain(flip_model(5, stop), 0.7, 100, rng, start=3)
     with pytest.raises(KeyError):
         direct_chain(flip_model(5, stop), 0.7, 100, twin, 3)
     assert_same_stream(rng, twin)
@@ -436,6 +438,153 @@ def test_replay_hands_the_stream_back_when_propose_raises(stop):
             state = direct_chain(model, 1.0 / t, 20, twin, state)[-1]
             t *= 0.5
     assert_same_stream(rng, twin)
+
+
+# the bit-flip form: EnergyModel.bit_flip moves run in _Draws.flip_moves,
+# which must draw and decide exactly as the generic loop does
+
+
+def rough_energy(s):
+    """A rough landscape over bitstrings of any width."""
+    return (s * 2654435761 % 1009) / 100.0
+
+
+def plateau_energy(s):
+    """Half the bit count: about half the flips leave the energy alone."""
+    return float(s.bit_count() // 2)
+
+
+def odd_energy(s):
+    """Bit counts, with NaN and +inf energies among them."""
+    if s % 7 == 3:
+        return math.nan
+    if s % 5 == 1:
+        return math.inf
+    return float(s.bit_count())
+
+
+@pytest.fixture
+def fast_only(monkeypatch):
+    """The bit-flip ``propose`` may not run: flip_moves must draw itself."""
+    def forbidden(self, state, draws):
+        raise AssertionError("the bit-flip model left the inlined loop")
+
+    monkeypatch.setattr(cl._BitFlip, "__call__", forbidden)
+
+
+def fast_and_generic(bits, energy, beta, seed, calls, prior=0):
+    """Run ``calls`` (start, steps) segments of Metropolis on the bit-flip
+    model and on the same model with a plain ``propose``, each in one replay
+    of a Generator seeded alike after ``prior`` integers draws; returns the
+    two lists of results and the two Generators."""
+    fast = cl.EnergyModel.bit_flip(bits, energy)
+    generic = dataclasses.replace(
+        fast, propose=lambda s, r: s ^ (1 << int(r.integers(bits))))
+    out = []
+    for model in (fast, generic):
+        rng = np.random.default_rng(seed)
+        for _ in range(prior):
+            rng.integers(5)
+        results = []
+        with cl._draws(rng) as draws:
+            for start, steps in calls:
+                results.append(cl._metropolis(model, beta, steps, draws,
+                                              start, energy(start)))
+        out.append((results, rng))
+    (fast_results, fast_rng), (generic_results, generic_rng) = out
+    return fast_results, generic_results, fast_rng, generic_rng
+
+
+@pytest.mark.parametrize("bits", [1, 2, 3, 10, 20])
+@pytest.mark.parametrize("beta", [0.0, 0.7, 3.0, math.inf])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("energy", [rough_energy, plateau_energy])
+def test_bit_flip_moves_match_the_generic_loop(fast_only, energy, bits, beta,
+                                               seed):
+    fast, generic, rng, twin = fast_and_generic(
+        bits, energy, beta, seed, [(seed, 400), (5 % 2 ** bits, 37)],
+        prior=seed % 2)
+    # repr tells floats apart exactly, and NaN from NaN
+    assert repr(fast) == repr(generic)
+    assert_same_stream(rng, twin)
+
+
+@pytest.mark.parametrize("start", [0, 1, 3, 6])
+@pytest.mark.parametrize("beta", [0.0, 1.0, math.inf])
+def test_bit_flip_moves_match_on_nan_and_inf_energies(fast_only, start, beta):
+    fast, generic, rng, twin = fast_and_generic(
+        6, odd_energy, beta, 11, [(start, 300)])
+    assert repr(fast) == repr(generic)
+    assert_same_stream(rng, twin)
+
+
+def test_bit_flip_moves_match_across_refills(fast_only):
+    """20,000 moves in 400 segments read past several 4,096-word blocks,
+    with a segment boundary at every buffered state."""
+    fast, generic, rng, twin = fast_and_generic(
+        10, rough_energy, 0.4, 7, [(3, 50)] * 400)
+    assert repr(fast) == repr(generic)
+    assert sum(accepted for _, _, accepted in fast) > 5000
+    assert_same_stream(rng, twin)
+
+
+@pytest.mark.parametrize("stop", [0, 1, 2, 57, 3000])
+def test_bit_flip_moves_hand_the_stream_back_when_energy_raises(fast_only, stop):
+    def raising(bits):
+        calls = []
+
+        def energy(s):
+            if len(calls) == stop:
+                raise KeyError(stop)
+            calls.append(s)
+            return rough_energy(s)
+
+        return energy
+
+    rngs = []
+    for model in (cl.EnergyModel.bit_flip(5, raising(5)),
+                  cl.EnergyModel(32, raising(5),
+                                 lambda s, r: s ^ (1 << int(r.integers(5))))):
+        rng = np.random.default_rng(4)
+        with pytest.raises(KeyError):
+            cl.telescoping_partition_estimate(model, [0.0, 0.5, 1.0], 200, rng)
+        rngs.append(rng)
+    assert_same_stream(*rngs)
+
+
+def test_bit_flip_on_other_generators_runs_the_generic_loop():
+    model = cl.EnergyModel.bit_flip(5, rough_energy)
+    rng = np.random.Generator(np.random.Philox(6))
+    twin = np.random.Generator(np.random.Philox(6))
+    samples, _ = metropolis_chain(model, 0.7, 500, rng, start=3)
+    assert samples.tolist() == direct_chain(model, 0.7, 500, twin, 3)
+    assert_same_stream(rng, twin)
+
+
+@pytest.mark.parametrize("bits", [0, -1, 2.0, True])
+def test_bit_flip_needs_a_positive_integer_width(bits):
+    with pytest.raises(ValueError, match="bit count"):
+        cl.EnergyModel.bit_flip(bits, rough_energy)
+
+
+@pytest.mark.parametrize("name, sampler", [
+    ("mcmc-partition", "telescoping_partition_estimate"),
+    ("annealing", "simulated_annealing")])
+def test_bit_flip_experiments_build_the_bit_flip_form(monkeypatch, tmp_path,
+                                                      name, sampler):
+    from walklab import experiments
+
+    seen = []
+    original = getattr(cl, sampler)
+
+    def spy(model, *args):
+        seen.append(model.propose)
+        return original(model, *args)
+
+    monkeypatch.setattr(cl, sampler, spy)
+    spec = experiments.ExperimentSpec(name, {"bits": "3"}, 0, str(tmp_path))
+    assert experiments.run(spec) == 0
+    assert seen and all(p == cl._BitFlip(3) for p in seen)
 
 
 # telescoping partition estimator

@@ -28,6 +28,24 @@ class TestBasisAndBookkeeping:
         assert walk.right_dim == 1260
         assert walk.dim == 2520
 
+    @pytest.mark.parametrize("n, q, k, case", [
+        (6, 3, 2, "collision"), (10, 5, 2, "collision"), (7, 3, 1, "marked"),
+        (8, 4, 3, "sum"), (5, 4, 4, "sum"), (9, 2, 2, "none"),
+        (6, 2, 1, "all"), (12, 6, 2, "collision")])
+    def test_good_sets_match_every_k_subset_of_every_q_set(self, n, q, k, case):
+        f, prop = {
+            "collision": collision_pair(),
+            "marked": singleton_marked(4),
+            "sum": (lambda x: x % 3, lambda pairs: sum(v for _, v in pairs) >= 4),
+            "none": (lambda x: x, lambda pairs: False),
+            "all": (lambda x: x, lambda pairs: True),
+        }[case]
+        walk = sb.SubsetWalk(n, q, f, prop, k)
+        direct = [any(prop(tuple((x, f(x)) for x in sub))
+                      for sub in itertools.combinations(s, k))
+                  for s in walk.left_sets]
+        assert walk.good_sets.tolist() == direct
+
     def test_left_dim_formula(self):
         f, prop = singleton_marked(0)
         for n, q in [(6, 2), (8, 3), (9, 4)]:
