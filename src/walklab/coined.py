@@ -548,16 +548,20 @@ def absorbing_line_quantum(m_max):
     """Hadamard walker released one site right of an absorbing wall.
 
     Each step the amplitude arriving at the origin is recorded and
-    removed.  The walker lives on a cycle of sites 0..m_max+2 and steps
-    only the sites [1, hi), with hi <= step + 1 before step ``step``, so
-    nothing ever reaches the far end and no amplitude can wrap around to
-    the wall; absorbed amplitude only ever arrives moving leftward.  A step
-    is ``_coin`` on the rows [0, hi], whose two end rows are zero, then one
-    slice copy per color back into the same state array.  After each step
-    the far edge of that range zeroes two kinds of row:
+    removed.  A walker moves one site per step, so after t steps it sits
+    only on the sites of parity par = (1 + t) mod 2, and only those are
+    stored: row j of an (m_max // 2 + 3) x 2 array holds site 2j + par,
+    and the rows [0, k) are the ones that can be nonzero.  A step is
+    ``_coin`` on those k rows, then a shift of one color by one row while
+    the other stays put.  From par = 1 the rightward color moves one row
+    down and row 0 becomes the wall, site 0, which is read and emptied;
+    from par = 0 the leftward color moves one row up, and the wall's own
+    row, empty, leaves the array.  So the wall is read after odd steps
+    only; after even steps nothing can have reached it.  After each step
+    the far edge of the rows zeroes two kinds of row:
 
-    - rows outside the wall's backward light cone.  A row at site x after
-      step t first reaches the wall at step t + x, so no row beyond
+    - rows outside the wall's backward light cone.  A walker at site x
+      after step t first reaches the wall at step t + x, so no site beyond
       x = m_max - t changes a recorded amplitude.  Their probability is
       counted as remaining; by the last step every row has left the cone.
     - rows whose entries all lie below ``np.finfo(float).tiny``.  The front
@@ -568,43 +572,50 @@ def absorbing_line_quantum(m_max):
       8,000 steps), which squares to 0, and a NaN or inf row is never
       dropped.
 
-    The wall side is never trimmed.  The absorbed and the remaining
-    probability sum to one, to 1e-9.
+    The wall side, row 0, is never trimmed.  The absorbed and the
+    remaining probability sum to one, to 1e-9.
 
     Returns per-step absorbed probabilities (index = step), their running
     sum, and the absorbed amplitudes themselves.
     """
     if m_max < 1:
         raise ValueError("need at least one step")
-    op = CoinedWalkOperator(_graphs.cycle(m_max + 3), coin("hadamard"))
-    # the color that moves a walker one site left, toward the wall
+    # the operator supplies the coin and which color moves a walker left,
+    # toward the wall; the sites themselves live in psi
+    op = CoinedWalkOperator(_graphs.cycle(3), coin("hadamard"))
     left = int(op.coloring.next_vertex[1, 1] == 0)
     right = 1 - left
-    psi = np.zeros((op.n, 2))
-    psi[1, 0] = 1.0
+    psi = np.zeros((m_max // 2 + 3, 2))
+    psi[0, 0] = 1.0
     per_step = np.zeros(m_max + 1)
     amplitudes = np.zeros(m_max + 1, dtype=complex)
     remaining = 0.0
-    hi = 2
+    par, k = 1, 1
     for step in range(1, m_max + 1):
-        mixed = op._coin(psi[:hi + 1], 0)
-        # the entry each color leaves behind, at row 0 or row hi, was zero
-        # and stays zero
-        psi[1:hi + 1, right] = mixed[:-1, right]
-        psi[:hi, left] = mixed[1:, left]
-        amplitudes[step] = psi[0, left]
-        per_step[step] = abs(psi[0, left]) ** 2 + abs(psi[0, right]) ** 2
-        psi[0] = 0.0
-        hi += 1
-        cone = m_max - step + 1
-        if hi > cone:
-            gone = psi[cone:hi]
+        mixed = op._coin(psi[:k], 0)
+        if par:
+            psi[1:k + 1, right] = mixed[:, right]
+            psi[:k, left] = mixed[:, left]
+            # the rightward color has left the wall row: what arrived there
+            # came moving left, and the stale entry beside it is emptied
+            amplitudes[step] = psi[0, left]
+            per_step[step] = abs(psi[0, left]) ** 2
+            psi[0] = 0.0
+            k += 1
+        else:
+            psi[:k - 1, left] = mixed[1:, left]
+            psi[k - 1, left] = 0.0
+            psi[:k, right] = mixed[:, right]
+        par = 1 - par
+        cone = (m_max - step - par) // 2 + 1
+        if k > cone:
+            gone = psi[cone:k]
             remaining += float(np.vdot(gone, gone))
             gone[...] = 0.0
-            hi = cone
-        while hi > 2 and _underflowed(psi[hi - 1]):
-            psi[hi - 1] = 0.0
-            hi -= 1
+            k = cone
+        while k > 1 and _underflowed(psi[k - 1]):
+            psi[k - 1] = 0.0
+            k -= 1
     cumulative = np.cumsum(per_step)
     trace.check("absorbed plus remaining probability",
                 abs(cumulative[-1] + remaining + np.vdot(psi, psi) - 1.0),

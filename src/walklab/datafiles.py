@@ -5,7 +5,11 @@ recovers the exact double, and equal inputs always produce byte-identical
 output.
 """
 
+import itertools
 import json
+from operator import itemgetter
+
+import numpy as np
 
 __all__ = ["format_value", "write_csv", "write_metadata"]
 
@@ -22,8 +26,25 @@ def format_value(value):
     return text
 
 
+def _column_format(column):
+    """The ``%`` format that writes every cell of a column as
+    :func:`format_value` would: ``%.17g`` when each cell is a float,
+    ``%d`` when each is an int, a bool or a numpy integer, and otherwise
+    ``%s``, over the cells passed through :func:`format_value`."""
+    types = set(map(type, column))
+    if types <= {float, np.float64}:
+        return "%.17g"
+    if all(t in (int, bool) or issubclass(t, np.integer) for t in types):
+        return "%d"
+    return "%s"
+
+
 def write_csv(path, header, rows):
     """Write a comma-separated table with a header row.
+
+    Each column's format is picked once, by ``_column_format``, and the
+    whole table is formatted by one ``%``.  A cell that would corrupt the
+    table raises before the file is opened.
 
     Parameters
     ----------
@@ -32,14 +53,20 @@ def write_csv(path, header, rows):
     header : sequence of str
         Column names.
     rows : iterable of sequences
-        Cell values, converted by :func:`format_value`.
+        Cell values, written as :func:`format_value` renders them.
     """
+    rows = list(rows)
+    width = len(header)
+    if set(map(len, rows)) - {width}:
+        raise ValueError("row width does not match the header")
+    formats = [_column_format(map(itemgetter(i), rows)) for i in range(width)]
+    cells = list(itertools.chain.from_iterable(rows))
+    for i, fmt in enumerate(formats):
+        if fmt == "%s":
+            cells[i::width] = map(format_value, cells[i::width])
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            if len(row) != len(header):
-                raise ValueError("row width does not match the header")
-            fh.write(",".join(format_value(v) for v in row) + "\n")
+        fh.write((",".join(formats) + "\n") * len(rows) % tuple(cells))
 
 
 def write_metadata(path, name, params, seed, started, duration_s, outputs, **extra):

@@ -449,6 +449,21 @@ def test_concurrent_hitting_time():
         cw.hitting_analysis(op, localized(op), 2, 2, p=0.99)
 
 
+@pytest.mark.parametrize("dim, horizon",
+                         [(dim, 2000) for dim in range(2, 9)] + [(5, 30000)])
+def test_hitting_real_start_keeps_every_byte(dim, horizon):
+    # the Grover coin is real, so a real start walks in real arithmetic;
+    # every series is, byte for byte, the one from the same start as complex
+    op = cw.CoinedWalkOperator(graphs.hypercube(dim), cw.coin("grover", d=dim))
+    psi0 = np.zeros((op.n, dim))
+    psi0[0] = 1.0 / math.sqrt(dim)
+    real = cw.hitting_analysis(op, psi0, op.n - 1, horizon)
+    want = cw.hitting_analysis(op, psi0.astype(complex), op.n - 1, horizon)
+    assert real.one_shot.tobytes() == want.one_shot.tobytes()
+    assert real.first_hit.tobytes() == want.first_hit.tobytes()
+    assert real.concurrent == want.concurrent
+
+
 def test_monitored_process_against_trajectories():
     # independent trajectory sampler: keep the normalized conditional
     # state, draw binomial click counts per step
@@ -573,8 +588,8 @@ def stepped_absorbing_walk(m_max):
     return per_step, np.cumsum(per_step), amplitudes
 
 
-@pytest.mark.parametrize("m_maxes", [range(1, 301), [4200]],
-                         ids=["1-300", "4200"])
+@pytest.mark.parametrize("m_maxes", [range(1, 301), [4200], [8000]],
+                         ids=["1-300", "4200", "8000"])
 def test_absorbing_light_cone_keeps_every_byte(m_maxes):
     # the stepped walk on a longer buffer reaches the same rows, so each
     # shorter run is, byte for byte, a prefix of the longest
@@ -589,32 +604,38 @@ def test_absorbing_light_cone_keeps_every_byte(m_maxes):
 def test_absorbing_window_stops_at_the_underflowed_front(monkeypatch):
     coin = cw.CoinedWalkOperator._coin
     m_max = 8000
-    edges = []
+    fronts = []
 
     def spy(self, part, start):
-        # the coin runs on the rows [0, hi] of the state; a dropped row is
-        # zeroed, so nothing is left from row hi on, nor at the wall
-        hi = len(part) - 1
-        assert start == 0 and not part[0].any(), len(edges)
-        assert not part.base[hi:].any(), len(edges)
+        # before step t + 1 row j holds site 2j + par, par = (1 + t) mod 2,
+        # and the coin runs on the rows [0, k) that can be nonzero; a
+        # dropped row is zeroed, so nothing is left past them, nor at the
+        # wall, site 0, when row 0 holds it
+        t = len(fronts)
+        par = (1 + t) % 2
+        k = len(part)
+        assert start == 0 and not part.base[k:].any(), t
+        assert par or not part[0].any(), t
         # and the rows end inside the wall's backward light cone: after
-        # step t, no row beyond site m_max - t
-        assert hi - 1 <= m_max - len(edges), len(edges)
-        edges.append(hi)
+        # step t, no site beyond m_max - t
+        front = 2 * (k - 1) + par
+        assert front <= m_max - t, t
+        fronts.append(front)
         return coin(self, part, start)
 
     monkeypatch.setattr(cw.CoinedWalkOperator, "_coin", spy)
     cw.absorbing_line_quantum(m_max)
-    # step t runs on the sites [1, t + 1) until the front 2^(-t/2) sinks
-    # below tiny = 2^-1022 after step 2044
-    assert edges[:2044] == list(range(2, 2046))
-    assert edges[2044] < 2046
-    # the cone closes on the wall: the last steps run on the sites [1, 2)
-    assert edges[-1] == 2 and len(edges) == m_max
+    # step t + 1 runs on the sites up to t + 1, one more each step, until
+    # the front 2^(-t/2) sinks below tiny = 2^-1022 after step 2044
+    assert fronts[:2044] == list(range(1, 2045))
+    assert fronts[2044] < 2045
+    # the cone closes on the wall: the last step runs on site 0 alone
+    assert fronts[-1] == 0 and len(fronts) == m_max
 
 
 def inject_nan(state):
-    state[2, 1] = np.nan
+    # into the row of the largest amplitude, a site the walker occupies
+    state[np.abs(state).max(axis=1).argmax(), 1] = np.nan
 
 
 def leak(state):

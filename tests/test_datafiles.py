@@ -5,7 +5,16 @@ import numpy as np
 import pytest
 
 from helpers import read_csv
+from walklab import datafiles
 from walklab.datafiles import format_value, write_csv, write_metadata
+
+
+def per_cell_csv(header, rows):
+    """The table as format_value renders it cell by cell: the writer's
+    reference."""
+    lines = [",".join(header)]
+    lines += [",".join(format_value(v) for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def test_float_cells_round_trip_exactly(tmp_path):
@@ -21,6 +30,38 @@ def test_float_cells_round_trip_exactly(tmp_path):
 def test_header_and_width_checks(tmp_path):
     with pytest.raises(ValueError):
         write_csv(tmp_path / "bad.csv", ["a", "b"], [(1.0,)])
+
+
+@pytest.mark.parametrize("column, fmt", [
+    ([0.5, np.float64(-0.0), math.nan, -math.inf, 5e-324], "%.17g"),
+    ([3, True, False, np.int64(-7), np.uint64(2 ** 64 - 1), np.int8(5),
+      10 ** 30], "%d"),
+    ([np.True_, np.False_], "%s"),
+    ([np.float32(0.1), np.float32(1e-45)], "%s"),
+    (["plain", "x y", 1.5], "%s"),
+    ([1, 2.5, np.float64(3.0)], "%s"),
+], ids=["float", "int", "numpy-bool", "float32", "string", "int-and-float"])
+def test_one_format_per_column_writes_each_cell_as_before(tmp_path, column,
+                                                          fmt):
+    assert datafiles._column_format(column) == fmt
+    rows = [(k, v, math.sqrt(k)) for k, v in enumerate(column)]
+    path = tmp_path / "t.csv"
+    write_csv(path, ["k", "v", "r"], rows)
+    assert path.read_text() == per_cell_csv(["k", "v", "r"], rows)
+
+
+def test_zero_rows_write_the_header_alone(tmp_path):
+    path = tmp_path / "t.csv"
+    write_csv(path, ["a", "b"], iter(()))
+    assert path.read_text() == "a,b\n"
+
+
+@pytest.mark.parametrize("cell", ["x,y", "x\ny"], ids=["comma", "newline"])
+def test_a_cell_that_would_corrupt_the_table_writes_nothing(tmp_path, cell):
+    path = tmp_path / "t.csv"
+    with pytest.raises(ValueError, match="would corrupt the CSV"):
+        write_csv(path, ["a", "b"], [(1.0, "ok"), (2.0, cell)])
+    assert not path.exists()
 
 
 def test_cells_may_not_contain_commas():

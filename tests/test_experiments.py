@@ -241,6 +241,47 @@ class TestExitCodes:
         assert not list(tmp_path.iterdir())
         assert "summary value x off by nan" in capsys.readouterr().err
 
+    def test_nan_data_cell_exits_3_and_writes_nothing(
+            self, tmp_path, monkeypatch, capsys):
+        analysis = experiments.coined.hitting_analysis
+
+        def with_nan(*args):
+            res = analysis(*args)
+            res.first_hit[5] = np.nan
+            return res
+
+        monkeypatch.setattr(experiments.coined, "hitting_analysis", with_nan)
+        assert run(ExperimentSpec("hitting", {}, None, str(tmp_path))) == 3
+        err = capsys.readouterr().err
+        assert "non-finite cells in quantum_first_hit off by 1.00e+00" in err
+        assert not list(tmp_path.iterdir())
+
+    # entropy-series lets through a NaN asymptote at m = 0 alone: not one at
+    # another step, not an inf there, and not a NaN in another column, even
+    # one of integers
+    @pytest.mark.parametrize("column, row, value", [
+        ("classical_asymptote", 1, float("nan")),
+        ("classical_asymptote", 0, float("inf")),
+        ("quantum_entropy", 0, float("nan")),
+        ("m", 3, float("nan")),
+    ], ids=["later-step", "inf", "other-column", "integer-column"])
+    def test_only_the_listed_nan_cell_passes(self, tmp_path, monkeypatch,
+                                             capsys, column, row, value):
+        exp = experiments.catalog()["entropy-series"]
+
+        def damaged(params, seed):
+            header, rows, summary = exp.func(params, seed)
+            rows = [list(cells) for cells in rows]
+            rows[row][header.index(column)] = value
+            return header, rows, summary
+
+        monkeypatch.setitem(experiments._REGISTRY, "entropy-series",
+                            exp._replace(func=damaged))
+        spec = ExperimentSpec("entropy-series", {}, None, str(tmp_path))
+        assert run(spec) == 3
+        assert f"non-finite cells in {column}" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_marked_gap_violation_exits_3_with_its_size(
             self, tmp_path, monkeypatch, capsys):
         modify = experiments.szegedy.marked_modify
@@ -397,6 +438,14 @@ class TestEachWalkRunsOnce:
                                  "first_hit_distribution")
         run_ok(tmp_path, "hitting", {"dim": 3, "horizon": 40})
         assert len(calls) == 1
+
+    def test_hitting_walks_from_a_real_start(self, tmp_path, monkeypatch):
+        # the Grover coin is real, so a real start steps in real arithmetic
+        calls = self.count_calls(monkeypatch, experiments.coined,
+                                 "hitting_analysis")
+        run_ok(tmp_path, "hitting", {"dim": 3, "horizon": 40})
+        (op, psi0, target, horizon), = calls
+        assert psi0.dtype == np.float64 and op.dtype == np.float64
 
     def test_subset_find_builds_one_subset_graph(self, tmp_path, monkeypatch):
         calls = self.count_calls(monkeypatch, experiments.graphs,
