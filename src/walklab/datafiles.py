@@ -5,9 +5,7 @@ recovers the exact double, and equal inputs always produce byte-identical
 output.
 """
 
-import itertools
 import json
-from operator import itemgetter
 
 import numpy as np
 
@@ -39,12 +37,13 @@ def _column_format(column):
     return "%s"
 
 
-def write_csv(path, header, rows):
+def write_csv(path, header, columns):
     """Write a comma-separated table with a header row.
 
     Each column's format is picked once, by ``_column_format``, and the
-    whole table is formatted by one ``%``.  A cell that would corrupt the
-    table raises before the file is opened.
+    whole table is formatted by one ``%``.  A table whose columns do not
+    match the header or each other, or a cell that would corrupt it, raises
+    before the file is opened.
 
     Parameters
     ----------
@@ -52,21 +51,21 @@ def write_csv(path, header, rows):
         Output file.
     header : sequence of str
         Column names.
-    rows : iterable of sequences
-        Cell values, written as :func:`format_value` renders them.
+    columns : sequence of sized sequences
+        One column per header name, all of one length: arrays, lists or
+        ranges of cell values, written as :func:`format_value` renders them.
     """
-    rows = list(rows)
     width = len(header)
-    if set(map(len, rows)) - {width}:
-        raise ValueError("row width does not match the header")
-    formats = [_column_format(map(itemgetter(i), rows)) for i in range(width)]
-    cells = list(itertools.chain.from_iterable(rows))
-    for i, fmt in enumerate(formats):
-        if fmt == "%s":
-            cells[i::width] = map(format_value, cells[i::width])
+    length, *others = set(map(len, columns)) or {0}
+    if len(columns) != width or others:
+        raise ValueError("the columns do not match the header or each other")
+    formats = list(map(_column_format, columns))
+    cells = [None] * (width * length)
+    for i, (column, fmt) in enumerate(zip(columns, formats)):
+        cells[i::width] = map(format_value, column) if fmt == "%s" else column
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        fh.write((",".join(formats) + "\n") * len(rows) % tuple(cells))
+        fh.write((",".join(formats) + "\n") * length % tuple(cells))
 
 
 def write_metadata(path, name, params, seed, started, duration_s, outputs, **extra):

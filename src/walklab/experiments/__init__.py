@@ -1,7 +1,7 @@
 """Named, reproducible experiment runs over the whole package.
 
 Every experiment is registered under a stable name with a typed parameter
-schema, as a function ``func(params, seed) -> (header, rows, summary)`` that
+schema, as a function ``func(params, seed) -> (header, columns, summary)`` that
 writes nothing.  A run reports success through its exit status: 0 for a
 completed run, 2 when the request itself is invalid (unknown experiment,
 unknown, malformed or out-of-range parameter, missing seed), 3 when the run
@@ -20,7 +20,6 @@ import sys
 import time
 from collections import namedtuple
 from datetime import datetime, timezone
-from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -60,8 +59,9 @@ __all__ = [
 
 
 ExperimentSpec = namedtuple("ExperimentSpec", "name params seed outdir")
-# nan_cells lists the (column, row) cells of a run's table that are NaN by
-# design; the runner refuses a NaN or inf in any other cell
+# func(params, seed) returns (header, columns, summary), each column an
+# array, list or range, all of one length; the runner refuses a NaN or inf
+# in any table cell but the (column, row) cells listed in nan_cells
 Experiment = namedtuple("Experiment",
                         "name description schema needs_seed func nan_cells")
 # lo and hi, when given, bound a value inclusively, checked before a run
@@ -169,12 +169,11 @@ def run(spec):
     started = datetime.now(timezone.utc).isoformat(timespec="seconds")
     clock = time.perf_counter()
     try:
-        header, rows, summary = exp.func(params, spec.seed)
-        rows = list(rows)
+        header, columns, summary = exp.func(params, spec.seed)
         for key, value in summary.items():
             if isinstance(value, (int, float)):
                 trace.check(f"summary value {key}", abs(value), math.inf)
-        _check_cells(exp, header, rows)
+        _check_cells(exp, header, columns)
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
@@ -183,7 +182,7 @@ def run(spec):
         return 3
     # every check has passed: only now is anything written
     csv_path = _outpath(spec, "csv")
-    datafiles.write_csv(csv_path, header, rows)
+    datafiles.write_csv(csv_path, header, columns)
     duration = time.perf_counter() - clock
     meta_path = _outpath(spec, "json")
     datafiles.write_metadata(
@@ -202,11 +201,11 @@ def run(spec):
     return 0
 
 
-def _check_cells(exp, header, rows):
+def _check_cells(exp, header, columns):
     """Refuse a NaN or inf in any column of numbers holding a float, save
     in the cells the experiment lists as NaN by design."""
-    for i, name in enumerate(header):
-        values = np.asarray(list(map(itemgetter(i), rows)))
+    for name, column in zip(header, columns):
+        values = np.asarray(column)
         if values.dtype.kind not in "fc":
             continue
         bad = ~np.isfinite(values)
@@ -239,11 +238,14 @@ def list_experiments(file=None):
     {"m": Param("int", 100, "number of steps", lo=1)},
 )
 def _line_walk(p, seed):
-    positions, probs = classical.line_walk_binomial(p["m"])
-    gauss = classical.line_walk_gaussian(p["m"], positions)
+    m = p["m"]
+    positions, probs = classical.line_walk_binomial(m)
+    spread = float(np.sqrt(probs @ positions.astype(float) ** 2))
+    # worst residual 2.2e-16, over m = 1..300, 500, 1000, 1022 and 1023
+    trace.check("spread closed form", abs(spread / math.sqrt(m) - 1.0), 1e-13)
     return (["position", "probability", "gaussian_approx"],
-            zip(positions, probs, gauss),
-            {"spread": float(np.sqrt(probs @ positions.astype(float) ** 2))})
+            (positions, probs, classical.line_walk_gaussian(m, positions)),
+            {"spread": spread})
 
 
 @_register(
@@ -260,7 +262,7 @@ def _hadamard_line(p, seed):
     dist = coined.position_distribution(psi)
     positions = coined.line_positions(op)
     stats = distributions.dist_stats(positions, dist)
-    return (["position", "probability"], zip(positions, dist),
+    return (["position", "probability"], (positions, dist),
             {"mean": stats.mean, "spread": math.sqrt(stats.variance)})
 
 
@@ -275,15 +277,16 @@ def _hadamard_line(p, seed):
 def _entropy_series(p, seed):
     op = coined.line_operator(p["m_max"])
     states = coined.walk_states(op, coined.line_start(op), p["m_max"])
-    rows = []
-    for m, psi in enumerate(states):
-        _, probs = classical.line_walk_binomial(m)
-        s_cl = distributions.entropy(probs)
-        s_q = distributions.entropy(coined.position_distribution(psi))
-        asym = (1.0 + math.log(math.pi * m / 2.0)) / 2.0 if m else float("nan")
-        rows.append((m, s_cl, s_q, asym, math.log(m + 1.0)))
+    steps = range(p["m_max"] + 1)
+    s_q = [distributions.entropy(coined.position_distribution(psi))
+           for psi in states]
+    s_cl = [distributions.entropy(classical.line_walk_binomial(m)[1])
+            for m in steps]
+    asym = [(1.0 + math.log(math.pi * m / 2.0)) / 2.0 if m else float("nan")
+            for m in steps]
     return (["m", "classical_entropy", "quantum_entropy",
-             "classical_asymptote", "uniform_bound"], rows, {})
+             "classical_asymptote", "uniform_bound"],
+            (steps, s_cl, s_q, asym, [math.log(m + 1.0) for m in steps]), {})
 
 
 @_register(
@@ -303,14 +306,16 @@ def _decoherence_sweep(p, seed):
     bpos, bprobs = classical.line_walk_binomial(m)
     binom = np.zeros(op.n)
     binom[op.n // 2 + bpos] = bprobs
-    rows = []
-    for rate in np.linspace(0.0, 1.0, p["points"]):
-        out = coined.decohere_evolve(op, float(rate), p["projectors"], rho0, m)
-        dist = coined.position_distribution(out)
-        stats = distributions.dist_stats(positions, dist)
-        rows.append((float(rate), math.sqrt(max(stats.variance, 0.0)),
-                     distributions.tvd(dist, binom)))
-    return ["unitarity", "spread", "tvd_from_binomial"], rows, {"steps": m}
+    rates = np.linspace(0.0, 1.0, p["points"])
+    dists = [coined.position_distribution(coined.decohere_evolve(
+        op, float(rate), p["projectors"], rho0, m)) for rate in rates]
+    spread = [math.sqrt(max(distributions.dist_stats(positions, d).variance,
+                            0.0)) for d in dists]
+    tvd = [distributions.tvd(d, binom) for d in dists]
+    # fully measured, the walk is the classical one: worst 4.6e-14 at m = 253
+    trace.check("binomial at unitarity 0", tvd[0], 1e-11)
+    return (["unitarity", "spread", "tvd_from_binomial"],
+            (rates, spread, tvd), {"steps": m})
 
 
 @_register(
@@ -325,9 +330,8 @@ def _absorbing_boundary(p, seed):
     # 180 times the worst residual at any m_max up to the cap, 1.1e-16
     residual = np.abs(res.per_step - _absorbed_closed_form(p["m_max"]))
     trace.check("absorption closed form", float(np.max(residual)), 2e-14)
-    steps = np.arange(p["m_max"] + 1)
     return (["step", "absorbed", "cumulative"],
-            zip(steps, res.per_step, res.cumulative),
+            (range(p["m_max"] + 1), res.per_step, res.cumulative),
             {"final_cumulative": float(res.cumulative[-1]),
              "limit_two_over_pi": 2.0 / math.pi,
              "classical_limit": classical.absorbing_hit_prob_line(0.5)})
@@ -359,10 +363,10 @@ def _absorbed_closed_form(m_max):
 def _complete_graph_search(p, seed):
     n, k = p["n"], p["k"]
     summary = scattering.complete_graph_search(n, k)
-    rows = [(step, *probs, success) for step, (probs, success)
-            in enumerate(zip(summary.probabilities, summary.successes))]
     return (["step"] + [f"prob_{lab}" for lab in summary.labels]
-            + ["success"], rows,
+            + ["success"],
+            (range(len(summary.successes)), *summary.probabilities.T,
+             summary.successes),
             {"opt_steps": summary.steps, "best_steps": summary.best_steps,
              "success_at_opt": summary.success})
 
@@ -377,10 +381,10 @@ def _complete_graph_search(p, seed):
 )
 def _star_search(p, seed):
     res = scattering.star_graph_search(p["n"], p["r0"])
-    rows = [(step, *c, triangle) for step, (c, triangle)
-            in enumerate(zip(res.trajectory, res.triangle_series))]
     return (["step", "hub_to_special", "special_to_hub", "hub_to_plain",
-             "plain_to_hub", "extra_edge", "triangle_probability"], rows,
+             "plain_to_hub", "extra_edge", "triangle_probability"],
+            (range(len(res.trajectory)), *res.trajectory.T,
+             res.triangle_series),
             {"opt_steps": res.opt_steps, "best_steps": res.best_steps,
              "triangle_probability": res.triangle_probability})
 
@@ -406,10 +410,10 @@ def _grover(p, seed):
     closed = np.column_stack((np.sin(angles), np.cos(angles)))
     trace.check("amplitude closed form",
                 float(np.max(np.abs(res.components - closed))), 1e-10)
-    rows = [(step, c[0], c[1], float(c[0] ** 2))
-            for step, c in enumerate(res.components)]
+    marked, unmarked = res.components.T
     return (["step", "marked_amplitude", "unmarked_amplitude", "success"],
-            rows,
+            (range(len(marked)), marked, unmarked,
+             [float(c ** 2) for c in marked]),
             {"success": res.success, "queries": res.queries,
              "rotation_angle": a,
              "plane_leakage": res.leakage})
@@ -428,14 +432,14 @@ def _grover(p, seed):
      "base": Param("str", "identity", "identity or grover-iterate")},
 )
 def _fixed_point(p, seed):
-    rows = []
-    f0 = None
-    for level in range(p["levels"] + 1):
-        res = grover.fixed_point_run(level, p["n"], range(p["k"]), p["base"])
-        if f0 is None:
-            f0 = res.failure
-        rows.append((level, res.failure, f0 ** (3 ** level), res.queries))
-    return (["level", "failure", "predicted_failure", "queries"], rows,
+    levels = range(p["levels"] + 1)
+    runs = [grover.fixed_point_run(level, p["n"], range(p["k"]), p["base"])
+            for level in levels]
+    f0 = runs[0].failure
+    return (["level", "failure", "predicted_failure", "queries"],
+            (levels, [res.failure for res in runs],
+             [f0 ** (3 ** level) for level in levels],
+             [res.queries for res in runs]),
             {"base_failure": f0})
 
 
@@ -463,12 +467,10 @@ def _szegedy_chain(p):
 )
 def _szegedy_spectrum(p, seed):
     smap = szegedy.spectrum_map(_szegedy_chain(p))
-    rows = []
-    for lam in smap.d_values:
-        theta = 2.0 * math.acos(min(1.0, max(-1.0, float(lam))))
-        rows.append((float(lam), abs(math.remainder(theta, 2.0 * math.pi))))
+    phases = [abs(math.remainder(2.0 * math.acos(min(1.0, max(-1.0, lam))),
+                                 2.0 * math.pi)) for lam in smap.d_values]
     trace.check("phase pairing", smap.pairing_error, 1e-8)
-    return (["lambda_D", "phase_W"], rows,
+    return (["lambda_D", "phase_W"], (smap.d_values, phases),
             {"pairing_error": smap.pairing_error,
              "residual_count": len(smap.residual_values),
              "invariance_residual": smap.invariance_residual})
@@ -484,18 +486,18 @@ def _szegedy_spectrum(p, seed):
 )
 def _marked_gap(p, seed):
     pmat = _szegedy_chain(p)
-    rows = []
-    invariance = 0.0
-    for k in range(1, p["k_max"] + 1):
-        gap = szegedy.marked_phase_gap(pmat, range(k))
-        invariance = max(invariance, gap.invariance_residual)
-        rows.append((k, gap.chain.norm, gap.chain.bound, gap.phi0, gap.bound))
-    _, norm, bound, phi0, phase_bound = np.array(rows).T
-    trace.check("spectral bounds",
-                float(np.max(np.maximum(norm - bound, phase_bound - phi0))),
-                1e-10)
+    sizes = range(1, p["k_max"] + 1)
+    gaps = [szegedy.marked_phase_gap(pmat, range(k)) for k in sizes]
+    norm = [gap.chain.norm for gap in gaps]
+    bound = [gap.chain.bound for gap in gaps]
+    phi0 = [gap.phi0 for gap in gaps]
+    phase_bound = [gap.bound for gap in gaps]
+    trace.check("spectral bounds", float(np.max(np.maximum(
+        np.subtract(norm, bound), np.subtract(phase_bound, phi0)))), 1e-10)
     return (["marked_count", "block_norm", "norm_bound", "phi0",
-             "phase_bound"], rows, {"invariance_residual": invariance})
+             "phase_bound"], (sizes, norm, bound, phi0, phase_bound),
+            {"invariance_residual": max(gap.invariance_residual
+                                        for gap in gaps)})
 
 
 @_register(
@@ -515,10 +517,13 @@ def _subset_find(p, seed):
     prop = lambda pairs: len({v for _, v in pairs}) == 1
     auto = subset.subset_walk_run(p["n"], p["q"], p["k"], f, prop)
     walk = auto.walk
-    rows = [(auto.tau1, t2, walk.success(state), walk.queries)
-            for t2, state in enumerate(walk.runs(auto.tau1,
-                                                 2 * auto.tau2 + 2))]
-    return (["tau1", "tau2", "success", "queries"], rows,
+    success, queries = [], []
+    for state in walk.runs(auto.tau1, 2 * auto.tau2 + 2):
+        success.append(walk.success(state))
+        queries.append(walk.queries)
+    return (["tau1", "tau2", "success", "queries"],
+            ([auto.tau1] * len(success), range(len(success)), success,
+             queries),
             {"auto_tau1": auto.tau1, "auto_tau2": auto.tau2,
              "auto_success": auto.success, "auto_queries": auto.queries,
              "best_tau2": auto.best_tau2, "best_success": auto.best_success})
@@ -536,15 +541,17 @@ def _subset_find(p, seed):
 )
 def _cost_table(p, seed):
     mus = np.linspace(0.0, 1.0, p["grid"])
-    rows = []
+    variants, ks, formula, grid, best = [], [], [], [], []
     for variant, k_lo in (("subset", 1), ("clique", 2), ("recursive_clique", 3)):
         for k in range(k_lo, p["k_max"] + 1):
-            grid_vals = subset.cost_model(k, mus, variant).exponent
-            best = int(np.argmin(grid_vals))
-            rows.append((variant, k, subset.optimal_exponent(k, variant),
-                         float(grid_vals[best]), float(mus[best])))
+            exponent = subset.cost_model(k, mus, variant).exponent
+            variants.append(variant)
+            ks.append(k)
+            formula.append(subset.optimal_exponent(k, variant))
+            best.append(int(np.argmin(exponent)))
+            grid.append(float(exponent[best[-1]]))
     return (["variant", "k", "exponent_formula", "exponent_grid",
-             "mu_star_grid"], rows, {})
+             "mu_star_grid"], (variants, ks, formula, grid, mus[best]), {})
 
 
 @_register(
@@ -564,7 +571,7 @@ def _ctqw_cycle(p, seed):
     worst = float(np.max(check.difference))
     trace.check("Bessel law", worst, p["tolerance"])
     return (["position", "probability", "bessel_squared", "difference"],
-            zip(range(p["d_max"] + 1), *check), {"worst_difference": worst})
+            (range(p["d_max"] + 1), *check), {"worst_difference": worst})
 
 
 def _time_grid(p, default_t_max):
@@ -596,7 +603,7 @@ def _ctqw_hypercube(p, seed):
     worst = float(np.max(np.abs(closed - dense)))
     trace.check("closed form", worst, 1e-10)
     return (["t", "closed_form", "dense_probability"],
-            zip(times, closed, dense),
+            (times, closed, dense),
             {"worst_difference": worst, "invariance_residual": residual,
              "krylov_dim": q.shape[1]})
 
@@ -620,7 +627,7 @@ def _glued_trees(p, seed):
         trace.check("column reduction", red.equivalence_error, 1e-8)
     exit_prob = np.abs(states[:, -1]) ** 2
     return (["t", "entrance_probability", "exit_probability"],
-            zip(times, np.abs(states[:, 0]) ** 2, exit_prob),
+            (times, np.abs(states[:, 0]) ** 2, exit_prob),
             {"equivalence_error": red.equivalence_error,
              "peak_exit_probability": float(np.max(exit_prob))})
 
@@ -651,7 +658,7 @@ def _analog_search(p, seed):
     worst = float(np.max(np.abs(closed - dense)))
     trace.check("two-level closed form", worst, 1e-9)
     return (["t", "closed_form", "dense_probability"],
-            zip(times, closed, dense),
+            (times, closed, dense),
             {"worst_difference": worst, "certain_success_time": t_star,
              "invariance_residual": residual, "krylov_dim": q.shape[1]})
 
@@ -669,22 +676,21 @@ def _analog_search(p, seed):
     needs_seed=True,
 )
 def _nand(p, seed):
-    rows = []
-    costs = []
-    disagreeing = 0
+    truth, bits, roots, costs = [], [], [], []
     # both draw only integers(2), which the PCG64 replay serves
     with classical._draws(np.random.default_rng(seed)) as rng:
-        for i in range(p["instances"]):
+        for _ in range(p["instances"]):
             tree = ctqw.hard_nand_instance(p["depth"], rng)
             res = ctqw.nand_eval(tree)
-            disagreeing += res.bit != res.oracle_bit
-            cost = ctqw.classical_nand_cost(tree, rng, p["trials"])
-            costs.append(cost)
-            rows.append((i, res.oracle_bit, res.bit, res.trace[-1], cost))
+            truth.append(res.oracle_bit)
+            bits.append(res.bit)
+            roots.append(res.trace[-1])
+            costs.append(ctqw.classical_nand_cost(tree, rng, p["trials"]))
     trace.check("trees where the ratio evaluation disagrees with boolean "
-                "truth", disagreeing, 0)
+                "truth", sum(b != t for b, t in zip(bits, truth)), 0)
     return (["instance", "boolean_value", "ratio_value", "root_ratio",
-             "classical_queries"], rows,
+             "classical_queries"],
+            (range(p["instances"]), truth, bits, roots, costs),
             {"mean_classical_queries": float(np.mean(costs)),
              "leaf_count": 2 ** p["depth"]})
 
@@ -707,13 +713,10 @@ def _mcmc_partition(p, seed):
     res = classical.telescoping_partition_estimate(
         model, betas, p["samples"], np.random.default_rng(seed))
     z = lambda b: (1.0 + math.exp(-b)) ** bits
-    rows = []
-    for i, y in enumerate(res.level_means):
-        b1, b2 = float(betas[i]), float(betas[i + 1])
-        rows.append((i, b1, b2, y, z(b2) / z(b1)))
     z_exact = z(p["beta_max"])
     return (["level", "beta_low", "beta_high", "level_mean", "ratio_exact"],
-            rows,
+            (range(p["levels"]), betas[:-1], betas[1:], res.level_means,
+             [z(b2) / z(b1) for b1, b2 in zip(betas, betas[1:])]),
             {"z_estimate": res.z_hat, "z_exact": z_exact,
              "relative_error": abs(res.z_hat - z_exact) / z_exact,
              "alpha_floor": res.alpha_floor})
@@ -741,19 +744,15 @@ def _annealing(p, seed):
     rng = np.random.default_rng(seed)
     energies = rng.normal(size=2 ** bits)
     model = classical.EnergyModel.bit_flip(bits, energies.tolist().__getitem__)
-    rows = []
-    best = math.inf
-    hits = 0
+    states = [classical.simulated_annealing(
+        model, p["t0"], p["mu"], p["tmin"], p["inner"], rng)
+        for _ in range(p["runs"])]
+    final = [float(energies[state]) for state in states]
     true_min = float(energies.min())
-    for run_idx in range(p["runs"]):
-        state = classical.simulated_annealing(
-            model, p["t0"], p["mu"], p["tmin"], p["inner"], rng)
-        e = float(energies[state])
-        best = min(best, e)
-        hits += e <= true_min + 1e-12
-        rows.append((run_idx, state, e))
-    return (["run", "final_state", "final_energy"], rows,
-            {"best_energy": best, "true_minimum": true_min,
+    hits = sum(e <= true_min + 1e-12 for e in final)
+    return (["run", "final_state", "final_energy"],
+            (range(p["runs"]), states, final),
+            {"best_energy": min(final), "true_minimum": true_min,
              "hit_fraction": hits / p["runs"]})
 
 
@@ -779,7 +778,8 @@ def _mixing(p, seed):
     mres = classical.mixing_time(classical.unbiased_chain(g), np.eye(n)[0],
                                  p["eps"])
     return (["t", "classical_distance", "quantum_average_distance"],
-            zip(range(1, p["t_max"] + 1), mres.distances[1:], qres.distances),
+            (range(1, p["t_max"] + 1), mres.distances[1:p["t_max"] + 1],
+             qres.distances),
             {"classical_mixing_time": mres.steps,
              "classical_lower_bound": mres.spectral_bound,
              "quantum_mixing_time": qres.steps,
@@ -809,8 +809,8 @@ def _hitting(p, seed):
     ha = coined.hitting_analysis(op, psi0, target, p["horizon"])
     return (["t", "classical_first_hit", "quantum_one_shot",
              "quantum_first_hit"],
-            zip(range(p["horizon"] + 1), hres.first_hit, ha.one_shot,
-                ha.first_hit),
+            (range(p["horizon"] + 1), hres.first_hit, ha.one_shot,
+             ha.first_hit),
             {"classical_mean_truncated": hres.mean_truncated,
              "classical_tail_mass": hres.tail_mass,
              "quantum_concurrent": ha.concurrent})

@@ -9,11 +9,11 @@ from walklab import datafiles
 from walklab.datafiles import format_value, write_csv, write_metadata
 
 
-def per_cell_csv(header, rows):
+def per_cell_csv(header, columns):
     """The table as format_value renders it cell by cell: the writer's
     reference."""
     lines = [",".join(header)]
-    lines += [",".join(format_value(v) for v in row) for row in rows]
+    lines += [",".join(map(format_value, row)) for row in zip(*columns)]
     return "\n".join(lines) + "\n"
 
 
@@ -22,14 +22,18 @@ def test_float_cells_round_trip_exactly(tmp_path):
     values = [float(v) for v in rng.normal(size=200) * 10.0 ** rng.integers(-8, 8, 200)]
     values += [0.0, 1.0 / 3.0, math.pi, 2.0 / math.pi, 5e-324, 1.7e308]
     path = tmp_path / "t.csv"
-    write_csv(path, ["x"], [(v,) for v in values])
+    write_csv(path, ["x"], [values])
     _, rows = read_csv(path)
     assert [r[0] for r in rows] == values
 
 
 def test_header_and_width_checks(tmp_path):
-    with pytest.raises(ValueError):
-        write_csv(tmp_path / "bad.csv", ["a", "b"], [(1.0,)])
+    # too few columns, too many, and one of another length: each raises
+    # before the file is opened
+    for columns in ([[1.0]], [[1.0], [2.0], [3.0]], [[1.0, 2.0], range(3)]):
+        with pytest.raises(ValueError, match="do not match"):
+            write_csv(tmp_path / "bad.csv", ["a", "b"], columns)
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("column, fmt", [
@@ -44,15 +48,16 @@ def test_header_and_width_checks(tmp_path):
 def test_one_format_per_column_writes_each_cell_as_before(tmp_path, column,
                                                           fmt):
     assert datafiles._column_format(column) == fmt
-    rows = [(k, v, math.sqrt(k)) for k, v in enumerate(column)]
+    steps = range(len(column))
+    columns = [steps, column, [math.sqrt(k) for k in steps]]
     path = tmp_path / "t.csv"
-    write_csv(path, ["k", "v", "r"], rows)
-    assert path.read_text() == per_cell_csv(["k", "v", "r"], rows)
+    write_csv(path, ["k", "v", "r"], columns)
+    assert path.read_text() == per_cell_csv(["k", "v", "r"], columns)
 
 
 def test_zero_rows_write_the_header_alone(tmp_path):
     path = tmp_path / "t.csv"
-    write_csv(path, ["a", "b"], iter(()))
+    write_csv(path, ["a", "b"], [[], np.empty(0)])
     assert path.read_text() == "a,b\n"
 
 
@@ -60,7 +65,7 @@ def test_zero_rows_write_the_header_alone(tmp_path):
 def test_a_cell_that_would_corrupt_the_table_writes_nothing(tmp_path, cell):
     path = tmp_path / "t.csv"
     with pytest.raises(ValueError, match="would corrupt the CSV"):
-        write_csv(path, ["a", "b"], [(1.0, "ok"), (2.0, cell)])
+        write_csv(path, ["a", "b"], [[1.0, 2.0], ["ok", cell]])
     assert not path.exists()
 
 
@@ -72,11 +77,11 @@ def test_cells_may_not_contain_commas():
 
 
 def test_identical_inputs_give_identical_bytes(tmp_path):
-    rows = [(k, math.sin(k)) for k in range(50)]
+    columns = [range(50), np.sin(np.arange(50))]
     p1 = tmp_path / "a.csv"
     p2 = tmp_path / "b.csv"
-    write_csv(p1, ["k", "v"], rows)
-    write_csv(p2, ["k", "v"], rows)
+    write_csv(p1, ["k", "v"], columns)
+    write_csv(p2, ["k", "v"], columns)
     assert p1.read_bytes() == p2.read_bytes()
 
 

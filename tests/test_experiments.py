@@ -24,6 +24,16 @@ ALL_NAMES = {
 }
 
 
+def moved_middle_cell(probs):
+    """A line distribution with the probability of its middle site, the
+    origin, moved two sites up, which keeps its parity."""
+    probs = np.array(probs)
+    middle = len(probs) // 2
+    probs[middle + 2] += probs[middle]
+    probs[middle] = 0.0
+    return probs
+
+
 def run_ok(tmp_path, name, params=None, seed=None):
     spec = ExperimentSpec(name, params or {}, seed, str(tmp_path))
     assert run(spec) == 0
@@ -43,6 +53,15 @@ class TestRegistry:
             for key, meta in exp.schema.items():
                 assert meta.kind in ("int", "float", "str")
                 assert meta.help
+
+    def test_every_experiment_returns_one_sized_column_per_header_name(self):
+        for name, exp in experiments.catalog().items():
+            params = {key: meta.default for key, meta in exp.schema.items()}
+            header, columns, _ = exp.func(params, 1)
+            assert len(columns) == len(header), name
+            for column in columns:
+                assert iter(column) is not column, name
+            assert len(set(map(len, columns))) == 1, name
 
     def test_listing_mentions_every_name(self, capsys):
         experiments.list_experiments()
@@ -236,7 +255,7 @@ class TestExitCodes:
                                                  capsys):
         exp = experiments.catalog()["line-walk"]
         monkeypatch.setitem(experiments._REGISTRY, "line-walk", exp._replace(
-            func=lambda params, seed: (["x"], [(1,)], {"x": float("nan")})))
+            func=lambda params, seed: (["x"], [[1]], {"x": float("nan")})))
         assert run(ExperimentSpec("line-walk", {}, None, str(tmp_path))) == 3
         assert not list(tmp_path.iterdir())
         assert "summary value x off by nan" in capsys.readouterr().err
@@ -270,10 +289,10 @@ class TestExitCodes:
         exp = experiments.catalog()["entropy-series"]
 
         def damaged(params, seed):
-            header, rows, summary = exp.func(params, seed)
-            rows = [list(cells) for cells in rows]
-            rows[row][header.index(column)] = value
-            return header, rows, summary
+            header, columns, summary = exp.func(params, seed)
+            columns = [list(cells) for cells in columns]
+            columns[header.index(column)][row] = value
+            return header, columns, summary
 
         monkeypatch.setitem(experiments._REGISTRY, "entropy-series",
                             exp._replace(func=damaged))
@@ -335,7 +354,14 @@ class TestExitCodes:
         ("szegedy-spectrum", "szegedy.spectrum_map",
          lambda f: lambda p: dataclasses.replace(f(p), pairing_error=1e-6),
          "phase pairing"),
-    ], ids=["ctqw-hypercube", "analog-search", "szegedy-spectrum"])
+        ("line-walk", "classical.line_walk_binomial",
+         lambda f: lambda m: (f(m)[0], moved_middle_cell(f(m)[1])),
+         "spread closed form"),
+        ("decoherence-sweep", "coined.position_distribution",
+         lambda f: lambda state: moved_middle_cell(f(state)),
+         "binomial at unitarity 0"),
+    ], ids=["ctqw-hypercube", "analog-search", "szegedy-spectrum",
+            "line-walk", "decoherence-sweep"])
     def test_failed_check_after_the_table_writes_nothing(
             self, tmp_path, monkeypatch, capsys, name, target, off, label):
         module, attr = target.split(".")
