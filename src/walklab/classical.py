@@ -213,17 +213,16 @@ class EnergyModel:
     """Finite state space with an energy function and a proposal kernel.
 
     ``energy`` maps a state index to a real energy; ``propose`` maps
-    (state, draws) to a candidate state and must be symmetric for Metropolis
-    sampling to target the Gibbs distribution.  ``draws`` is not the caller's
-    Generator but a source with its ``integers`` and ``random`` methods,
-    which return the numbers the Generator would have given; ``propose``
-    must draw only through these two, and only from the source it is given.
+    (state, rng) to a candidate state, drawing from the caller's Generator,
+    and must be symmetric for Metropolis sampling to target the Gibbs
+    distribution.
 
     ``EnergyModel.bit_flip(bits, energy)`` declares the bit-flip form: the
     states are the ``bits``-bit strings and a move flips the bit
-    ``draws.integers(bits)``.  Its ``propose`` carries the width, so the two
-    cannot disagree, and the samplers run its moves in one inlined loop on a
-    PCG64 Generator, drawing exactly what ``propose`` would.
+    ``rng.integers(bits)``.  Its ``propose`` carries the width, so the two
+    cannot disagree, and on a PCG64 Generator the samplers run its moves in
+    ``_Draws.flip_moves``, one inlined loop that draws exactly what
+    ``propose`` and the generic loop would.
     """
 
     num_states: int
@@ -243,31 +242,26 @@ class _BitFlip:
 
     bits: int
 
-    def __call__(self, state, draws):
-        return state ^ (1 << int(draws.integers(self.bits)))
+    def __call__(self, state, rng):
+        return state ^ (1 << int(rng.integers(self.bits)))
 
 
 class _Draws:
-    """Scalar ``integers(k)`` and ``random()`` of a PCG64 Generator,
-    replayed from its raw 64-bit words, which it fetches in blocks.
+    """``integers(k)`` of a PCG64 Generator, for an int 1 <= k <= 2^32,
+    replayed from its raw 64-bit words, which it fetches in blocks; and
+    the Metropolis moves of a bit-flip model, drawn the same way.
 
-    ``random()`` is (w >> 11) 2^-53 of a fresh word.  ``integers(k)`` for
-    1 <= k <= 2^32 is Lemire's multiply-and-reject (ACM TOMACS 29(1), 2019)
+    ``integers(k)`` is Lemire's multiply-and-reject (ACM TOMACS 29(1), 2019)
     on a 32-bit half-word: PCG64 hands out a word's low half and keeps the
     high half (``has_uint32``/``uinteger``) for the next 32-bit request, and
-    k = 1 draws nothing.  Any other arguments or bound go to the Generator
-    between a hand-back and a restart.  ``close`` hands the stream back
-    at the state the same calls on the Generator would have left.  NEP 19
-    does not promise these streams across numpy versions; the tests hold
-    the replay against the installed numpy draw for draw.
+    k = 1 draws nothing.  ``close`` hands the stream back at the state the
+    same calls on the Generator would have left.  NEP 19 does not promise
+    these streams across numpy versions; the tests hold the replay against
+    the installed numpy draw for draw.
     """
 
     def __init__(self, rng):
-        self._rng = rng
         self._bits = rng.bit_generator
-        self._start()
-
-    def _start(self):
         self._saved = self._bits.state
         self._has = self._saved["has_uint32"]
         self._half = self._saved["uinteger"]
@@ -289,19 +283,10 @@ class _Draws:
         self._word = self._words.__next__
         return self._word()
 
-    def random(self, *args, **kwargs):
-        if args or kwargs:
-            return self._defer("random", args, kwargs)
-        try:
-            w = self._word()
-        except StopIteration:
-            w = self._refill()
-        return (w >> 11) * 2.0 ** -53
-
-    def integers(self, low, *args, **kwargs):
-        k = low  # with no high, numpy's bound: draws lie in [0, low)
-        if args or kwargs or type(k) is not int or not 0 < k <= 1 << 32:
-            return self._defer("integers", (k, *args), kwargs)
+    def integers(self, k):
+        if type(k) is not int or not 0 < k <= 1 << 32:
+            raise ValueError("the replay draws integers(k) for an int "
+                             f"1 <= k <= 2^32, not {k!r}")
         while k > 1:
             if self._has:
                 self._has = 0
@@ -323,7 +308,8 @@ class _Draws:
     def flip_moves(self, bits, energy, beta, steps, state, e_here):
         """``_metropolis`` for ``EnergyModel.bit_flip(bits, energy)``: each
         move is ``integers(bits)`` above, the flip, and for an uphill or NaN
-        ``de`` one ``random()``, inlined, with ``energy`` the only call."""
+        ``de`` the Generator's ``random()``, (w >> 11) 2^-53 of a fresh word,
+        inlined, with ``energy`` the only call."""
         has, half, word, exp = self._has, self._half, self._word, math.exp
         # Lemire's threshold is below bits, so it alone decides as above
         wide, threshold = bits > 1, (1 << 32) % bits
@@ -363,13 +349,6 @@ class _Draws:
             self._has, self._half = has, half
         return state, e_here, accepted
 
-    def _defer(self, name, args, kwargs):
-        self.close()
-        try:
-            return getattr(self._rng, name)(*args, **kwargs)
-        finally:
-            self._start()
-
 
 @contextlib.contextmanager
 def _draws(rng):
@@ -385,20 +364,29 @@ def _draws(rng):
         draws.close()
 
 
+def _move_source(model, rng):
+    """Where the Metropolis moves of ``model`` draw from: the replay of a
+    PCG64 ``rng`` for a bit-flip model, and ``rng`` itself otherwise."""
+    if type(model.propose) is _BitFlip:
+        return _draws(rng)
+    return contextlib.nullcontext(rng)
+
+
 def _metropolis(model, beta, steps, draws, state, e_here):
-    """Run ``steps`` Metropolis moves from ``state`` of energy ``e_here``;
-    returns the final state, its energy and the number of accepted moves.
+    """Run ``steps`` Metropolis moves from ``state`` of energy ``e_here``,
+    drawing from the source ``_move_source`` picked; returns the final
+    state, its energy and the number of accepted moves.
 
     Proposals with lower or equal energy are always taken; uphill moves are
-    accepted with probability exp(-beta dE).  A bit-flip model drawing
-    through a ``_Draws`` runs ``_Draws.flip_moves``, which makes the same
-    draws; this loop is the reference it is tested against."""
+    accepted with probability exp(-beta dE).  A ``_Draws`` source, which
+    only a bit-flip model gets, runs ``_Draws.flip_moves``; this loop, on
+    the Generator's own draws, is the reference it is tested against."""
     if steps < 0:
         raise ValueError(f"Metropolis step count must be nonnegative, got {steps}")
-    propose, energy = model.propose, model.energy
-    if type(propose) is _BitFlip and type(draws) is _Draws:
-        return draws.flip_moves(propose.bits, energy, beta, steps, state, e_here)
-    random = draws.random
+    if type(draws) is _Draws:
+        return draws.flip_moves(model.propose.bits, model.energy, beta, steps,
+                                state, e_here)
+    propose, energy, random = model.propose, model.energy, draws.random
     accepted = 0
     for _ in range(steps):
         candidate = propose(state, draws)
@@ -418,10 +406,10 @@ def simulated_annealing(model, t0, mu, tmin, inner_steps, rng):
     if tmin <= 0.0:
         raise ValueError("final temperature must be positive")
     rng = np.random.default_rng(rng)
-    with _draws(rng) as draws:
-        state = int(draws.integers(model.num_states))
-        e_here = model.energy(state)
-        t = t0
+    state = int(rng.integers(model.num_states))
+    e_here = model.energy(state)
+    t = t0
+    with _move_source(model, rng) as draws:
         while t >= tmin:
             state, e_here, _ = _metropolis(model, 1.0 / t, inner_steps, draws,
                                            state, e_here)
@@ -454,9 +442,9 @@ def telescoping_partition_estimate(model, betas, samples_per_level, rng,
         raise ValueError("schedule must increase from beta = 0")
     rng = np.random.default_rng(rng)
     level_means = []
-    with _draws(rng) as draws:
-        state = int(draws.integers(model.num_states))
-        e_here = model.energy(state)
+    state = int(rng.integers(model.num_states))
+    e_here = model.energy(state)
+    with _move_source(model, rng) as draws:
         for b_here, b_next in zip(betas[:-1], betas[1:]):
             db = b_next - b_here
             total = 0.0

@@ -520,8 +520,10 @@ def hitting_analysis(op, psi0, target, m_max, p=0.5):
     for t in range(m_max + 1):
         if t:
             pair = op.step(pair)
-        # summed coin by coin, so the bits do not hang on the memory order
-        one_shot[t], first_hit[t] = sum(np.abs(pair[:, target].T) ** 2)
+        # summed coin by coin down the outer axis of a C-ordered copy, so
+        # the bits hang on neither the memory order nor pairwise summation
+        one_shot[t], first_hit[t] = np.add.reduce(
+            np.abs(pair[:, target].T.copy()) ** 2, axis=0)
         pair[1, target] = 0.0
     reached = np.flatnonzero(np.cumsum(one_shot) >= p)
     if reached.size == 0:
@@ -637,8 +639,8 @@ def decohere_evolve(op, p, projectors, rho0, m):
     On a cycle rho is stepped as a block over the sites [lo, hi) that hold
     its nonzero rows, the light cone of its start: each step pads the block
     with one zero site on either side and conjugates it through the
-    operator's windowed coin-and-shift, for as long as the block fits the
-    cycle without wrapping; from then on, and on every other graph, the
+    operator's gather kernel ``_coin_shift``, for as long as the block fits
+    the cycle without wrapping; from then on, and on every other graph, the
     whole matrix steps.  Real coins on a real rho0 evolve in real
     arithmetic.  The result's trace is checked to lie within 1e-9 of 1, as
     DensityState checks it, and its positivity on its nonzero block.

@@ -161,8 +161,6 @@ def subset_walk_run(n, q, k, f, prop, schedule="auto"):
 
 CostEstimate = namedtuple("CostEstimate", "exponent cost")
 
-_VARIANTS = ("subset", "clique", "recursive_clique")
-
 
 def _term_exponents(k, mu, variant):
     if variant == "subset":

@@ -65,7 +65,7 @@ def arc_index(arcs):
 
 def metropolis_chain(model, beta, steps, rng, start=None):
     """Sample the Gibbs distribution at inverse temperature ``beta`` through
-    ``classical._metropolis``, drawing from ``classical._draws(rng)``.
+    ``classical._metropolis``, drawing from the Generator ``rng`` itself.
 
     Returns the visited states (including the start) and the number of
     accepted moves.  The states are read off the calls to ``propose``, so
@@ -81,8 +81,7 @@ def metropolis_chain(model, beta, steps, rng, start=None):
 
     recording = classical.EnergyModel(model.num_states, model.energy, propose)
     rng = np.random.default_rng(rng)
-    with classical._draws(rng) as draws:
-        state = int(draws.integers(model.num_states)) if start is None else start
-        state, _, accepted = classical._metropolis(
-            recording, beta, steps, draws, state, model.energy(state))
+    state = int(rng.integers(model.num_states)) if start is None else start
+    state, _, accepted = classical._metropolis(
+        recording, beta, steps, rng, state, model.energy(state))
     return np.array(visited + [state], dtype=np.int64), accepted

@@ -319,20 +319,19 @@ def test_annealing_parameter_validation():
         cl.simulated_annealing(model, 1.0, 0.5, 0.0, 10, 0)
 
 
-# replayed draws: the Metropolis samplers draw through classical._draws,
-# which computes the scalar integers(k) and random() of a PCG64 Generator
-# from its raw words
+# replayed draws: bit-flip moves and nand's coin flips draw through
+# classical._draws, which computes the scalar integers(k) of a PCG64
+# Generator from its raw words
 
 REPLAY_BOUNDS = (1, 2, 3, 10, 2 ** 31, 2 ** 31 + 1, 3 * 2 ** 30,
-                 2 ** 32 - 1, 2 ** 32, 2 ** 32 + 1)
+                 2 ** 32 - 1, 2 ** 32)
 
 
 def call_pattern(seed, length=300):
-    """Mixed integers/random calls; 2^31 + 1 and 3 * 2^30 reject about half
-    and a quarter of their half-words, and 2^32 + 1 takes the fallback."""
+    """Bounds for integers calls; 2^31 + 1 and 3 * 2^30 reject about half
+    and a quarter of their half-words."""
     pick = np.random.default_rng([seed, 99])
-    return [("random", ()) if pick.random() < 0.3
-            else ("integers", (REPLAY_BOUNDS[pick.integers(len(REPLAY_BOUNDS))],))
+    return [REPLAY_BOUNDS[pick.integers(len(REPLAY_BOUNDS))]
             for _ in range(length)]
 
 
@@ -354,30 +353,27 @@ def test_replay_matches_generator_draw_for_draw(seed, prior):
     rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
     for _ in range(prior):
         rng.integers(5), twin.integers(5)
-    calls = call_pattern(seed)
+    bounds = call_pattern(seed)
     with cl._draws(rng) as draws:
         assert isinstance(draws, cl._Draws)
-        got = [getattr(draws, name)(*args) for name, args in calls]
-    want = [getattr(twin, name)(*args) for name, args in calls]
+        got = [draws.integers(k) for k in bounds]
+    want = [twin.integers(k) for k in bounds]
     assert got == want
     assert_same_stream(rng, twin)
 
 
-def test_replay_other_arguments_go_to_the_generator():
-    rng, twin = np.random.default_rng(8), np.random.default_rng(8)
-    calls = [("integers", (3,), {}), ("integers", (np.int64(7),), {}),
-             ("integers", (3,), {}), ("integers", (2, 9), {}),
-             ("integers", (5,), {"size": 3}), ("random", (), {}),
-             ("random", (2,), {}), ("integers", (3,), {}),
-             ("random", (), {"dtype": np.float32}), ("integers", (3,), {}),
-             ("integers", (True,), {}), ("integers", (10,), {})]
-    with cl._draws(rng) as draws:
-        got = [np.asarray(getattr(draws, name)(*args, **kwargs)).tolist()
-               for name, args, kwargs in calls]
-    want = [np.asarray(getattr(twin, name)(*args, **kwargs)).tolist()
-            for name, args, kwargs in calls]
-    assert got == want
-    assert_same_stream(rng, twin)
+def test_replay_refuses_other_bounds():
+    """Only an int 1 <= k <= 2^32 is replayed; any other bound raises before
+    it draws, and the stream is handed back where the draws before it left
+    it."""
+    for bound in (0, -1, 2 ** 32 + 1, 3.0, np.int64(7), True):
+        rng, twin = np.random.default_rng(8), np.random.default_rng(8)
+        with pytest.raises(ValueError, match="1 <= k <= 2\\^32"):
+            with cl._draws(rng) as draws:
+                draws.integers(3)
+                draws.integers(bound)
+        twin.integers(3)
+        assert_same_stream(rng, twin)
 
 
 def test_replay_leaves_other_bit_generators_alone():
@@ -440,6 +436,36 @@ def test_replay_hands_the_stream_back_when_propose_raises(stop):
     assert_same_stream(rng, twin)
 
 
+def test_generic_proposals_may_call_any_generator_method():
+    """Only the bit-flip form is replayed: any other ``propose`` gets the
+    caller's Generator, so it may draw through any of its methods."""
+    def propose(s, r):
+        step = r.choice([-1, 1]) * (1 + int(r.random(3).argmax()))
+        return (s + int(step)) % 16
+
+    model = cl.EnergyModel(16, lambda s: 0.3 * abs(s - 5), propose)
+    rng, twin = np.random.default_rng(3), np.random.default_rng(3)
+    final = cl.simulated_annealing(model, 2.0, 0.7, 0.2, 30, rng)
+    state, t = int(twin.integers(16)), 2.0
+    while t >= 0.2:
+        state = direct_chain(model, 1.0 / t, 30, twin, state)[-1]
+        t *= 0.7
+    assert final == state
+    assert_same_stream(rng, twin)
+    rng, twin = np.random.default_rng(4), np.random.default_rng(4)
+    betas = [0.0, 0.5, 1.0]
+    res = cl.telescoping_partition_estimate(model, betas, 50, rng, thin_steps=4)
+    state, want = int(twin.integers(16)), []
+    for b_here, b_next in zip(betas[:-1], betas[1:]):
+        total = 0.0
+        for _ in range(50):
+            state = direct_chain(model, b_here, 4, twin, state)[-1]
+            total += math.exp(-(b_next - b_here) * model.energy(state))
+        want.append(total / 50)
+    assert res.level_means == want
+    assert_same_stream(rng, twin)
+
+
 # the bit-flip form: EnergyModel.bit_flip moves run in _Draws.flip_moves,
 # which must draw and decide exactly as the generic loop does
 
@@ -474,8 +500,9 @@ def fast_only(monkeypatch):
 
 def fast_and_generic(bits, energy, beta, seed, calls, prior=0):
     """Run ``calls`` (start, steps) segments of Metropolis on the bit-flip
-    model and on the same model with a plain ``propose``, each in one replay
-    of a Generator seeded alike after ``prior`` integers draws; returns the
+    model and on the same model with a plain ``propose``, each on a
+    Generator seeded alike after ``prior`` integers draws: the bit-flip one
+    in one replay, the plain one on the Generator's own draws.  Returns the
     two lists of results and the two Generators."""
     fast = cl.EnergyModel.bit_flip(bits, energy)
     generic = dataclasses.replace(
@@ -486,7 +513,7 @@ def fast_and_generic(bits, energy, beta, seed, calls, prior=0):
         for _ in range(prior):
             rng.integers(5)
         results = []
-        with cl._draws(rng) as draws:
+        with cl._move_source(model, rng) as draws:
             for start, steps in calls:
                 results.append(cl._metropolis(model, beta, steps, draws,
                                               start, energy(start)))

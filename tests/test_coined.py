@@ -464,6 +464,29 @@ def test_hitting_real_start_keeps_every_byte(dim, horizon):
     assert real.concurrent == want.concurrent
 
 
+def test_hitting_sums_each_step_coin_by_coin():
+    # the reference adds the d coin probabilities one after another; a
+    # pairwise sum over the eight coins rounds differently on some steps
+    dim, horizon = 8, 3000
+    op = cw.CoinedWalkOperator(graphs.hypercube(dim), cw.coin("grover", d=dim))
+    psi0 = np.zeros((op.n, dim))
+    psi0[0] = 1.0 / math.sqrt(dim)
+    target = op.n - 1
+    res = cw.hitting_analysis(op, psi0, target, horizon)
+    one_shot, first_hit = np.empty(horizon + 1), np.empty(horizon + 1)
+    pair = np.stack([psi0, psi0])
+    for t in range(horizon + 1):
+        if t:
+            pair = op.step(pair)
+        total = 0.0
+        for c in range(dim):
+            total = total + np.abs(pair[:, target, c]) ** 2
+        one_shot[t], first_hit[t] = total
+        pair[1, target] = 0.0
+    assert res.one_shot.tobytes() == one_shot.tobytes()
+    assert res.first_hit.tobytes() == first_hit.tobytes()
+
+
 def test_monitored_process_against_trajectories():
     # independent trajectory sampler: keep the normalized conditional
     # state, draw binomial click counts per step
