@@ -143,10 +143,11 @@ class CoinedWalkOperator:
     being a batch that steps together, shifting by one gather through the
     color permutations; on a cycle it can run on one state inside a window
     of rows, where each color shifts by one slice copy.
-    ``decohere_evolve`` runs the gather kernel on both sides of a density
-    matrix, kept on a cycle as the block of sites its start can reach until
-    that block would wrap, and as the whole matrix from then on or on any
-    other graph.  ``dense`` materializes the matrix for spectral work; it
+    ``decohere_evolve`` runs the coin on both sides of a density matrix:
+    on a cycle with one coin, over the parity sublattice its start occupies
+    while that light cone fits the cycle, each color shifting by one row or
+    none; otherwise through the gather kernel on the whole matrix.
+    ``dense`` materializes the matrix for spectral work; it
     is built independently of the kernel and serves as its check.
     ``dtype`` is the coins' dtype: a real coin keeps real states real.
     """
@@ -628,6 +629,19 @@ def absorbing_line_quantum(m_max):
 _PROJECTOR_SETS = ("coin", "position", "both", "edge-phase")
 
 
+def _grow_rows(mixed, right):
+    """The shift on the k rows (..., k, d) of a line walk's parity
+    sublattice after the coin, as k + 1 rows: the rightward color moves one
+    row down, the leftward one stays, and the end row each leaves is zero."""
+    k = mixed.shape[-2]
+    out = np.empty(mixed.shape[:-2] + (k + 1, mixed.shape[-1]), mixed.dtype)
+    out[..., 1:, right] = mixed[..., right]
+    out[..., 0, right] = 0.0
+    out[..., :k, 1 - right] = mixed[..., 1 - right]
+    out[..., k, 1 - right] = 0.0
+    return out
+
+
 def decohere_evolve(op, p, projectors, rho0, m):
     """m steps of the walk interrupted by measurement with rate 1-p.
 
@@ -636,14 +650,18 @@ def decohere_evolve(op, p, projectors, rho0, m):
     position states, or both registers ("edge-phase" dephases every
     position-and-coin basis state and acts identically to "both").
 
-    On a cycle rho is stepped as a block over the sites [lo, hi) that hold
-    its nonzero rows, the light cone of its start: each step pads the block
-    with one zero site on either side and conjugates it through the
-    operator's gather kernel ``_coin_shift``, for as long as the block fits
-    the cycle without wrapping; from then on, and on every other graph, the
-    whole matrix steps.  Real coins on a real rho0 evolve in real
-    arithmetic.  The result's trace is checked to lie within 1e-9 of 1, as
-    DensityState checks it, and its positivity on its nonzero block.
+    On a cycle with one coin shared by every vertex, rho is stored and
+    stepped only on the sites it can occupy, when those of rho0, in
+    [lo, hi), share one parity and the light cone fits the cycle for all m
+    steps (lo - m >= 0 and hi + m <= n).  A walker moves one site per step,
+    so after t steps rho is a (k, d, k, d) block whose row j holds site
+    lo - t + 2j, one row longer after every step: each half of the
+    conjugation runs ``_coin`` on the k rows of one index, then
+    ``_grow_rows`` shifts them.  Otherwise the whole matrix steps through
+    the gather kernel ``_coin_shift``, bit for bit the same.  Real coins on
+    a real rho0 evolve in real arithmetic.  The result's trace is checked to
+    lie within 1e-9 of 1, as DensityState checks it, and its positivity on
+    its nonzero block.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError("unitarity rate must lie in [0, 1]")
@@ -656,38 +674,46 @@ def decohere_evolve(op, p, projectors, rho0, m):
     n, d = op.n, op.d
     flat = rho0.matrix
     nonzero = flat.any(axis=0) | flat.any(axis=1)
-    sites = [_support_sites(op, nonzero.reshape(n, d).any(axis=1))]
-    for _ in range(m):
-        sites.append(_light_cone_step(op, *sites[-1])[1])
-    lo, hi = sites[0]
-    block = flat.reshape(n, d, n, d)[lo:hi, :, lo:hi]
-    if op.dtype.kind != "c" and not block.imag.any():
-        block = block.real
-    # the measurement factor depends on site differences only, so one
-    # built at the last and largest block serves every block as its corner
-    size = sites[-1][1] - sites[-1][0]
+    sites = np.flatnonzero(nonzero.reshape(n, d).any(axis=1))
+    rho = flat.reshape(n, d, n, d)
+    if op.dtype.kind != "c" and not rho.imag.any():
+        rho = rho.real
+    sublattice = (op.graph.family == "cycle" and op._coins is None
+                  and sites.size > 0 and sites[0] - m >= 0
+                  and sites[-1] + 1 + m <= n
+                  and not np.any((sites - sites[0]) % 2))
+    if sublattice:
+        rows = slice(sites[0], sites[-1] + 1, 2)
+        rho = rho[rows, :, rows]
+        size = len(rho) + m
+        right = int(op.coloring.next_vertex[0, 1] == 1)
+
+        def advance(part, start):
+            return _grow_rows(op._coin(part, start), right)
+    else:
+        size = n
+        advance = op._coin_shift
+    # the measurement factor depends on row differences only, so one built
+    # at the last and largest block serves every block as its corner
     keep = np.ones((size, d, size, d))
     if projectors != "coin":
         keep *= np.eye(size)[:, None, :, None]
     if projectors != "position":
         keep *= np.eye(d)[None, :, None, :]
     factor = p + (1.0 - p) * keep
-    for grown in sites[1:]:
-        if grown != (lo, hi):
-            padded = np.zeros((grown[1] - grown[0], d) * 2, block.dtype)
-            inner = slice(lo - grown[0], hi - grown[0])
-            padded[inner, :, inner] = block
-            block, (lo, hi) = padded, grown
+    for _ in range(m):
         # conjugation by the step operator: U acts on the column index of
         # conj(rho) to give rho U^dagger, then on the row index
-        block = op._coin_shift(block.conj(), lo).conj()
-        block = op._coin_shift(block.transpose(2, 3, 0, 1), lo)
-        width = hi - lo
-        block = block.transpose(2, 3, 0, 1) * factor[:width, :, :width]
-    width = (hi - lo) * d
-    block = block.reshape(width, width)
+        rho = advance(rho.conj(), 0).conj()
+        rho = advance(rho.transpose(2, 3, 0, 1), 0).transpose(2, 3, 0, 1)
+        k = len(rho)
+        rho = rho * factor[:k, :, :k]
+    k = len(rho)
+    block = rho.reshape(k * d, k * d)
+    block = 0.5 * (block + block.conj().T)
+    rows = slice(sites[0] - m, sites[-1] + 1 + m, 2) if sublattice else slice(n)
     flat = np.zeros((n * d, n * d), dtype=complex)
-    flat[lo * d:hi * d, lo * d:hi * d] = 0.5 * (block + block.conj().T)
+    flat.reshape(n, d, n, d)[rows, :, rows] = block.reshape(k, d, k, d)
     result = DensityState._unchecked((n, d), flat)
     result.check_positive(1e-9)
     # the bound DensityState puts on the trace's real part; the imaginary

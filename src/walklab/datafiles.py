@@ -11,6 +11,10 @@ import numpy as np
 
 __all__ = ["format_value", "write_csv", "write_metadata"]
 
+# rows formatted by one ``%``; a block of three float columns holds about
+# 0.2 MB of cells and text at its peak
+_BLOCK_ROWS = 1024
+
 
 def format_value(value):
     """Render one CSV cell: floats at full precision, the rest via str."""
@@ -41,9 +45,10 @@ def write_csv(path, header, columns):
     """Write a comma-separated table with a header row.
 
     Each column's format is picked once, by ``_column_format``, and the
-    whole table is formatted by one ``%``.  A table whose columns do not
-    match the header or each other, or a cell that would corrupt it, raises
-    before the file is opened.
+    table is formatted by one ``%`` per block of ``_BLOCK_ROWS`` rows, so
+    the text held at once stays bounded however long the table.  A table
+    whose columns do not match the header or each other, or a cell that
+    would corrupt it, raises before the file is opened.
 
     Parameters
     ----------
@@ -60,12 +65,21 @@ def write_csv(path, header, columns):
     if len(columns) != width or others:
         raise ValueError("the columns do not match the header or each other")
     formats = list(map(_column_format, columns))
-    cells = [None] * (width * length)
-    for i, (column, fmt) in enumerate(zip(columns, formats)):
-        cells[i::width] = map(format_value, column) if fmt == "%s" else column
+    # cells that are not plain numbers are rendered, and checked, up front
+    columns = [list(map(format_value, column)) if fmt == "%s" else column
+               for column, fmt in zip(columns, formats)]
+    row = ",".join(formats) + "\n"
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        fh.write((",".join(formats) + "\n") * length % tuple(cells))
+        for start in range(0, length, _BLOCK_ROWS):
+            rows = min(_BLOCK_ROWS, length - start)
+            cells = [None] * (width * rows)
+            for i, column in enumerate(columns):
+                part = column[start:start + rows]
+                # Python numbers format as numpy scalars do, only faster
+                cells[i::width] = (part.tolist() if isinstance(part, np.ndarray)
+                                   else part)
+            fh.write(row * rows % tuple(cells))
 
 
 def write_metadata(path, name, params, seed, started, duration_s, outputs, **extra):

@@ -294,14 +294,15 @@ def _entropy_series(p, seed):
     "Interpolation from ballistic to diffusive spreading as measurement "
     "interrupts the Hadamard walk.",
     {"m": Param("int", 50, "number of steps", lo=0, hi=_DECOHERENCE_MAX_M),
-     # one decohere_evolve per rate, about 1.4 s each at m = 253
+     # one decohere_evolve per rate, about 0.12 s each at m = 253
      "points": Param("int", 11, "unitarity rates to sample", lo=1, hi=101),
      "projectors": Param("str", "both", "coin, position, both, or edge-phase")},
 )
 def _decoherence_sweep(p, seed):
     m = p["m"]
     op = coined.line_operator(m)
-    rho0 = coined.DensityState.from_pure(coined.line_start(op))
+    psi0 = coined.line_start(op)
+    rho0 = coined.DensityState.from_pure(psi0)
     positions = coined.line_positions(op)
     bpos, bprobs = classical.line_walk_binomial(m)
     binom = np.zeros(op.n)
@@ -314,6 +315,13 @@ def _decoherence_sweep(p, seed):
     tvd = [distributions.tvd(d, binom) for d in dists]
     # fully measured, the walk is the classical one: worst 4.6e-14 at m = 253
     trace.check("binomial at unitarity 0", tvd[0], 1e-11)
+    if p["points"] > 1:
+        # the last rate is then 1: never measured, the walk is the pure one,
+        # which also sees a wrong shift of the coherences that the binomial
+        # cannot: worst 1.7e-15 at m = 253
+        pure = coined.position_distribution(coined.walk_run(op, psi0, m))
+        trace.check("pure walk at unitarity 1",
+                    distributions.tvd(dists[-1], pure), 1e-12)
     return (["unitarity", "spread", "tvd_from_binomial"],
             (rates, spread, tvd), {"steps": m})
 

@@ -786,17 +786,25 @@ def full_width_channel(op, p, projectors, rho0, m):
     return 0.5 * (flat + flat.conj().T)
 
 
-def spy_coin_shift(monkeypatch):
-    """Record (first row, rows, dtype) of every block the walk steps."""
-    shift = cw.CoinedWalkOperator._coin_shift
+def spy_coin(monkeypatch):
+    """Record (shape, dtype) of every block the coin acts on."""
+    coin = cw.CoinedWalkOperator._coin
     blocks = []
 
     def spy(self, part, start):
-        blocks.append((start, part.shape[-2], part.dtype))
-        return shift(self, part, start)
+        blocks.append((part.shape, part.dtype))
+        return coin(self, part, start)
 
-    monkeypatch.setattr(cw.CoinedWalkOperator, "_coin_shift", spy)
+    monkeypatch.setattr(cw.CoinedWalkOperator, "_coin", spy)
     return blocks
+
+
+def sublattice_blocks(k0, m, d=2):
+    """The blocks the coin sees on a parity sublattice from k0 rows: each
+    step acts on k rows from the column side, then, from the row side, on
+    the k + 1 rows that half-step leaves."""
+    return [shape for k in range(k0, k0 + m)
+            for shape in ((k, d, k, d), (k + 1, d, k, d))]
 
 
 @pytest.mark.parametrize("projectors", ["coin", "position", "both",
@@ -805,29 +813,27 @@ def spy_coin_shift(monkeypatch):
                                              (0.5, math.pi / 2, complex)])
 def test_light_cone_channel_is_bit_equal_to_full_width(
         monkeypatch, projectors, q, sigma, dtype):
-    m = 6
-    op = cw.line_operator(m)
-    rho0 = cw.DensityState.from_pure(cw.line_start(op, q, sigma))
-    for p in (0.0, 0.4, 1.0):
-        want = full_width_channel(op, p, projectors, rho0, m)
-        blocks = spy_coin_shift(monkeypatch)
-        got = cw.decohere_evolve(op, p, projectors, rho0, m)
-        monkeypatch.undo()
-        assert np.array_equal(got.matrix, want), p
-        # each step conjugates the block grown by one site a side, padding
-        # included, from both sides; a real start runs in real arithmetic
-        centre = op.n // 2
-        assert blocks == [(centre - t, 2 * t + 1, np.dtype(dtype))
-                          for t in range(1, m + 1) for _ in range(2)]
+    for m in (0, 1, 2, 6, 40):
+        op = cw.line_operator(m)
+        rho0 = cw.DensityState.from_pure(cw.line_start(op, q, sigma))
+        for p in (0.0, 0.4, 1.0):
+            want = full_width_channel(op, p, projectors, rho0, m)
+            blocks = spy_coin(monkeypatch)
+            got = cw.decohere_evolve(op, p, projectors, rho0, m)
+            monkeypatch.undo()
+            assert np.array_equal(got.matrix, want), (m, p)
+            # each step grows the occupied sublattice by one row, and a
+            # real start runs in real arithmetic
+            assert blocks == [(shape, np.dtype(dtype))
+                              for shape in sublattice_blocks(1, m)]
 
 
 @pytest.mark.parametrize("n, site, m, steps", [
-    # sites 3..3 grow to 0..6, then the block would wrap past site 0
-    (9, 3, 7, [(2, 3), (1, 5), (0, 7)] + [(0, 9)] * 4),
-    # the wrap comes before the block has grown to its width after m steps
-    (20, 2, 3, [(1, 3), (0, 5), (0, 20)]),
-    (9, 0, 1, [(0, 9)]),
-    (9, 8, 2, [(0, 9)] * 2),
+    # the cone 3 - 7 .. 3 + 7 would wrap past site 0
+    (9, 3, 7, [9] * 7),
+    (20, 2, 3, [20] * 3),
+    (9, 0, 1, [9]),
+    (9, 8, 2, [9] * 2),
 ])
 def test_light_cone_channel_goes_full_width_once_it_would_wrap(
         monkeypatch, n, site, m, steps):
@@ -837,21 +843,66 @@ def test_light_cone_channel_goes_full_width_once_it_would_wrap(
     rho0 = cw.DensityState.from_pure(psi)
     for projectors in ("coin", "position", "both"):
         want = full_width_channel(op, 0.7, projectors, rho0, m)
-        blocks = spy_coin_shift(monkeypatch)
+        blocks = spy_coin(monkeypatch)
         got = cw.decohere_evolve(op, 0.7, projectors, rho0, m)
         monkeypatch.undo()
         assert np.array_equal(got.matrix, want)
-        assert [(start, rows) for start, rows, _ in blocks[::2]] == steps
+        assert [shape[-2] for shape, _ in blocks[::2]] == steps
+        assert {shape for shape, _ in blocks} == {(n, 2, n, 2)}
+
+
+@pytest.mark.parametrize("n, sites, m, k0", [
+    # one parity, with an empty row between the two occupied ones
+    (25, (10, 14), 5, 3),
+    (25, (11, 13), 5, 2),
+    # mixed parity: the occupied sites are no sublattice
+    (25, (10, 11), 5, None),
+    (25, (9, 14), 5, None),
+    # the cone 4 - 4 .. 4 + 4 fills the 9 sites of the cycle exactly
+    (9, (4,), 4, 1),
+    (9, (3,), 4, None),
+    (9, (5,), 4, None),
+    (9, (4,), 5, None),
+])
+def test_channel_steps_the_sublattice_of_one_parity_while_it_fits(
+        monkeypatch, n, sites, m, k0):
+    op = cycle_walk(n)
+    psi = np.zeros((n, 2), dtype=complex)
+    psi[sites[0]] = 0.6, 0.3j
+    psi[sites[-1]] += -0.5, 0.4 + 0.2j
+    psi /= np.linalg.norm(psi)
+    rho0 = cw.DensityState.from_pure(psi)
+    for projectors in ("coin", "position", "both", "edge-phase"):
+        want = full_width_channel(op, 0.4, projectors, rho0, m)
+        blocks = spy_coin(monkeypatch)
+        got = cw.decohere_evolve(op, 0.4, projectors, rho0, m)
+        monkeypatch.undo()
+        assert np.array_equal(got.matrix, want), projectors
+        assert [shape for shape, _ in blocks] == (
+            [(n, 2, n, 2)] * (2 * m) if k0 is None
+            else sublattice_blocks(k0, m))
+
+
+def test_channel_with_one_coin_per_vertex_steps_full_width(monkeypatch):
+    op = cw.CoinedWalkOperator(
+        graphs.cycle(15), [cw.coin("hadamard" if v % 3 else "dft")
+                           for v in range(15)])
+    rho0 = cw.DensityState.from_pure(cw.line_start(op))
+    want = full_width_channel(op, 0.4, "coin", rho0, 4)
+    blocks = spy_coin(monkeypatch)
+    got = cw.decohere_evolve(op, 0.4, "coin", rho0, 4)
+    assert np.array_equal(got.matrix, want)
+    assert blocks == [((15, 2, 15, 2), np.dtype(complex))] * 8
 
 
 def test_channel_stays_full_width_off_the_cycle(monkeypatch):
     op = cw.CoinedWalkOperator(graphs.hypercube(3), cw.coin("grover", 3))
     rho0 = cw.DensityState.from_pure(localized(op, 5).real)
     want = full_width_channel(op, 0.3, "both", rho0, 3)
-    blocks = spy_coin_shift(monkeypatch)
+    blocks = spy_coin(monkeypatch)
     got = cw.decohere_evolve(op, 0.3, "both", rho0, 3)
     assert np.array_equal(got.matrix, want)
-    assert blocks == [(0, 8, np.dtype(float))] * 6
+    assert blocks == [((8, 3, 8, 3), np.dtype(float))] * 6
 
 
 def embedded(rng, n, rows, eigenvalues, dtype):

@@ -55,6 +55,17 @@ def test_one_format_per_column_writes_each_cell_as_before(tmp_path, column,
     assert path.read_text() == per_cell_csv(["k", "v", "r"], columns)
 
 
+@pytest.mark.parametrize("rows", [1023, 1024, 1025, 2 * 1024 + 7])
+def test_tables_across_blocks_write_each_cell_as_before(tmp_path, rows):
+    assert datafiles._BLOCK_ROWS == 1024
+    steps = range(rows)
+    columns = [steps, np.sin(np.arange(rows)) * 1e-3,
+               [f"s{k}" if k % 3 else 1.5 for k in steps]]
+    path = tmp_path / "t.csv"
+    write_csv(path, ["k", "v", "s"], columns)
+    assert path.read_text() == per_cell_csv(["k", "v", "s"], columns)
+
+
 def test_zero_rows_write_the_header_alone(tmp_path):
     path = tmp_path / "t.csv"
     write_csv(path, ["a", "b"], [[], np.empty(0)])

@@ -371,6 +371,19 @@ class TestExitCodes:
         assert f"{label} off by" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
+    def test_mirrored_shift_fails_the_unitary_limit(
+            self, tmp_path, monkeypatch, capsys):
+        # each color moves the other way: still a unitary channel, and the
+        # same binomial at unitarity 0, but the mirror image of the
+        # Hadamard walk, which leans one way, at unitarity 1
+        grow = experiments.coined._grow_rows
+        monkeypatch.setattr(experiments.coined, "_grow_rows",
+                            lambda mixed, right: grow(mixed, 1 - right))
+        spec = ExperimentSpec("decoherence-sweep", {}, None, str(tmp_path))
+        assert run(spec) == 3
+        assert "pure walk at unitarity 1 off by" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_grover_plane_leakage_exits_3(self, tmp_path, monkeypatch,
                                           capsys):
         reflect = experiments.grover.Oracle.reflect
