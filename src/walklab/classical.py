@@ -247,9 +247,9 @@ class _BitFlip:
 
 
 class _Draws:
-    """``integers(k)`` of a PCG64 Generator, for an int 1 <= k <= 2^32,
-    replayed from its raw 64-bit words, which it fetches in blocks; and
-    the Metropolis moves of a bit-flip model, drawn the same way.
+    """A PCG64 Generator's draws replayed from its raw 64-bit words, which
+    it fetches in blocks: ``integers(k)`` for an int 1 <= k <= 2^32 reads a
+    block by index, and ``flip_moves`` reads it as ``_decode`` lays it out.
 
     ``integers(k)`` is Lemire's multiply-and-reject (ACM TOMACS 29(1), 2019)
     on a 32-bit half-word: PCG64 hands out a word's low half and keeps the
@@ -265,13 +265,13 @@ class _Draws:
         self._saved = self._bits.state
         self._has = self._saved["has_uint32"]
         self._half = self._saved["uinteger"]
-        self._fetched, self._words = 0, iter(())
-        self._word = self._words.__next__
+        self._fetched = self._pos = 0
+        self._block, self._raw, self._decoded = np.empty(0, np.uint64), [], None
 
     def close(self):
         bits = self._bits
         bits.state = self._saved
-        bits.advance(self._fetched - self._words.__length_hint__())
+        bits.advance(self._fetched - len(self._block) + self._pos)
         state = bits.state
         state["has_uint32"], state["uinteger"] = self._has, self._half
         bits.state = state
@@ -279,9 +279,8 @@ class _Draws:
     def _refill(self):
         block = min(2 * self._fetched or 64, 4096)
         self._fetched += block
-        self._words = iter(self._bits.random_raw(block).tolist())
-        self._word = self._words.__next__
-        return self._word()
+        self._block = self._bits.random_raw(block)
+        self._raw, self._pos, self._decoded = [], 0, None
 
     def integers(self, k):
         if type(k) is not int or not 0 < k <= 1 << 32:
@@ -293,9 +292,13 @@ class _Draws:
                 x = self._half
             else:
                 try:
-                    w = self._word()
-                except StopIteration:
-                    w = self._refill()
+                    w = self._raw[self._pos]
+                except IndexError:  # spent, or not yet read as a list
+                    if self._pos == len(self._block):
+                        self._refill()
+                    self._raw = self._block.tolist()
+                    w = self._raw[self._pos]
+                self._pos += 1
                 self._has = 1
                 self._half = w >> 32
                 x = w & 0xFFFFFFFF
@@ -305,49 +308,73 @@ class _Draws:
                 return m >> 32
         return 0
 
-    def flip_moves(self, bits, energy, beta, steps, state, e_here):
+    def _decode(self, bits, spent=None):
+        """The block as ``flip_moves`` reads it, decoded with numpy once per
+        block: each word's ``integers(bits)`` on its low and on its high half,
+        as a bit index or -1 where Lemire rejects the half (the threshold is
+        below ``bits``, so it alone decides), and its uniform (w >> 11) 2^-53;
+        the high list ends with the buffered half's index.  Given ``spent``,
+        it first buffers that word's high half and fetches the next block."""
+        if spent is not None:
+            if spent < len(self._block):
+                self._half = int(self._block[spent]) >> 32
+            self._refill()
+        if self._decoded is None or self._decoded[0] != bits:
+            w, threshold = self._block, (1 << 32) % bits
+            m = np.stack((w & 0xFFFFFFFF, w >> 32)) * np.uint64(bits)
+            low, high = np.where(m & 0xFFFFFFFF >= threshold,
+                                 (m >> 32).astype(np.int64), -1).tolist()
+            self._decoded = (bits, threshold, low, high + [-1],
+                             ((w >> 11).astype(float) * 2.0 ** -53).tolist())
+        _, threshold, low, high, uniform = self._decoded
+        m = self._half * bits
+        high[-1] = m >> 32 if m & 0xFFFFFFFF >= threshold else -1
+        return low, high, uniform, len(uniform)
+
+    def flip_moves(self, bits, energy, beta, steps, samples, state, e_here):
         """``_metropolis`` for ``EnergyModel.bit_flip(bits, energy)``: each
         move is ``integers(bits)`` above, the flip, and for an uphill or NaN
-        ``de`` the Generator's ``random()``, (w >> 11) 2^-53 of a fresh word,
-        inlined, with ``energy`` the only call."""
-        has, half, word, exp = self._has, self._half, self._word, math.exp
-        # Lemire's threshold is below bits, so it alone decides as above
-        wide, threshold = bits > 1, (1 << 32) % bits
-        m = accepted = 0  # integers(1) draws nothing and returns 0
+        ``de`` the Generator's ``random()`` of a fresh word, all read off
+        the ``_decode``d block, with ``energy`` the only call.  ``j`` is the
+        word whose high half is buffered (or, with ``has`` 0, was last
+        buffered, which numpy keeps in ``uinteger``), ``i`` the next word."""
+        low, high, uniform, n = self._decode(bits)
+        i, j, has, exp, wide = self._pos, n, self._has, math.exp, bits > 1
+        b = accepted = 0  # integers(1) draws nothing and returns 0
+        energies = []
         try:
-            for _ in range(steps):
-                while wide:
-                    if has:
-                        has = 0
-                        x = half
-                    else:
-                        try:
-                            w = word()
-                        except StopIteration:
-                            w = self._refill()
-                            word = self._word
-                        has = 1
-                        half = w >> 32
-                        x = w & 0xFFFFFFFF
-                    m = x * bits
-                    if m & 0xFFFFFFFF >= threshold:
-                        break
-                candidate = state ^ (1 << (m >> 32))
-                e_there = energy(candidate)
-                de = e_there - e_here
-                if not de <= 0.0:
-                    try:
-                        w = word()
-                    except StopIteration:
-                        w = self._refill()
-                        word = self._word
-                    if not (w >> 11) * 2.0 ** -53 < exp(-beta * de):
-                        continue
-                state, e_here = candidate, e_there
-                accepted += 1
+            for _ in range(samples):
+                for _ in range(steps):
+                    while wide:
+                        if has:
+                            has = 0
+                            b = high[j]
+                        else:
+                            if i == n:
+                                low, high, uniform, n = self._decode(bits, j)
+                                i = 0
+                            b, j, has = low[i], i, 1
+                            i += 1
+                        if b >= 0:
+                            break
+                    candidate = state ^ (1 << b)
+                    e_there = energy(candidate)
+                    de = e_there - e_here
+                    if not de <= 0.0:
+                        if i == n:
+                            low, high, uniform, n = self._decode(bits, j)
+                            i, j = 0, n
+                        i += 1
+                        if not uniform[i - 1] < exp(-beta * de):
+                            continue
+                    state, e_here = candidate, e_there
+                    accepted += 1
+                energies.append(e_here)
         finally:
-            self._has, self._half = has, half
-        return state, e_here, accepted
+            self._pos, self._has = i, has
+            if j < n:
+                self._half = int(self._block[j]) >> 32
+        return state, energies, accepted
 
 
 @contextlib.contextmanager
@@ -372,10 +399,11 @@ def _move_source(model, rng):
     return contextlib.nullcontext(rng)
 
 
-def _metropolis(model, beta, steps, draws, state, e_here):
-    """Run ``steps`` Metropolis moves from ``state`` of energy ``e_here``,
-    drawing from the source ``_move_source`` picked; returns the final
-    state, its energy and the number of accepted moves.
+def _metropolis(model, beta, steps, draws, state, e_here, samples=1):
+    """Run ``samples`` rounds of ``steps`` Metropolis moves from ``state``
+    of energy ``e_here``, drawing from the source ``_move_source`` picked;
+    returns the final state, the list of energies after each round and the
+    number of accepted moves.
 
     Proposals with lower or equal energy are always taken; uphill moves are
     accepted with probability exp(-beta dE).  A ``_Draws`` source, which
@@ -385,17 +413,19 @@ def _metropolis(model, beta, steps, draws, state, e_here):
         raise ValueError(f"Metropolis step count must be nonnegative, got {steps}")
     if type(draws) is _Draws:
         return draws.flip_moves(model.propose.bits, model.energy, beta, steps,
-                                state, e_here)
+                                samples, state, e_here)
     propose, energy, random = model.propose, model.energy, draws.random
-    accepted = 0
-    for _ in range(steps):
-        candidate = propose(state, draws)
-        e_there = energy(candidate)
-        de = e_there - e_here
-        if de <= 0.0 or random() < math.exp(-beta * de):
-            state, e_here = candidate, e_there
-            accepted += 1
-    return state, e_here, accepted
+    accepted, energies = 0, []
+    for _ in range(samples):
+        for _ in range(steps):
+            candidate = propose(state, draws)
+            e_there = energy(candidate)
+            de = e_there - e_here
+            if de <= 0.0 or random() < math.exp(-beta * de):
+                state, e_here = candidate, e_there
+                accepted += 1
+        energies.append(e_here)
+    return state, energies, accepted
 
 
 def simulated_annealing(model, t0, mu, tmin, inner_steps, rng):
@@ -411,8 +441,8 @@ def simulated_annealing(model, t0, mu, tmin, inner_steps, rng):
     t = t0
     with _move_source(model, rng) as draws:
         while t >= tmin:
-            state, e_here, _ = _metropolis(model, 1.0 / t, inner_steps, draws,
-                                           state, e_here)
+            state, (e_here,), _ = _metropolis(model, 1.0 / t, inner_steps,
+                                              draws, state, e_here)
             t *= mu
     return int(state)
 
@@ -446,12 +476,11 @@ def telescoping_partition_estimate(model, betas, samples_per_level, rng,
     e_here = model.energy(state)
     with _move_source(model, rng) as draws:
         for b_here, b_next in zip(betas[:-1], betas[1:]):
-            db = b_next - b_here
-            total = 0.0
-            for _ in range(samples_per_level):
-                state, e_here, _ = _metropolis(model, b_here, thin_steps, draws,
-                                               state, e_here)
-                total += math.exp(-db * e_here)
+            state, energies, _ = _metropolis(model, b_here, thin_steps, draws,
+                                             state, e_here, samples_per_level)
+            e_here, db, total = energies[-1], b_next - b_here, 0.0
+            for e in energies:  # in order: sum() compensates from 3.12 on
+                total += math.exp(-db * e)
             level_means.append(total / samples_per_level)
     z_hat = model.num_states * float(np.prod(level_means))
     return TelescopingResult(z_hat, level_means, min(level_means))

@@ -3,10 +3,13 @@ algorithms."""
 
 import dataclasses
 import math
+import types
 
 import numpy as np
 import pytest
 from helpers import metropolis_chain
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from walklab import classical as cl
 from walklab import graphs
@@ -499,11 +502,11 @@ def fast_only(monkeypatch):
 
 
 def fast_and_generic(bits, energy, beta, seed, calls, prior=0):
-    """Run ``calls`` (start, steps) segments of Metropolis on the bit-flip
-    model and on the same model with a plain ``propose``, each on a
-    Generator seeded alike after ``prior`` integers draws: the bit-flip one
-    in one replay, the plain one on the Generator's own draws.  Returns the
-    two lists of results and the two Generators."""
+    """Run ``calls`` (start, steps) or (start, steps, samples) segments of
+    Metropolis on the bit-flip model and on the same model with a plain
+    ``propose``, each on a Generator seeded alike after ``prior`` integers
+    draws: the bit-flip one in one replay, the plain one on the Generator's
+    own draws.  Returns the two lists of results and the two Generators."""
     fast = cl.EnergyModel.bit_flip(bits, energy)
     generic = dataclasses.replace(
         fast, propose=lambda s, r: s ^ (1 << int(r.integers(bits))))
@@ -514,9 +517,9 @@ def fast_and_generic(bits, energy, beta, seed, calls, prior=0):
             rng.integers(5)
         results = []
         with cl._move_source(model, rng) as draws:
-            for start, steps in calls:
+            for start, steps, *samples in calls:
                 results.append(cl._metropolis(model, beta, steps, draws,
-                                              start, energy(start)))
+                                              start, energy(start), *samples))
         out.append((results, rng))
     (fast_results, fast_rng), (generic_results, generic_rng) = out
     return fast_results, generic_results, fast_rng, generic_rng
@@ -553,6 +556,173 @@ def test_bit_flip_moves_match_across_refills(fast_only):
     assert repr(fast) == repr(generic)
     assert sum(accepted for _, _, accepted in fast) > 5000
     assert_same_stream(rng, twin)
+
+
+@pytest.mark.parametrize("bits", [63, 64, 70])
+def test_bit_flip_moves_match_at_wide_widths(fast_only, bits):
+    """Bit indices of 63 and up flip bits no 64-bit mask could hold."""
+    fast, generic, rng, twin = fast_and_generic(
+        bits, rough_energy, 0.3, 5, [(2 ** bits - 1, 300), (12345, 50, 4)],
+        prior=1)
+    assert repr(fast) == repr(generic)
+    assert (fast[0][0] ^ 2 ** bits - 1) >> bits - 1 == 1  # the top bit moved
+    assert_same_stream(rng, twin)
+
+
+def test_rounds_run_on_from_each_other(fast_only):
+    """``samples`` rounds in one call are the rounds of as many calls."""
+    for model in (cl.EnergyModel.bit_flip(6, rough_energy),
+                  cl.EnergyModel(64, rough_energy,
+                                 lambda s, r: s ^ (1 << int(r.integers(6))))):
+        rng, twin = np.random.default_rng(9), np.random.default_rng(9)
+        with cl._move_source(model, rng) as draws:
+            got = cl._metropolis(model, 0.8, 7, draws, 5, rough_energy(5), 30)
+        state, energies, accepted = 5, [], 0
+        with cl._move_source(model, twin) as draws:
+            for _ in range(30):
+                state, (e_here,), moved = cl._metropolis(
+                    model, 0.8, 7, draws, state, rough_energy(state))
+                energies.append(e_here)
+                accepted += moved
+        assert repr(got) == repr((state, energies, accepted))
+        assert_same_stream(rng, twin)
+
+
+def test_telescoping_levels_match_the_generic_loop(fast_only):
+    betas = [0.0, 0.3, 0.9, 2.0]
+    fast = cl.EnergyModel.bit_flip(7, rough_energy)
+    generic = dataclasses.replace(
+        fast, propose=lambda s, r: s ^ (1 << int(r.integers(7))))
+    rng, twin = np.random.default_rng(12), np.random.default_rng(12)
+    got = cl.telescoping_partition_estimate(fast, betas, 300, rng, 3)
+    want = cl.telescoping_partition_estimate(generic, betas, 300, twin, 3)
+    assert repr(got) == repr(want)
+    assert_same_stream(rng, twin)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(bits=st.integers(1, 70),
+       beta=st.sampled_from([0.0, math.inf]) | st.floats(0.0, 5.0),
+       seed=st.integers(0, 2 ** 64 - 1), prior=st.integers(0, 3),
+       energy=st.sampled_from([rough_energy, plateau_energy, odd_energy]),
+       segments=st.lists(st.tuples(st.integers(0, 2 ** 70), st.integers(0, 60),
+                                   st.integers(0, 8)), min_size=1, max_size=6))
+def test_replay_matches_the_generic_loop_for_any_segments(
+        fast_only, bits, beta, seed, prior, energy, segments):
+    """Any width, temperature, seed, half-word buffered or not, and any
+    run of segments, 0-step and 0-round ones included."""
+    calls = [(start % 2 ** bits, steps, samples)
+             for start, steps, samples in segments]
+    fast, generic, rng, twin = fast_and_generic(bits, energy, beta, seed,
+                                                calls, prior)
+    assert repr(fast) == repr(generic)
+    assert_same_stream(rng, twin)
+
+
+class CraftedBits:
+    """A stand-in for PCG64 that hands out ``words`` in order, and keeps
+    the state fields ``_Draws`` reads and restores, with ``used`` for the
+    stream position."""
+
+    def __init__(self, words, has, half):
+        self.words = words
+        self.state = {"has_uint32": has, "uinteger": half, "used": 0}
+
+    @property
+    def state(self):
+        return dict(self._state)
+
+    @state.setter
+    def state(self, value):
+        self._state = dict(value)
+
+    def random_raw(self, size):
+        start = self._state["used"]
+        self._state["used"] += size
+        assert start + size <= len(self.words), "ran out of crafted words"
+        return np.array(self.words[start:start + size], dtype=np.uint64)
+
+    def advance(self, delta):
+        self._state["used"] += delta
+
+
+def rejected_halves(k):
+    """The 32-bit halves x whose product x k Lemire rejects: low 32 bits
+    below 2^32 mod k.  Any such x is the ceiling of q 2^32 / k for some q."""
+    threshold = 2 ** 32 % k
+    return [x for x in {-(-q * 2 ** 32 // k) for q in range(k)}
+            if x * k % 2 ** 32 < threshold]
+
+
+def plain_moves(words, has, half, bits, energy, beta, steps, samples, state):
+    """Metropolis on numpy's bounded draw, written out on ``words``:
+    next_uint32 with its buffered half, Lemire's rejection as numpy writes
+    it, and next_double.  Returns the result, the words used, the final
+    (has, half) and the number of rejected halves."""
+    pos = rejected = accepted = 0
+    e_here, energies = energy(state), []
+
+    def uint32():
+        nonlocal pos, has, half
+        if has:
+            has = 0
+            return half
+        word, pos, has = words[pos], pos + 1, 1
+        half = word >> 32
+        return word & 0xFFFFFFFF
+
+    for _ in range(samples):
+        for _ in range(steps):
+            b = 0
+            if bits > 1:
+                m = uint32() * bits
+                if m & 0xFFFFFFFF < bits:
+                    while m & 0xFFFFFFFF < (2 ** 32 - bits) % bits:
+                        rejected += 1
+                        m = uint32() * bits
+                b = m >> 32
+            candidate = state ^ (1 << b)
+            e_there = energy(candidate)
+            de = e_there - e_here
+            if not de <= 0.0:
+                word, pos = words[pos], pos + 1
+                if not (word >> 11) * 2.0 ** -53 < math.exp(-beta * de):
+                    continue
+            state, e_here = candidate, e_there
+            accepted += 1
+        energies.append(e_here)
+    return (state, energies, accepted), pos, has, half, rejected
+
+
+@pytest.mark.parametrize("bits", [3, 5, 10, 100])
+@pytest.mark.parametrize("has, half", [(0, 0), (0, 7), (1, 0), (1, 2 ** 31)])
+def test_bit_flip_moves_take_lemire_rejections(fast_only, bits, has, half):
+    """Words whose halves Lemire rejects, fed through a crafted bit
+    generator across block refills, give the plain reference's moves,
+    stream position and buffered half.  A half of 0 is rejected at every
+    width that does not divide 2^32."""
+    pick = np.random.default_rng(bits)
+    bad = rejected_halves(bits)
+    words = []
+    for _ in range(64 + 128 + 384 + 1152):  # _Draws's first four blocks
+        low, high = (int(x) for x in pick.integers(2 ** 32, size=2))
+        if pick.random() < 0.3:
+            low = bad[pick.integers(len(bad))]
+        if pick.random() < 0.3:
+            high = bad[pick.integers(len(bad))]
+        words.append(high << 32 | low)
+    want, used, want_has, want_half, rejected = plain_moves(
+        words, has, half, bits, rough_energy, 0.5, 9, 60, 3)
+    assert 0 in bad and rejected > 50 and used > 64 + 128 + 384
+    bit_generator = CraftedBits(words, has, half)
+    model = cl.EnergyModel.bit_flip(bits, rough_energy)
+    draws = cl._Draws(types.SimpleNamespace(bit_generator=bit_generator))
+    got = cl._metropolis(model, 0.5, 9, draws, 3, rough_energy(3), 60)
+    draws.close()
+    assert repr(got) == repr(want)
+    assert bit_generator.state == {"has_uint32": want_has,
+                                   "uinteger": want_half, "used": used}
 
 
 @pytest.mark.parametrize("stop", [0, 1, 2, 57, 3000])
