@@ -247,15 +247,23 @@ class _BitFlip:
 
 
 class _Draws:
-    """A PCG64 Generator's draws replayed from its raw 64-bit words, which
-    it fetches in blocks: ``integers(k)`` for an int 1 <= k <= 2^32 reads a
-    block by index, and ``flip_moves`` reads it as ``_decode`` lays it out.
-
-    ``integers(k)`` is Lemire's multiply-and-reject (ACM TOMACS 29(1), 2019)
+    """A PCG64 Generator's draws replayed from its raw 64-bit words, fetched
+    in blocks of 64, 128, ... up to 4,096.  ``integers(k)``, for an int
+    1 <= k <= 2^32, is Lemire's multiply-and-reject (ACM TOMACS 29(1), 2019)
     on a 32-bit half-word: PCG64 hands out a word's low half and keeps the
-    high half (``has_uint32``/``uinteger``) for the next 32-bit request, and
-    k = 1 draws nothing.  ``close`` hands the stream back at the state the
-    same calls on the Generator would have left.  NEP 19 does not promise
+    high half (``has_uint32``/``uinteger``) for the next 32-bit request;
+    k = 1 draws nothing.  ``random()`` is (w >> 11) 2^-53 of a fresh word w.
+
+    ``_decode(k)`` lays a block out with numpy once per bound k: ``low[i]``
+    and ``high[i]`` are ``integers(k)`` of word i's low and high half, or -1
+    where Lemire rejects the half (the threshold 2^32 mod k is below k, so
+    it alone decides), ``uniform[i]`` is its ``random()``, and ``high[n]``
+    that of ``_half``, the half held when the block was fetched.  Both
+    readers, ``integers`` and ``flip_moves``, share one cursor
+    ``(i, j, has)``: the next word i, and the word j whose high half is
+    buffered, or with ``has`` 0 was last (numpy keeps it in ``uinteger``);
+    j = n is ``_half``.  ``close`` hands the stream back where the same
+    calls on the Generator would have left it.  NEP 19 does not promise
     these streams across numpy versions; the tests hold the replay against
     the installed numpy draw for draw.
     """
@@ -263,83 +271,67 @@ class _Draws:
     def __init__(self, rng):
         self._bits = rng.bit_generator
         self._saved = self._bits.state
-        self._has = self._saved["has_uint32"]
         self._half = self._saved["uinteger"]
-        self._fetched = self._pos = 0
-        self._block, self._raw, self._decoded = np.empty(0, np.uint64), [], None
+        self._cursor = 0, 0, self._saved["has_uint32"]
+        self._block, self._fetched, self._decoded = np.empty(0, np.uint64), 0, None
 
     def close(self):
-        bits = self._bits
+        (i, j, has), block, bits = self._cursor, self._block, self._bits
+        if j < len(block):
+            self._half = int(block[j]) >> 32
         bits.state = self._saved
-        bits.advance(self._fetched - len(self._block) + self._pos)
+        bits.advance(self._fetched - len(block) + i)
         state = bits.state
-        state["has_uint32"], state["uinteger"] = self._has, self._half
+        state["has_uint32"], state["uinteger"] = has, self._half
         bits.state = state
 
-    def _refill(self):
-        block = min(2 * self._fetched or 64, 4096)
-        self._fetched += block
-        self._block = self._bits.random_raw(block)
-        self._raw, self._pos, self._decoded = [], 0, None
+    def _decode(self, k, spent=None):
+        """``(k, low, high, uniform, n)``: the block laid out as above for
+        the bound k.  Given ``spent``, the word j when the block ran out, it
+        first holds that word's high half and fetches the next block."""
+        if spent is not None:
+            if spent < len(self._block):
+                self._half = int(self._block[spent]) >> 32
+            size = min(2 * self._fetched or 64, 4096)
+            self._fetched += size
+            self._block, self._decoded = self._bits.random_raw(size), None
+        if self._decoded is None or self._decoded[0] != k:
+            w = self._block
+            m = np.concatenate((w & 0xFFFFFFFF, w >> 32,
+                                [np.uint64(self._half)])) * np.uint64(k)
+            index = np.where(m & 0xFFFFFFFF >= (1 << 32) % k,
+                             (m >> 32).astype(np.int64), -1).tolist()
+            uniform = ((w >> 11).astype(float) * 2.0 ** -53).tolist()
+            self._decoded = k, index[:len(w)], index[len(w):], uniform, len(w)
+        return self._decoded
 
     def integers(self, k):
         if type(k) is not int or not 0 < k <= 1 << 32:
             raise ValueError("the replay draws integers(k) for an int "
                              f"1 <= k <= 2^32, not {k!r}")
+        _, low, high, _, n = self._decode(k)
+        (i, j, has), b = self._cursor, 0
         while k > 1:
-            if self._has:
-                self._has = 0
-                x = self._half
+            if has:
+                has = 0
+                b = high[j]
             else:
-                try:
-                    w = self._raw[self._pos]
-                except IndexError:  # spent, or not yet read as a list
-                    if self._pos == len(self._block):
-                        self._refill()
-                    self._raw = self._block.tolist()
-                    w = self._raw[self._pos]
-                self._pos += 1
-                self._has = 1
-                self._half = w >> 32
-                x = w & 0xFFFFFFFF
-            m = x * k
-            low = m & 0xFFFFFFFF
-            if low >= k or low >= (1 << 32) % k:
-                return m >> 32
-        return 0
-
-    def _decode(self, bits, spent=None):
-        """The block as ``flip_moves`` reads it, decoded with numpy once per
-        block: each word's ``integers(bits)`` on its low and on its high half,
-        as a bit index or -1 where Lemire rejects the half (the threshold is
-        below ``bits``, so it alone decides), and its uniform (w >> 11) 2^-53;
-        the high list ends with the buffered half's index.  Given ``spent``,
-        it first buffers that word's high half and fetches the next block."""
-        if spent is not None:
-            if spent < len(self._block):
-                self._half = int(self._block[spent]) >> 32
-            self._refill()
-        if self._decoded is None or self._decoded[0] != bits:
-            w, threshold = self._block, (1 << 32) % bits
-            m = np.stack((w & 0xFFFFFFFF, w >> 32)) * np.uint64(bits)
-            low, high = np.where(m & 0xFFFFFFFF >= threshold,
-                                 (m >> 32).astype(np.int64), -1).tolist()
-            self._decoded = (bits, threshold, low, high + [-1],
-                             ((w >> 11).astype(float) * 2.0 ** -53).tolist())
-        _, threshold, low, high, uniform = self._decoded
-        m = self._half * bits
-        high[-1] = m >> 32 if m & 0xFFFFFFFF >= threshold else -1
-        return low, high, uniform, len(uniform)
+                if i == n:
+                    _, low, high, _, n = self._decode(k, j)
+                    i = 0
+                b, j, has = low[i], i, 1
+                i += 1
+            if b >= 0:
+                break
+        self._cursor = i, j, has
+        return b
 
     def flip_moves(self, bits, energy, beta, steps, samples, state, e_here):
         """``_metropolis`` for ``EnergyModel.bit_flip(bits, energy)``: each
-        move is ``integers(bits)`` above, the flip, and for an uphill or NaN
-        ``de`` the Generator's ``random()`` of a fresh word, all read off
-        the ``_decode``d block, with ``energy`` the only call.  ``j`` is the
-        word whose high half is buffered (or, with ``has`` 0, was last
-        buffered, which numpy keeps in ``uinteger``), ``i`` the next word."""
-        low, high, uniform, n = self._decode(bits)
-        i, j, has, exp, wide = self._pos, n, self._has, math.exp, bits > 1
+        move is the draw loop of ``integers(bits)``, the flip, and for an
+        uphill or NaN ``de`` a ``random()``, with ``energy`` the only call."""
+        _, low, high, uniform, n = self._decode(bits)
+        (i, j, has), exp, wide = self._cursor, math.exp, bits > 1
         b = accepted = 0  # integers(1) draws nothing and returns 0
         energies = []
         try:
@@ -351,7 +343,7 @@ class _Draws:
                             b = high[j]
                         else:
                             if i == n:
-                                low, high, uniform, n = self._decode(bits, j)
+                                _, low, high, uniform, n = self._decode(bits, j)
                                 i = 0
                             b, j, has = low[i], i, 1
                             i += 1
@@ -362,7 +354,7 @@ class _Draws:
                     de = e_there - e_here
                     if not de <= 0.0:
                         if i == n:
-                            low, high, uniform, n = self._decode(bits, j)
+                            _, low, high, uniform, n = self._decode(bits, j)
                             i, j = 0, n
                         i += 1
                         if not uniform[i - 1] < exp(-beta * de):
@@ -371,24 +363,16 @@ class _Draws:
                     accepted += 1
                 energies.append(e_here)
         finally:
-            self._pos, self._has = i, has
-            if j < n:
-                self._half = int(self._block[j]) >> 32
+            self._cursor = i, j, has
         return state, energies, accepted
 
 
-@contextlib.contextmanager
 def _draws(rng):
     """``rng`` as the draw source of one sampling call: a ``_Draws`` for
-    PCG64, handed back on every exit, and the Generator itself otherwise."""
-    if type(rng.bit_generator) is not np.random.PCG64:
-        yield rng
-        return
-    draws = _Draws(rng)
-    try:
-        yield draws
-    finally:
-        draws.close()
+    PCG64, closed on every exit, and the Generator itself otherwise."""
+    if type(rng.bit_generator) is np.random.PCG64:
+        return contextlib.closing(_Draws(rng))
+    return contextlib.nullcontext(rng)
 
 
 def _move_source(model, rng):

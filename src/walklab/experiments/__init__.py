@@ -79,6 +79,10 @@ SZEGEDY_MAX_VERTICES = 128
 DECOHERENCE_MAX_BYTES = 2 ** 24
 _DECOHERENCE_MAX_M = (math.isqrt(DECOHERENCE_MAX_BYTES // 16) - 10) // 4
 
+# Largest glued-trees phase table, points x nodes x 16 B in linalg.evolve_many:
+# cycle n = 1000 at 2097 points, the most accepted, takes 1.8 s and 378 MB RSS.
+GLUED_TREES_MAX_BYTES = 2 ** 26
+
 # Most operator applications fixed-point accepts at its deepest level, which
 # applies the oracle and the uniform-state phase (3^levels - 1)/2 times each.
 # At n = 8 one costs about 7.6 us (level 9 in 0.15 s), so the deepest accepted
@@ -525,10 +529,16 @@ def _subset_find(p, seed):
     prop = lambda pairs: len({v for _, v in pairs}) == 1
     auto = subset.subset_walk_run(p["n"], p["q"], p["k"], f, prop)
     walk = auto.walk
-    success, queries = [], []
+    success, queries, drift = [], [], 0.0
     for state in walk.runs(auto.tau1, 2 * auto.tau2 + 2):
         success.append(walk.success(state))
         queries.append(walk.queries)
+        drift = max(drift, abs(float(np.linalg.norm(state)) - 1.0))
+    # every step is unitary: worst drift 1.0e-14 at n = 14, over all q and k
+    trace.check("norm drift", drift, 5e-12)
+    # q queries load the data register, then one per shift, 2 tau1 per round
+    trace.check("query ledger q + 2 tau1 t2", max(abs(
+        x - p["q"] - 2 * auto.tau1 * t2) for t2, x in enumerate(queries)), 0)
     return (["tau1", "tau2", "success", "queries"],
             ([auto.tau1] * len(success), range(len(success)), success,
              queries),
@@ -620,8 +630,7 @@ def _ctqw_hypercube(p, seed):
     "glued-trees",
     "Traversal of a glued-trees graph through its column-line reduction.",
     {"kind": Param("str", "plain", "plain or cycle"),
-     # the line is evolved densely: n = 1000 takes 1.43 s and 248 MB, and
-     # n = 10^4 would ask for gigabytes
+     # the line is evolved densely: n = 1000 takes 1.1 s and 215 MB at 201 points
      "n": Param("int", 4, "tree depth", lo=2, hi=1000),
      "t_max": Param("float", 0.0, "largest time; 0 means 4n", lo=0.0),
      "points": Param("int", 201, "time samples", lo=2, hi=10 ** 5)},
@@ -629,6 +638,9 @@ def _ctqw_hypercube(p, seed):
 def _glued_trees(p, seed):
     times = _time_grid(p, 4.0 * p["n"])
     red = ctqw.glued_trees_reduce(p["kind"], p["n"], seed=seed)
+    if 16 * p["points"] * red.line.nodes > GLUED_TREES_MAX_BYTES:
+        raise ValueError(f"{p['points']} points on {red.line.nodes} nodes pass "
+                         f"the {GLUED_TREES_MAX_BYTES}-byte phase table limit")
     psi0 = np.eye(red.line.nodes)[0]
     states = linalg.evolve_many(red.line.hamiltonian().matrix, times, psi0)
     if red.equivalence_error is not None:
@@ -715,8 +727,9 @@ def _nand(p, seed):
     needs_seed=True,
 )
 def _mcmc_partition(p, seed):
+    # ungated: stochastic, from a warm-started chain, not independent Gibbs draws
     bits = p["bits"]
-    model = classical.EnergyModel.bit_flip(bits, lambda s: float(s.bit_count()))
+    model = classical.EnergyModel.bit_flip(bits, int.bit_count)
     betas = np.linspace(0.0, p["beta_max"], p["levels"] + 1)
     res = classical.telescoping_partition_estimate(
         model, betas, p["samples"], np.random.default_rng(seed))
@@ -745,6 +758,7 @@ def _mcmc_partition(p, seed):
     needs_seed=True,
 )
 def _annealing(p, seed):
+    # ungated: stochastic, and where an anneal ends has no exact form to meet
     if not 0 < p["tmin"] <= p["t0"]:
         raise ValueError(f"annealing needs 0 < tmin <= t0, got "
                          f"t0={p['t0']} and tmin={p['tmin']}")

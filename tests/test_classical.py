@@ -506,7 +506,9 @@ def fast_and_generic(bits, energy, beta, seed, calls, prior=0):
     Metropolis on the bit-flip model and on the same model with a plain
     ``propose``, each on a Generator seeded alike after ``prior`` integers
     draws: the bit-flip one in one replay, the plain one on the Generator's
-    own draws.  Returns the two lists of results and the two Generators."""
+    own draws.  A call that is an int k draws ``integers(k)`` from the same
+    source instead.  Returns the two lists of results and the two
+    Generators."""
     fast = cl.EnergyModel.bit_flip(bits, energy)
     generic = dataclasses.replace(
         fast, propose=lambda s, r: s ^ (1 << int(r.integers(bits))))
@@ -517,7 +519,11 @@ def fast_and_generic(bits, energy, beta, seed, calls, prior=0):
             rng.integers(5)
         results = []
         with cl._move_source(model, rng) as draws:
-            for start, steps, *samples in calls:
+            for call in calls:
+                if type(call) is int:
+                    results.append(int(draws.integers(call)))
+                    continue
+                start, steps, *samples = call
                 results.append(cl._metropolis(model, beta, steps, draws,
                                               start, energy(start), *samples))
         out.append((results, rng))
@@ -606,14 +612,19 @@ def test_telescoping_levels_match_the_generic_loop(fast_only):
        beta=st.sampled_from([0.0, math.inf]) | st.floats(0.0, 5.0),
        seed=st.integers(0, 2 ** 64 - 1), prior=st.integers(0, 3),
        energy=st.sampled_from([rough_energy, plateau_energy, odd_energy]),
-       segments=st.lists(st.tuples(st.integers(0, 2 ** 70), st.integers(0, 60),
+       segments=st.lists(st.tuples(st.lists(st.sampled_from(REPLAY_BOUNDS),
+                                            max_size=3),
+                                   st.integers(0, 2 ** 70), st.integers(0, 60),
                                    st.integers(0, 8)), min_size=1, max_size=6))
 def test_replay_matches_the_generic_loop_for_any_segments(
         fast_only, bits, beta, seed, prior, energy, segments):
     """Any width, temperature, seed, half-word buffered or not, and any
-    run of segments, 0-step and 0-round ones included."""
-    calls = [(start % 2 ** bits, steps, samples)
-             for start, steps, samples in segments]
+    run of segments, 0-step and 0-round ones included, with integers(k)
+    draws on the same replay before each segment: the two read one
+    cursor, and a bound unlike the width decodes the block anew."""
+    calls = []
+    for bounds, start, steps, samples in segments:
+        calls += bounds + [(start % 2 ** bits, steps, samples)]
     fast, generic, rng, twin = fast_and_generic(bits, energy, beta, seed,
                                                 calls, prior)
     assert repr(fast) == repr(generic)

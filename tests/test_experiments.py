@@ -199,6 +199,34 @@ class TestExitCodes:
             assert run(spec) == 2, deep
         assert not list(tmp_path.iterdir())
 
+    def test_oversized_glued_trees_table_refused_before_it_is_built(
+            self, tmp_path, monkeypatch, capsys):
+        evolve_many = experiments.linalg.evolve_many
+
+        def guarded(h, times, psi):
+            table = 16 * len(times) * len(psi)
+            assert table <= experiments.GLUED_TREES_MAX_BYTES, "table built"
+            return evolve_many(h, times, psi)
+
+        monkeypatch.setattr(experiments.linalg, "evolve_many", guarded)
+        # n = 1000 with 10^5 points once asked numpy for 2.98 GiB
+        spec = ExperimentSpec("glued-trees", {"n": "1000", "points": "100000"},
+                              None, str(tmp_path))
+        assert run(spec) == 2
+        assert "100000 points on 1999 nodes pass" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+        # the largest request the limit's comment times is just inside it
+        limit = experiments.GLUED_TREES_MAX_BYTES
+        assert 16 * 2097 * 2000 <= limit < 16 * 2098 * 2000
+        # both sides of a lowered limit: plain n = 4 has 7 nodes, cycle 8
+        monkeypatch.setattr(experiments, "GLUED_TREES_MAX_BYTES", 16 * 201 * 7)
+        for kind, points, status in [("plain", 201, 0), ("plain", 202, 2),
+                                     ("cycle", 175, 0), ("cycle", 176, 2)]:
+            spec = ExperimentSpec("glued-trees",
+                                  {"kind": kind, "points": str(points)},
+                                  None, str(tmp_path))
+            assert run(spec) == status, (kind, points)
+
     def test_declared_ranges_refused_before_the_run(self, tmp_path,
                                                      monkeypatch, capsys):
         def refuse(params, seed):
@@ -382,6 +410,21 @@ class TestExitCodes:
         spec = ExperimentSpec("decoherence-sweep", {}, None, str(tmp_path))
         assert run(spec) == 3
         assert "pure walk at unitarity 1 off by" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    # the shift's query left off the ledger, and a coin that leaks norm
+    @pytest.mark.parametrize("method, off, label", [
+        ("shift", lambda shift: lambda self, state: state[self._reverse],
+         "query ledger q + 2 tau1 t2"),
+        ("coin", lambda coin: lambda self, state: coin(self, state) * (1 + 1e-9),
+         "norm drift"),
+    ], ids=["ledger", "drift"])
+    def test_subset_find_gates_exit_3(self, tmp_path, monkeypatch, capsys,
+                                      method, off, label):
+        walk = experiments.subset.SubsetWalk
+        monkeypatch.setattr(walk, method, off(getattr(walk, method)))
+        assert run(ExperimentSpec("subset-find", {}, 1, str(tmp_path))) == 3
+        assert f"{label} off by" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
     def test_grover_plane_leakage_exits_3(self, tmp_path, monkeypatch,

@@ -13,11 +13,12 @@ own draws shows here.
 """
 
 import importlib.util
+import math
 from pathlib import Path
 
 import pytest
 
-from walklab import experiments
+from walklab import experiments, trace
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -39,6 +40,14 @@ SEEDED = sorted(key for key in REFERENCE.texts
                                    "nand-s")))
 
 
+# the experiments whose default run passes no finite-budget check besides
+# the runner's non-finite cells: the two samplers are stochastic, and the
+# others still wait for an exact form to hold their output to
+UNGATED = {"annealing", "complete-graph-search", "cost-table",
+           "entropy-series", "fixed-point", "hitting", "mcmc-partition",
+           "star-search"}
+
+
 @pytest.fixture(scope="module")
 def checker():
     return check.RunChecker(REFERENCE)
@@ -46,16 +55,29 @@ def checker():
 
 @pytest.mark.parametrize("index", range(len(DEFAULTS)),
                          ids=[label for label, _, _ in DEFAULTS])
-def test_default_run_matches_reference(tmp_path, checker, index):
+def test_default_run_matches_reference(tmp_path, monkeypatch, checker,
+                                       index):
+    """The run matches its reference, and it passes a finite-budget check
+    besides the runner's non-finite cells exactly when it is not in
+    UNGATED."""
     label, name, params = DEFAULTS[index]
     seed = (workloads.run_seed(0, index)
             if experiments.catalog()[name].needs_seed else None)
+    gates, original = [], trace.check
+
+    def spy(what, value, budget):
+        if math.isfinite(budget) and not what.startswith("non-finite cells"):
+            gates.append(what)
+        return original(what, value, budget)
+
+    monkeypatch.setattr(trace, "check", spy)
     status = experiments.run(
         experiments.ExperimentSpec(name, params, seed, str(tmp_path)))
     stem = tmp_path / (name if seed is None else f"{name}-s{seed}")
     reason = checker.check(label, seed, status, stem.with_suffix(".csv"),
                            stem.with_suffix(".json"))
     assert reason is None, reason
+    assert (name in UNGATED) == (not gates), gates
 
 
 @pytest.mark.parametrize("key", SEEDED)
