@@ -4,10 +4,9 @@ A walk operator couples a position register (vertices of a regular graph)
 with a coin register (one direction per edge color).  One step throws the
 coin at every vertex, then shifts along the colored edges.  States are
 arrays of shape (vertices, coin dimension) that keep the dtype of coin and
-start: a real coin on a real start state walks in real arithmetic.  On a
-cycle a walk steps only inside its light cone, the sites its start state
-can reach, since a walker moves at most one site per step; so does a
-density matrix under decoherence.
+start: a real coin on a real start state walks in real arithmetic.  A
+density matrix under decoherence steps only on the sites its start can
+reach, since a walker moves at most one site per step.
 
 Besides plain evolution the module covers the limit theory of these walks
 (limiting distribution, mixing and hitting times), the stationary-phase
@@ -137,16 +136,16 @@ class CoinedWalkOperator:
     The directions are the graph's canonical ``graphs.color_edges``, which
     checks that every color is a permutation on the edge set.  The coin
     may be a single ``Coin`` shared by every vertex or a sequence with one
-    ``Coin`` per vertex.  The walk unitary is applied structurally: one
-    coin product on k consecutive rows of a state, then the shift.
-    ``step`` runs it on whole states of shape (..., n, d), leading axes
-    being a batch that steps together, shifting by one gather through the
-    color permutations; on a cycle it can run on one state inside a window
-    of rows, where each color shifts by one slice copy.
+    ``Coin`` per vertex.  The walk unitary is applied structurally:
+    ``step`` runs the coin on every row of a state of shape (..., n, d),
+    leading axes being a batch that steps together, then the shift.  On a
+    cycle each color moves every vertex one site the same way, so the
+    shift is one slice copy per color and one for its wrap row; on any
+    other graph it is one gather through the color permutations.
     ``decohere_evolve`` runs the coin on both sides of a density matrix:
     on a cycle with one coin, over the parity sublattice its start occupies
     while that light cone fits the cycle, each color shifting by one row or
-    none; otherwise through the gather kernel on the whole matrix.
+    none; otherwise through ``step`` on the whole matrix.
     ``dense`` materializes the matrix for spectral work; it
     is built independently of the kernel and serves as its check.
     ``dtype`` is the coins' dtype: a real coin keeps real states real.
@@ -163,6 +162,9 @@ class CoinedWalkOperator:
         nd = self.n * self.d
         self._source = np.empty(nd, dtype=np.intp)
         self._source[(nxt * self.d + np.arange(self.d)).ravel()] = np.arange(nd)
+        # on a cycle, the color that moves every vertex v to v + 1
+        self._right = (int(nxt[0, 1] == 1) if graph.family == "cycle"
+                       else None)
         if isinstance(coins, Coin):
             if coins.d != self.d:
                 raise ValueError("coin dimension does not match the coloring")
@@ -179,59 +181,27 @@ class CoinedWalkOperator:
         self.dtype = (self._coins if self._coins is not None
                       else self._coin_t).dtype
 
-    def step(self, state, window=None):
+    def step(self, state):
         """One application of the walk unitary to a state of shape
-        (..., n, d); leading axes are a batch that steps independently.
-
-        ``window=(lo, hi)`` says that the rows of one (n, d) state on a
-        cycle vanish outside lo <= v < hi, where 1 <= lo and hi <= n - 1.
-        The coin then acts on rows lo-1..hi alone, whose two end rows are
-        zero, each color shifts them by one slice copy, and every other row
-        of the result is zero.  The result equals, bit for bit, the gather
-        kernel's on those rows, except that at a window touching the wrap
-        an end row's emptied entry is its own coined zero, where the gather
-        clipped a source wrapping round to the far end row's.
-        """
-        if window is None:
-            return self._coin_shift(state, 0)
-        lo, hi = window
-        if not (self.graph.family == "cycle" and state.ndim == 2
-                and 1 <= lo < hi <= self.n - 1):
-            raise ValueError(f"window {window} does not fit a state "
-                             "on this operator")
-        mixed = self._coin(state[lo - 1:hi + 1], lo - 1)
-        out = np.zeros(state.shape, mixed.dtype)
-        rows = out[lo - 1:hi + 1]
-        rows[...] = mixed
-        # each color moves every row one site up or down; the end row it
-        # leaves keeps its own coined entry, a zero
-        for c, target in enumerate(self.coloring.next_vertex[lo].tolist()):
-            if target == lo + 1:
-                rows[1:, c] = mixed[:-1, c]
-            else:
-                rows[:-1, c] = mixed[1:, c]
+        (..., n, d); leading axes are a batch that steps independently."""
+        mixed = self._coin(state)
+        if self._right is None:
+            flat = mixed.reshape(-1, self.n * self.d)
+            return flat.take(self._source, axis=-1).reshape(mixed.shape)
+        up, down = self._right, 1 - self._right
+        out = np.empty_like(mixed)
+        out[..., 1:, up] = mixed[..., :-1, up]
+        out[..., 0, up] = mixed[..., -1, up]
+        out[..., :-1, down] = mixed[..., 1:, down]
+        out[..., -1, down] = mixed[..., 0, down]
         return out
 
-    def _coin(self, part, start):
-        """The coin on the k consecutive rows from ``start`` of a state,
-        given as ``part`` of shape (..., k, d)."""
+    def _coin(self, part):
+        """The coin on the rows of ``part``, of shape (..., k, d): the shared
+        coin on any k rows, or one coin per vertex on all k = n of them."""
         if self._coin_t is not None:
             return (part.reshape(-1, self.d) @ self._coin_t).reshape(part.shape)
-        k = part.shape[-2]
-        return np.einsum("vcd,...vd->...vc", self._coins[start:start + k], part)
-
-    def _coin_shift(self, part, start):
-        """The gather kernel: the walk on the k consecutive rows from
-        ``start`` of a state, given as ``part`` of shape (..., k, d), as
-        ``_coin`` on every row, then the shift as one gather.  Unless k = n,
-        a source outside the k rows clips to the first or last of them, so
-        those two must be zero.  The result is returned.
-        """
-        k = part.shape[-2]
-        flat = self._coin(part, start).reshape(-1, k * self.d)
-        first = start * self.d
-        source = self._source[first:first + k * self.d] - first
-        return flat.take(source, axis=-1, mode="clip").reshape(part.shape)
+        return np.einsum("vcd,...vd->...vc", self._coins, part)
 
     def dense(self):
         """The step operator as an (n d) x (n d) matrix, basis v*d + c."""
@@ -280,40 +250,14 @@ def line_start(op, q=1.0, sigma=0.0):
 
 
 def walk_states(op, psi0, m):
-    """The states after 0, 1, ..., m steps of the walk, one at a time.
-
-    On a cycle the steps run inside the light cone: the rows that hold the
-    support of psi0, grown by one site on each side per step, for as long
-    as that range fits inside the cycle without wrapping.
-    """
+    """The states after 0, 1, ..., m steps of the walk, one at a time."""
     if m < 0:
         raise ValueError("step count must be nonnegative")
     psi = op.check_state(psi0)
-    sites = _support_sites(op, psi.any(axis=1))
     yield psi
     for _ in range(m):
-        window, sites = _light_cone_step(op, *sites)
-        psi = op.step(psi, window)
+        psi = op.step(psi)
         yield psi
-
-
-def _support_sites(op, occupied):
-    """The site range [lo, hi) that holds every occupied vertex on a cycle,
-    and all n vertices on any other graph or when none is occupied."""
-    sites = np.flatnonzero(occupied)
-    if op.graph.family == "cycle" and sites.size:
-        return int(sites[0]), int(sites[-1]) + 1
-    return 0, op.n
-
-
-def _light_cone_step(op, lo, hi):
-    """The window of one step from the sites [lo, hi), and the sites the
-    step can reach: while [lo, hi) leaves a site free on either side, the
-    step runs inside it and reaches one site further each way; otherwise it
-    runs on, and reaches, all n vertices."""
-    if 1 <= lo and hi <= op.n - 1:
-        return (lo, hi), (lo - 1, hi + 1)
-    return None, (0, op.n)
 
 
 def walk_run(op, psi0, m):
@@ -586,8 +530,8 @@ def absorbing_line_quantum(m_max):
     # the operator supplies the coin and which color moves a walker left,
     # toward the wall; the sites themselves live in psi
     op = CoinedWalkOperator(_graphs.cycle(3), coin("hadamard"))
-    left = int(op.coloring.next_vertex[1, 1] == 0)
-    right = 1 - left
+    right = op._right
+    left = 1 - right
     psi = np.zeros((m_max // 2 + 3, 2))
     psi[0, 0] = 1.0
     per_step = np.zeros(m_max + 1)
@@ -595,7 +539,7 @@ def absorbing_line_quantum(m_max):
     remaining = 0.0
     par, k = 1, 1
     for step in range(1, m_max + 1):
-        mixed = op._coin(psi[:k], 0)
+        mixed = op._coin(psi[:k])
         if par:
             psi[1:k + 1, right] = mixed[:, right]
             psi[:k, left] = mixed[:, left]
@@ -658,10 +602,9 @@ def decohere_evolve(op, p, projectors, rho0, m):
     lo - t + 2j, one row longer after every step: each half of the
     conjugation runs ``_coin`` on the k rows of one index, then
     ``_grow_rows`` shifts them.  Otherwise the whole matrix steps through
-    the gather kernel ``_coin_shift``, bit for bit the same.  Real coins on
-    a real rho0 evolve in real arithmetic.  The result's trace is checked to
-    lie within 1e-9 of 1, as DensityState checks it, and its positivity on
-    its nonzero block.
+    ``step``, bit for bit the same.  Real coins on a real rho0 evolve in
+    real arithmetic.  The result's trace is checked to lie within 1e-9 of 1,
+    as DensityState checks it, and its positivity on its nonzero block.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError("unitarity rate must lie in [0, 1]")
@@ -686,13 +629,12 @@ def decohere_evolve(op, p, projectors, rho0, m):
         rows = slice(sites[0], sites[-1] + 1, 2)
         rho = rho[rows, :, rows]
         size = len(rho) + m
-        right = int(op.coloring.next_vertex[0, 1] == 1)
 
-        def advance(part, start):
-            return _grow_rows(op._coin(part, start), right)
+        def advance(part):
+            return _grow_rows(op._coin(part), op._right)
     else:
         size = n
-        advance = op._coin_shift
+        advance = op.step
     # the measurement factor depends on row differences only, so one built
     # at the last and largest block serves every block as its corner
     keep = np.ones((size, d, size, d))
@@ -704,8 +646,8 @@ def decohere_evolve(op, p, projectors, rho0, m):
     for _ in range(m):
         # conjugation by the step operator: U acts on the column index of
         # conj(rho) to give rho U^dagger, then on the row index
-        rho = advance(rho.conj(), 0).conj()
-        rho = advance(rho.transpose(2, 3, 0, 1), 0).transpose(2, 3, 0, 1)
+        rho = advance(rho.conj()).conj()
+        rho = advance(rho.transpose(2, 3, 0, 1)).transpose(2, 3, 0, 1)
         k = len(rho)
         rho = rho * factor[:k, :, :k]
     k = len(rho)

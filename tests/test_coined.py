@@ -113,23 +113,30 @@ def test_line_start_is_real_unless_the_down_amplitude_is_complex():
     assert cw.walk_run(op, psi, 4).dtype == complex
 
 
-def windowed_state(rng, n, lo, hi, dtype):
-    psi = np.zeros((n, 2), dtype=dtype)
-    psi[lo:hi] = rng.normal(size=(hi - lo, 2))
+def windowed_state(rng, n, lo, hi, dtype, batch=()):
+    """Normal entries on the rows [lo, hi), zeros elsewhere, unit norm per
+    state."""
+    psi = np.zeros(batch + (n, 2), dtype=dtype)
+    psi[..., lo:hi, :] = rng.normal(size=batch + (hi - lo, 2))
     if dtype is complex:
-        psi[lo:hi] += 1j * rng.normal(size=(hi - lo, 2))
-    return psi
+        psi[..., lo:hi, :] += 1j * rng.normal(size=batch + (hi - lo, 2))
+    return psi / np.linalg.norm(psi, axis=(-2, -1), keepdims=True)
 
 
-def gathered(op, psi, lo, hi):
-    """The gather kernel on rows lo-1..hi of psi, placed into zeros."""
-    out = np.zeros(psi.shape, np.promote_types(op.dtype, psi.dtype))
-    out[lo - 1:hi + 1] = op._coin_shift(psi[lo - 1:hi + 1], lo - 1)
+def gathered(op, psi):
+    """The coin on every row of psi, then the shift as a gather built from
+    the coloring: entry (v, c) comes from the vertex that color c moves
+    to v."""
+    mixed = op._coin(psi)
+    out = np.empty_like(mixed)
+    for c in range(op.d):
+        out[..., c] = mixed[..., np.argsort(op.coloring.next_vertex[:, c]), c]
     return out
 
 
 @pytest.mark.parametrize("kind", ["hadamard", "balanced", "per-vertex"])
 def test_windowed_step_equals_full_step(kind):
+    # the cycle's shift by slice copies equals the gather, bit for bit
     rng = np.random.default_rng(11)
     for n in (5, 12, 41):
         if kind == "per-vertex":
@@ -137,65 +144,60 @@ def test_windowed_step_equals_full_step(kind):
                 random_unitary_coin(rng, 2) for _ in range(n)])
         else:
             op = cycle_walk(n, kind)
-        # in the middle, wide, next to the wrap on either side, and full
-        # width
-        for lo, hi in [(n // 2, n // 2 + 2), (2, n - 2), (1, 3),
-                       (n - 3, n - 1), (1, n - 1)]:
+        # the color step moves up goes to v + 1 at every vertex, the other
+        # to v - 1
+        up = op._right
+        v = np.arange(n)
+        assert np.array_equal(op.coloring.next_vertex[:, up], (v + 1) % n)
+        assert np.array_equal(op.coloring.next_vertex[:, 1 - up], (v - 1) % n)
+        u = op.dense()
+        # in the middle, wide, on the wrap rows on either side, and full
+        # width; one state and a batch of three
+        for lo, hi in [(n // 2, n // 2 + 2), (2, n - 2), (0, 2),
+                       (n - 2, n), (0, n)]:
             for dtype in (float, complex):
-                psi = windowed_state(rng, n, lo, hi, dtype)
-                # a zero row inside the window, of signed zeros
-                psi[(lo + hi) // 2] *= -0.0
-                got = op.step(psi, (lo, hi))
-                assert got.dtype == op.step(psi).dtype
-                assert np.array_equal(got, op.step(psi))
-                # Bit for bit, signed zeros included, as the gather over
-                # the same rows.  At a window that touches the wrap the
-                # gather fills an end row's empty entry from the far end
-                # row, whose source wraps round; the step keeps the end
-                # row's own entry.  Both are zeros, and may differ in sign.
-                if lo > 1 and hi < n - 1:
-                    assert got.tobytes() == gathered(op, psi, lo, hi).tobytes()
-
-
-def test_window_must_fit_one_state_on_a_cycle():
-    op = cycle_walk(6)
-    psi = localized(op, 2)
-    for window in [(0, 3), (2, 6), (3, 3)]:
-        with pytest.raises(ValueError, match="does not fit"):
-            op.step(psi, window)
-    with pytest.raises(ValueError, match="does not fit"):
-        op.step(np.stack([psi, psi]), (1, 3))
-    cube = cw.CoinedWalkOperator(graphs.hypercube(3), cw.coin("grover", 3))
-    with pytest.raises(ValueError, match="does not fit"):
-        cube.step(localized(cube, 1), (1, 3))
+                for batch in ((), (3,)):
+                    psi = windowed_state(rng, n, lo, hi, dtype, batch)
+                    # a zero row inside the support, of signed zeros
+                    psi[..., (lo + hi) // 2, :] *= -0.0
+                    got = op.step(psi)
+                    assert got.shape == psi.shape
+                    assert got.dtype == np.promote_types(op.dtype, dtype)
+                    assert got.tobytes() == gathered(op, psi).tobytes()
+                    flat = psi.reshape(-1, 2 * n)
+                    assert np.max(np.abs(got.reshape(-1, 2 * n)
+                                         - flat @ u.T)) <= 1e-15
 
 
 def test_walk_states_step_in_the_light_cone_until_it_wraps(monkeypatch):
+    # walk_states yields what step returns, one step call per step
     step = cw.CoinedWalkOperator.step
-    windows = []
+    results = []
 
-    def spy(self, state, window=None):
-        windows.append(window)
-        return step(self, state, window)
+    def spy(self, state):
+        results.append(step(self, state))
+        return results[-1]
 
     monkeypatch.setattr(cw.CoinedWalkOperator, "step", spy)
     rng = np.random.default_rng(12)
     op = cycle_walk(11)
-    # the light cone reaches the wrap at site 0 first, then at site 10
-    for lo, cone in [(3, [(3, 5), (2, 6), (1, 7)]),
-                     (6, [(6, 8), (5, 9), (4, 10)])]:
-        windows.clear()
-        psi0 = windowed_state(rng, 11, lo, lo + 2, complex)
-        states = list(cw.walk_states(op, psi0, 7))
-        assert windows == cone + [None] * 4
-        want = psi0
-        for got in states:
-            assert np.array_equal(got, want)
-            want = step(op, want)
-    windows.clear()
     cube = cw.CoinedWalkOperator(graphs.hypercube(3), cw.coin("grover", 3))
-    assert len(list(cw.walk_states(cube, localized(cube), 3))) == 4
-    assert windows == [None] * 3
+    # on the wrap rows at site 0 and at site 10, and across the cycle
+    for walk, psi0 in [(op, windowed_state(rng, 11, 0, 2, complex)),
+                       (op, windowed_state(rng, 11, 9, 11, float)),
+                       (op, windowed_state(rng, 11, 0, 11, complex)),
+                       (cube, localized(cube))]:
+        for m in (0, 1, 7):
+            results.clear()
+            states = list(cw.walk_states(walk, psi0, m))
+            assert len(results) == m and len(states) == m + 1
+            assert states[0].tobytes() == psi0.tobytes()
+            for got, want in zip(states[1:], results):
+                assert got.tobytes() == want.tobytes()
+            want = psi0
+            for got in states:
+                assert got.tobytes() == want.tobytes()
+                want = step(walk, want)
 
 
 def test_three_step_distribution_exact():
@@ -590,9 +592,9 @@ def test_absorbing_walk_matches_the_hand_written_update():
 
 
 def stepped_absorbing_walk(m_max):
-    """The absorbing walk without the wall's light cone: ``step`` on the
-    window [1, hi) from the underflow trim alone, into a fresh state each
-    step."""
+    """The absorbing walk without the wall's light cone: ``step`` on whole
+    states of a cycle that never wraps, the wall row emptied and each
+    underflowed front row zeroed after every step."""
     op = cycle_walk(m_max + 3)
     psi = np.zeros((op.n, 2))
     psi[1, 0] = 1.0
@@ -600,7 +602,7 @@ def stepped_absorbing_walk(m_max):
     amplitudes = np.zeros(m_max + 1, dtype=complex)
     hi = 2
     for step in range(1, m_max + 1):
-        psi = op.step(psi, (1, hi))
+        psi = op.step(psi)
         amplitudes[step] = psi[0, 1]
         per_step[step] = abs(psi[0, 1]) ** 2 + abs(psi[0, 0]) ** 2
         psi[0] = 0.0
@@ -629,7 +631,7 @@ def test_absorbing_window_stops_at_the_underflowed_front(monkeypatch):
     m_max = 8000
     fronts = []
 
-    def spy(self, part, start):
+    def spy(self, part):
         # before step t + 1 row j holds site 2j + par, par = (1 + t) mod 2,
         # and the coin runs on the rows [0, k) that can be nonzero; a
         # dropped row is zeroed, so nothing is left past them, nor at the
@@ -637,14 +639,14 @@ def test_absorbing_window_stops_at_the_underflowed_front(monkeypatch):
         t = len(fronts)
         par = (1 + t) % 2
         k = len(part)
-        assert start == 0 and not part.base[k:].any(), t
+        assert not part.base[k:].any(), t
         assert par or not part[0].any(), t
         # and the rows end inside the wall's backward light cone: after
         # step t, no site beyond m_max - t
         front = 2 * (k - 1) + par
         assert front <= m_max - t, t
         fronts.append(front)
-        return coin(self, part, start)
+        return coin(self, part)
 
     monkeypatch.setattr(cw.CoinedWalkOperator, "_coin", spy)
     cw.absorbing_line_quantum(m_max)
@@ -684,8 +686,8 @@ def test_absorbing_walk_fails_closed(monkeypatch, damage, m_max):
     coin = cw.CoinedWalkOperator._coin
     nans = []
 
-    def damaged(self, part, start):
-        out = coin(self, part, start)
+    def damaged(self, part):
+        out = coin(self, part)
         damage(out)
         nans.append(int(np.isnan(out).sum()))
         return out
@@ -791,9 +793,9 @@ def spy_coin(monkeypatch):
     coin = cw.CoinedWalkOperator._coin
     blocks = []
 
-    def spy(self, part, start):
+    def spy(self, part):
         blocks.append((part.shape, part.dtype))
-        return coin(self, part, start)
+        return coin(self, part)
 
     monkeypatch.setattr(cw.CoinedWalkOperator, "_coin", spy)
     return blocks

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -32,6 +33,16 @@ def moved_middle_cell(probs):
     probs[middle + 2] += probs[middle]
     probs[middle] = 0.0
     return probs
+
+
+def quarter_for_third(phase):
+    """The uniform-state phase with pi/4 where fixed-point search asks
+    for pi/3."""
+    def off(angle, state):
+        if abs(angle) == math.pi / 3:
+            angle = math.copysign(math.pi / 4, angle)
+        return phase(angle, state)
+    return off
 
 
 def run_ok(tmp_path, name, params=None, seed=None):
@@ -109,6 +120,8 @@ class TestExitCodes:
                 # a start below the floor would report the random starts
                 ("annealing", {"t0": "-1"}, 1),
                 ("annealing", {"tmin": "3"}, 1),
+                ("annealing", {"mu": "1"}, 1),
+                ("annealing", {"mu": "0"}, 1),
                 # a schedule np.linspace could not allocate
                 ("mcmc-partition", {"levels": str(10 ** 12)}, 1),
                 ("mixing", {"t_max": "-1"}, None),
@@ -198,6 +211,57 @@ class TestExitCodes:
                                   None, str(tmp_path))
             assert run(spec) == 2, deep
         assert not list(tmp_path.iterdir())
+
+    def test_long_annealing_schedule_refused_before_any_draw(
+            self, tmp_path, monkeypatch, capsys):
+        def refuse(*args):
+            raise AssertionError("random draw")
+
+        # 3,688,878 levels at mu = 0.999999, and 137,470 from t0 = 1e300
+        # down to tmin = 1e-300 at mu = 0.99
+        monkeypatch.setattr(experiments.np.random, "default_rng", refuse)
+        for params in [{"mu": "0.999999"},
+                       {"t0": "1e300", "tmin": "1e-300", "mu": "0.99"}]:
+            spec = ExperimentSpec("annealing", params, 1, str(tmp_path))
+            assert run(spec) == 2, params
+            err = capsys.readouterr().err
+            assert err.startswith("error: 20 runs of ")
+            assert "step limit" in err and "Traceback" not in err
+        assert not list(tmp_path.iterdir())
+
+    def test_annealing_limit_is_the_largest_request_the_caps_accept(
+            self, tmp_path, monkeypatch):
+        schema = experiments.catalog()["annealing"].schema
+        levels, t = 0, schema["t0"].default
+        while t >= schema["tmin"].default:
+            levels, t = levels + 1, t * schema["mu"].default
+        assert levels == 36
+        assert (schema["runs"].hi * levels * schema["inner"].hi
+                == experiments.ANNEALING_MAX_STEPS)
+        # both sides of a limit lowered to the default request, which
+        # visits levels temperatures in each of its runs
+        metropolis = experiments.classical._metropolis
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return metropolis(*args)
+
+        monkeypatch.setattr(experiments.classical, "_metropolis", counted)
+        monkeypatch.setattr(experiments, "ANNEALING_MAX_STEPS",
+                            schema["runs"].default * levels
+                            * schema["inner"].default)
+        # tmin 0.045 sits just below t0 mu^36 = 0.04506, a 37th level
+        for params, status, runs in [({}, 0, 20), ({"runs": "21"}, 2, 0),
+                                     ({"inner": "61"}, 2, 0),
+                                     ({"inner": "0"}, 0, 20),
+                                     ({"tmin": "0.0451"}, 0, 20),
+                                     ({"tmin": "0.045"}, 2, 0)]:
+            calls.clear()
+            spec = ExperimentSpec("annealing", dict(params, bits="4"), 1,
+                                  str(tmp_path))
+            assert run(spec) == status, params
+            assert len(calls) == runs * levels, params
 
     def test_oversized_glued_trees_table_refused_before_it_is_built(
             self, tmp_path, monkeypatch, capsys):
@@ -388,8 +452,10 @@ class TestExitCodes:
         ("decoherence-sweep", "coined.position_distribution",
          lambda f: lambda state: moved_middle_cell(f(state)),
          "binomial at unitarity 0"),
+        ("fixed-point", "grover._uniform_phase", quarter_for_third,
+         "cubing law"),
     ], ids=["ctqw-hypercube", "analog-search", "szegedy-spectrum",
-            "line-walk", "decoherence-sweep"])
+            "line-walk", "decoherence-sweep", "fixed-point"])
     def test_failed_check_after_the_table_writes_nothing(
             self, tmp_path, monkeypatch, capsys, name, target, off, label):
         module, attr = target.split(".")

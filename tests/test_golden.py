@@ -44,8 +44,7 @@ SEEDED = sorted(key for key in REFERENCE.texts
 # the runner's non-finite cells: the two samplers are stochastic, and the
 # others still wait for an exact form to hold their output to
 UNGATED = {"annealing", "complete-graph-search", "cost-table",
-           "entropy-series", "fixed-point", "hitting", "mcmc-partition",
-           "star-search"}
+           "entropy-series", "hitting", "mcmc-partition", "star-search"}
 
 
 @pytest.fixture(scope="module")
