@@ -185,17 +185,21 @@ def line_walk_binomial(m):
     """Exact distribution of m fair steps on the integers from 0.
 
     Returns (positions -m..m, probabilities); odd-parity positions carry
-    probability zero.
+    probability zero.  C(m, k) / 2^m is computed for k <= m // 2 and
+    mirrored, since C(m, k) = C(m, m - k).  Past m = 1023, 2^m overflows
+    a float and this raises OverflowError.
     """
     if m < 0:
         raise ValueError(f"step count must be nonnegative, got {m}")
     positions = np.arange(-m, m + 1)
     probs = np.zeros(2 * m + 1)
     scale = 2.0**m
+    half = []
     c = 1  # binomial(m, k), exact in integers
-    for k in range(m + 1):
-        probs[2 * k] = c / scale
+    for k in range(m // 2 + 1):
+        half.append(c / scale)
         c = c * (m - k) // (k + 1)
+    probs[::2] = half + half[:m - m // 2][::-1]
     return positions, probs
 
 

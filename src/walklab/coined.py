@@ -452,24 +452,57 @@ def hitting_analysis(op, psi0, target, m_max, p=0.5):
     process that projects out the target after every step, so its running
     sum never exceeds one.  The concurrent hitting time, the smallest T
     whose accumulated one-shot probability reaches p, must be <= m_max.
+
+    A walk on a bipartite graph from a start on one side, as from a corner
+    of the d-cube, is on that side after even steps and on the other after
+    odd ones, so only that side is stored and stepped: ``_coin`` on its
+    rows, then one gather into the other side.  After the steps that end
+    on the side without the target both series are 0.0, as they are on
+    the whole state.  With one coin per vertex, on a graph that is not
+    bipartite, or from a start on both sides, each side is every vertex.
     """
     psi = op.check_state(psi0)
     if not 0 <= target < op.n:
         raise ValueError("target is not a vertex")
     if m_max < 0:
         raise ValueError("step count must be nonnegative")
+    n, d = op.n, op.d
+    label = _graphs.bipartition(op.graph)
+    # the sides the start is on, both when the graph is not bipartite
+    start = {0, 1} if label is None else set(label[psi.any(axis=1)].tolist())
+    if op._coins is not None or len(start) > 1:
+        sides = (np.arange(n),) * 2
+    else:
+        here = label == min(start, default=0)
+        sides = (np.flatnonzero(here), np.flatnonzero(~here))
+    # a step from side s gathers through sources[s]: the whole-state
+    # gather on the rows of side 1 - s, renumbered by row within side s
+    pos = np.empty(n, dtype=np.intp)
+    for side in sides:
+        pos[side] = np.arange(len(side))
+    sources = []
+    for side in sides[::-1]:
+        v, c = np.divmod(op._source.reshape(n, d)[side], d)
+        sources.append((pos[v] * d + c).ravel())
+    rows = [pos[target] if target in side else None for side in sides]
     # the free walker and the monitored one step together as a batch of two
     one_shot = np.empty(m_max + 1)
     first_hit = np.empty(m_max + 1)
-    pair = np.stack([psi, psi])
+    pair = np.stack([psi[sides[0]]] * 2)
     for t in range(m_max + 1):
         if t:
-            pair = op.step(pair)
+            mixed = op._coin(pair).reshape(2, -1)
+            pair = mixed.take(sources[1 - t % 2], axis=-1).reshape(
+                2, len(sides[t % 2]), d)
+        row = rows[t % 2]
+        if row is None:
+            one_shot[t] = first_hit[t] = 0.0
+            continue
         # summed coin by coin down the outer axis of a C-ordered copy, so
         # the bits hang on neither the memory order nor pairwise summation
         one_shot[t], first_hit[t] = np.add.reduce(
-            np.abs(pair[:, target].T.copy()) ** 2, axis=0)
-        pair[1, target] = 0.0
+            np.abs(pair[:, row].T.copy()) ** 2, axis=0)
+        pair[1, row] = 0.0
     reached = np.flatnonzero(np.cumsum(one_shot) >= p)
     if reached.size == 0:
         raise ValueError(f"accumulated probability never reaches {p} "

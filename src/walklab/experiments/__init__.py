@@ -91,10 +91,19 @@ GLUED_TREES_MAX_BYTES = 2 ** 26
 FIXED_POINT_MAX_APPLICATIONS = 3 ** 12
 _FIXED_POINT_MAX_LEVELS = len(np.base_repr(FIXED_POINT_MAX_APPLICATIONS, 3)) - 1
 
-# Most Metropolis steps annealing accepts, runs x levels x max(inner, 1): the
+# Most Metropolis steps annealing accepts, runs x levels x max(inner, 4): the
 # largest request the caps accept at the default temperatures, 1000 runs of
 # 36 levels at 2000 steps, which takes 16.6 s at bits 16 and one BLAS thread.
+# A level costs Python besides its moves: at bits 8 one at inner 1 took
+# 0.70 us against 0.21 us a move at inner 2000, so a level counts as at
+# least 4 steps.  The dearest request accepted is then 1000 runs of 18,000
+# levels at inner 4, about 27 s at bits 8 (15 s at inner 2000).
 ANNEALING_MAX_STEPS = 1000 * 36 * 2000
+
+# Most points cost-table scans, rows x grid, with one row per (variant, k):
+# the 12 rows of the default k_max at the largest grid, 10^6, which take
+# 0.33 s and 122 MB; k_max = 100 has 297 rows and stops at grid 40,404.
+COST_TABLE_MAX_POINTS = 12 * 10 ** 6
 
 # Vertex count of each one-size graph family, so that an oversized Szegedy
 # request is refused before its edge list is built.  Each key is the name of
@@ -278,7 +287,7 @@ def _hadamard_line(p, seed):
 @_register(
     "entropy-series",
     "Position entropy of the classical and Hadamard walks at every step.",
-    # line_walk_binomial overflows a float past m = 1023, which takes 0.42 s
+    # line_walk_binomial overflows a float past m = 1023, which takes 0.19 s
     {"m_max": Param("int", 100, "largest step count", lo=0, hi=1023)},
     # the asymptote (1 + log(pi m / 2)) / 2 has no value at m = 0
     nan_cells=(("classical_asymptote", 0),),
@@ -287,9 +296,14 @@ def _entropy_series(p, seed):
     op = coined.line_operator(p["m_max"])
     states = coined.walk_states(op, coined.line_start(op), p["m_max"])
     steps = range(p["m_max"] + 1)
-    s_q = [distributions.entropy(coined.position_distribution(psi))
-           for psi in states]
-    s_cl = [distributions.entropy(classical.line_walk_binomial(m)[1])
+    # after t steps only the sites c - t, c - t + 2, ..., c + t can be
+    # occupied; entropy drops the zeros elsewhere, so reading these alone
+    # sums the same terms in the same order
+    c = op.n // 2
+    s_q = [distributions.entropy(
+        coined.position_distribution(psi[c - t:c + t + 1:2]))
+        for t, psi in enumerate(states)]
+    s_cl = [distributions.entropy(classical.line_walk_binomial(m)[1][::2])
             for m in steps]
     asym = [(1.0 + math.log(math.pi * m / 2.0)) / 2.0 if m else float("nan")
             for m in steps]
@@ -410,7 +424,7 @@ def _star_search(p, seed):
     "grover",
     "Grover iteration over an unstructured list, tracked in the plane of "
     "the marked and unmarked superpositions.",
-    # n = 2^20 takes about 5 s at one BLAS thread
+    # n = 2^20 takes 2.2 s at one BLAS thread
     {"n": Param("int", 1024, "list size", lo=2, hi=2 ** 20),
      "k": Param("int", 1, "number of marked items", lo=1)},
 )
@@ -570,23 +584,28 @@ def _subset_find(p, seed):
     "cost-table",
     "Query exponents of the subset-walk variants: closed-form optimum "
     "against a grid scan over the subset-size exponent.",
-    # k_max = 100 takes 0.03 s (12.9 s with 10^6 grid points); past it
-    # the cost model's powers of N overflow a float
+    # past k_max = 100 the cost model's powers of N overflow a float; rows
+    # x grid is bounded by COST_TABLE_MAX_POINTS
     {"k_max": Param("int", 5, "largest property size", lo=1, hi=100),
-     # 10^6 grid points take 0.52 s and 150 MB
      "grid": Param("int", 2001, "grid points for the scan", lo=2, hi=10 ** 6)},
 )
 def _cost_table(p, seed):
+    rows = [(variant, k)
+            for variant, k_lo in (("subset", 1), ("clique", 2),
+                                  ("recursive_clique", 3))
+            for k in range(k_lo, p["k_max"] + 1)]
+    if len(rows) * p["grid"] > COST_TABLE_MAX_POINTS:
+        raise ValueError(f"{len(rows)} rows of {p['grid']} grid points pass "
+                         f"the {COST_TABLE_MAX_POINTS}-point limit")
     mus = np.linspace(0.0, 1.0, p["grid"])
     variants, ks, formula, grid, best = [], [], [], [], []
-    for variant, k_lo in (("subset", 1), ("clique", 2), ("recursive_clique", 3)):
-        for k in range(k_lo, p["k_max"] + 1):
-            exponent = subset.cost_model(k, mus, variant).exponent
-            variants.append(variant)
-            ks.append(k)
-            formula.append(subset.optimal_exponent(k, variant))
-            best.append(int(np.argmin(exponent)))
-            grid.append(float(exponent[best[-1]]))
+    for variant, k in rows:
+        exponent = subset.cost_model(k, mus, variant).exponent
+        variants.append(variant)
+        ks.append(k)
+        formula.append(subset.optimal_exponent(k, variant))
+        best.append(int(np.argmin(exponent)))
+        grid.append(float(exponent[best[-1]]))
     return (["variant", "k", "exponent_formula", "exponent_grid",
              "mu_star_grid"], (variants, ks, formula, grid, mus[best]), {})
 
@@ -788,11 +807,10 @@ def _annealing(p, seed):
     # the temperatures t0 mu^j >= tmin
     levels = math.floor((math.log(p["tmin"]) - math.log(p["t0"]))
                         / math.log(p["mu"])) + 1
-    inner = max(p["inner"], 1)
-    if p["runs"] * levels * inner > ANNEALING_MAX_STEPS:
+    if p["runs"] * levels * max(p["inner"], 4) > ANNEALING_MAX_STEPS:
         raise ValueError(f"{p['runs']} runs of {levels} temperature levels "
-                         f"at {inner} steps pass the "
-                         f"{ANNEALING_MAX_STEPS}-step limit")
+                         f"at {p['inner']} steps, each level counted as at "
+                         f"least 4, pass the {ANNEALING_MAX_STEPS}-step limit")
     bits = p["bits"]
     rng = np.random.default_rng(seed)
     energies = rng.normal(size=2 ** bits)
@@ -845,7 +863,7 @@ def _mixing(p, seed):
     "Corner-to-corner hitting on the hypercube: classical first arrival "
     "against one-shot and monitored quantum arrival.",
     {"dim": Param("int", 4, "hypercube dimension", lo=2, hi=8),
-     # horizon 10^5 takes 3.2 s at dim 8
+     # horizon 10^5 takes 1.2 s at dim 8
      "horizon": Param("int", 100, "largest step count", lo=2, hi=10 ** 5)},
 )
 def _hitting(p, seed):

@@ -48,6 +48,7 @@ __all__ = [
     "degrees",
     "neighbors",
     "is_connected",
+    "bipartition",
     "is_bipartite",
     "color_edges",
     "tree_columns",
@@ -348,10 +349,12 @@ def is_connected(g):
     return len(seen) == g.n
 
 
-def is_bipartite(g):
-    """Two-colorability check by breadth-first search; loops break it."""
+def bipartition(g):
+    """Side of each vertex, 0 or 1, in a two-coloring found by search from
+    each uncolored vertex in order, that vertex on side 0; None when the
+    graph is not bipartite.  Loops break it."""
     if g.loops:
-        return False
+        return None
     color = [-1] * g.n
     adj = neighbors(g)
     for start in range(g.n):
@@ -366,8 +369,13 @@ def is_bipartite(g):
                     color[w] = 1 - color[v]
                     queue.append(w)
                 elif color[w] == color[v]:
-                    return False
-    return True
+                    return None
+    return np.array(color, dtype=np.int64)
+
+
+def is_bipartite(g):
+    """Two-colorability, read off ``bipartition``; loops break it."""
+    return bipartition(g) is not None
 
 
 def color_edges(g):

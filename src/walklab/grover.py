@@ -24,10 +24,11 @@ __all__ = [
 class Oracle:
     """Conditional phase oracle for a marked subset, with a query ledger.
 
-    ``reflect`` flips the sign of marked amplitudes; ``phase`` applies a
-    selective phase instead.  Every application, including inverses, adds
-    one query to the ledger.  Both, and ``success``, touch the marked
-    entries alone, through their sorted indices.
+    ``reflect`` flips the sign of marked amplitudes in place, on the state
+    it is given; ``phase`` applies a selective phase to a copy instead.
+    Every application, including inverses, adds one query to the ledger.
+    Both, and ``success``, touch the marked entries alone, through their
+    sorted indices.
     """
 
     def __init__(self, n, marked):
@@ -46,10 +47,10 @@ class Oracle:
         self._index = np.flatnonzero(self._mask)
 
     def reflect(self, state):
+        """Flip the marked signs of ``state`` in place and return it."""
         self.queries += 1
-        out = np.array(state, copy=True)
-        out[self._index] *= -1
-        return out
+        state[self._index] *= -1
+        return state
 
     def phase(self, angle, state):
         self.queries += 1
@@ -125,8 +126,8 @@ def grover_run(n, marked, steps="auto"):
         np.subtract(state, plane, out=plane)
         leakage = max(leakage, float(np.linalg.norm(plane)))
         if j < m:
-            # the diffusion 2 mean - s, in place on the reflected copy
-            state = oracle.reflect(state)
+            # the oracle, then the diffusion 2 mean - s, both in place
+            oracle.reflect(state)
             np.subtract(2.0 * state.mean(), state, out=state)
     return GroverResult(state, oracle.success(state), oracle.queries, comps,
                         leakage)

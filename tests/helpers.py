@@ -1,6 +1,7 @@
 """Helpers shared by the tests: random matrices, a CSV reader for the
-package's own output files, a probability-vector check, an arc lookup and a
-Metropolis chain that records every state it visits."""
+package's own output files, a probability-vector check, an arc lookup, a
+Metropolis chain that records every state it visits, and reference forms of
+the coined hitting series and the binomial row."""
 
 import numpy as np
 
@@ -85,3 +86,33 @@ def metropolis_chain(model, beta, steps, rng, start=None):
     state, _, accepted = classical._metropolis(
         recording, beta, steps, rng, state, model.energy(state))
     return np.array(visited + [state], dtype=np.int64), accepted
+
+
+def whole_state_hitting(op, psi0, target, m_max):
+    """One-shot and monitored arrival series at ``target`` from the whole
+    state stepped by ``op.step``, each step's coin probabilities summed one
+    after another down a C-ordered copy: the reference for a walk that
+    steps only the side of a bipartite graph it is on."""
+    psi = op.check_state(psi0)
+    one_shot, first_hit = np.empty(m_max + 1), np.empty(m_max + 1)
+    pair = np.stack([psi, psi])
+    for t in range(m_max + 1):
+        if t:
+            pair = op.step(pair)
+        one_shot[t], first_hit[t] = np.add.reduce(
+            np.abs(pair[:, target].T.copy()) ** 2, axis=0)
+        pair[1, target] = 0.0
+    return one_shot, first_hit
+
+
+def multiplicative_binomial(m):
+    """C(m, k) / 2.0**m at position 2k of a zero row of 2m + 1 cells, for
+    every k from 0 to m by the exact integer recurrence, without the
+    mirror symmetry."""
+    probs = np.zeros(2 * m + 1)
+    scale = 2.0**m
+    c = 1
+    for k in range(m + 1):
+        probs[2 * k] = c / scale
+        c = c * (m - k) // (k + 1)
+    return probs

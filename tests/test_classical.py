@@ -7,7 +7,7 @@ import types
 
 import numpy as np
 import pytest
-from helpers import metropolis_chain
+from helpers import metropolis_chain, multiplicative_binomial
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -71,6 +71,16 @@ def test_binomial_row_is_exact_until_two_to_the_m_overflows():
         assert probs[::2].tolist() == want
     with pytest.raises(OverflowError):
         cl.line_walk_binomial(1100)
+
+
+def test_mirrored_binomial_row_keeps_every_byte():
+    for m in range(1024):
+        positions, probs = cl.line_walk_binomial(m)
+        assert probs.tobytes() == multiplicative_binomial(m).tobytes(), m
+        assert positions.tolist() == list(range(-m, m + 1))
+    for m in (1024, 1100):
+        with pytest.raises(OverflowError):
+            cl.line_walk_binomial(m)
 
 
 def test_gaussian_envelope_close_at_m_100():

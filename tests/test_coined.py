@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from helpers import whole_state_hitting
 from walklab import coined as cw
 from walklab import graphs
 from walklab.distributions import entropy, tvd
@@ -519,6 +520,106 @@ def test_monitored_process_against_trajectories():
         expected = res.first_hit[t]
         sigma = math.sqrt(max(expected * (1.0 - expected), 1e-12) / total)
         assert abs(observed[t] / total - expected) <= 3.0 * sigma + 1e-4, t
+
+
+def corner_start(dim, dtype=float):
+    """A walker at corner 0 of the dim-cube in the uniform coin state, with
+    a phase on every coin when complex."""
+    psi0 = np.zeros((2 ** dim, dim), dtype=dtype)
+    psi0[0] = 1.0 / math.sqrt(dim)
+    if dtype is complex:
+        psi0[0] *= np.exp(1j * np.arange(dim))
+    return psi0
+
+
+def spread_start(op, vertices, dtype=complex):
+    rng = np.random.default_rng(len(vertices))
+    psi0 = np.zeros((op.n, op.d), dtype=dtype)
+    for v in vertices:
+        psi0[v] = rng.normal(size=op.d)
+        if dtype is complex:
+            psi0[v] = psi0[v] * np.exp(1j * rng.normal(size=op.d))
+    return psi0 / np.linalg.norm(psi0)
+
+
+def hitting_cases():
+    """(operator, start, target, horizon): d-cubes from corner 0 with the
+    target on either side, an even cycle, graphs that are not bipartite,
+    starts spread over both sides, real and complex starts, and one coin
+    per vertex."""
+    for dim in range(2, 9):
+        op = cw.CoinedWalkOperator(graphs.hypercube(dim),
+                                   cw.coin("grover", d=dim))
+        for dtype in (float, complex):
+            for target in (op.n - 1, 1, 3):
+                yield (f"cube{dim}-{dtype.__name__}-t{target}", op,
+                       corner_start(dim, dtype), target, 300)
+    even = cycle_walk(8)
+    for target in (3, 4):
+        yield f"cycle8-t{target}", even, localized(even), target, 200
+        yield (f"cycle8-real-t{target}", even,
+               spread_start(even, [0, 2, 6], float), target, 200)
+        yield (f"cycle8-both-sides-t{target}", even,
+               spread_start(even, [0, 1]), target, 200)
+    odd = cycle_walk(7)
+    for target in (3, 4):
+        yield f"cycle7-t{target}", odd, localized(odd), target, 200
+    k5 = cw.CoinedWalkOperator(graphs.complete(5), cw.coin("grover", d=4))
+    for dtype in (float, complex):
+        yield f"complete5-{dtype.__name__}", k5, spread_start(
+            k5, [0], dtype), 2, 200
+    cube = cw.CoinedWalkOperator(graphs.hypercube(3), cw.coin("dft", d=3))
+    yield "cube3-dft-both-sides", cube, spread_start(cube, [0, 1, 6]), 7, 200
+    per_vertex = cw.CoinedWalkOperator(
+        graphs.cycle(6), [cw.coin("hadamard"), cw.coin("balanced")] * 3)
+    yield "cycle6-per-vertex", per_vertex, localized(per_vertex), 3, 200
+
+
+HITTING_CASES = list(hitting_cases())
+
+
+@pytest.mark.parametrize("op, psi0, target, horizon",
+                         [case[1:] for case in HITTING_CASES],
+                         ids=[case[0] for case in HITTING_CASES])
+def test_hitting_keeps_every_byte_of_the_whole_state_walk(
+        op, psi0, target, horizon, monkeypatch):
+    def refuse(self, state):
+        raise AssertionError("whole-state step")
+
+    want = whole_state_hitting(op, psi0, target, horizon)
+    monkeypatch.setattr(cw.CoinedWalkOperator, "step", refuse)
+    res = cw.hitting_analysis(op, psi0, target, horizon, p=1e-3)
+    assert res.one_shot.tobytes() == want[0].tobytes()
+    assert res.first_hit.tobytes() == want[1].tobytes()
+    assert res.concurrent == np.flatnonzero(np.cumsum(want[0]) >= 1e-3)[0]
+
+
+@pytest.mark.parametrize("dim", range(2, 9))
+def test_hitting_coins_one_side_of_the_cube(dim, monkeypatch):
+    op = cw.CoinedWalkOperator(graphs.hypercube(dim), cw.coin("grover", d=dim))
+    blocks = spy_coin(monkeypatch)
+    res = cw.hitting_analysis(op, corner_start(dim), op.n - 1, 50)
+    assert blocks == [((2, 2 ** (dim - 1), dim), np.dtype(float))] * 50
+    # the antipode has the parity of dim: after steps of the other parity
+    # both series are exactly zero
+    assert not res.one_shot[1 - dim % 2::2].any()
+    assert not res.first_hit[1 - dim % 2::2].any()
+
+
+@pytest.mark.parametrize("name, rows", [("cycle8-t3", 4),
+                                        ("cycle8-real-t4", 4),
+                                        ("cycle7-t3", 7),
+                                        ("complete5-float", 5),
+                                        ("cube3-dft-both-sides", 8),
+                                        ("cycle8-both-sides-t3", 8),
+                                        ("cycle6-per-vertex", 6)])
+def test_hitting_coins_one_side_only_from_a_start_on_one(name, rows,
+                                                         monkeypatch):
+    _, op, psi0, target, _ = next(case for case in HITTING_CASES
+                                  if case[0] == name)
+    blocks = spy_coin(monkeypatch)
+    cw.hitting_analysis(op, psi0, target, 20, p=0.0)
+    assert [shape for shape, _ in blocks] == [(2, rows, op.d)] * 20
 
 
 # absorbing boundary

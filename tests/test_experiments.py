@@ -263,6 +263,90 @@ class TestExitCodes:
             assert run(spec) == status, params
             assert len(calls) == runs * levels, params
 
+    def test_annealing_counts_a_short_level_as_four_steps(
+            self, tmp_path, monkeypatch, capsys):
+        def refuse(*args):
+            raise AssertionError("random draw")
+
+        # 72,000 levels at inner 1 once took 50.9 s
+        monkeypatch.setattr(experiments.np.random, "default_rng", refuse)
+        params = {"runs": "1000", "inner": "1", "mu": "0.9999487665198197"}
+        spec = ExperimentSpec("annealing", params, 1, str(tmp_path))
+        assert run(spec) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: 1000 runs of 72000 temperature levels "
+                              "at 1 steps, each level counted as at least 4")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not list(tmp_path.iterdir())
+
+    def test_annealing_default_and_cap_requests_still_run(self, tmp_path,
+                                                          monkeypatch):
+        inner = []
+
+        def stub(model, t0, mu, tmin, inner_steps, rng):
+            inner.append(inner_steps)
+            return 0
+
+        monkeypatch.setattr(experiments.classical, "simulated_annealing",
+                            stub)
+        for params, runs in [({}, 20), ({"runs": "1000", "inner": "2000"},
+                                        1000)]:
+            inner.clear()
+            spec = ExperimentSpec("annealing", dict(params, bits="4"), 1,
+                                  str(tmp_path))
+            assert run(spec) == 0, params
+            assert inner == [int(params.get("inner", 60))] * runs
+        # both sides of a limit lowered to 20 runs of 36 levels at 4 steps
+        monkeypatch.setattr(experiments, "ANNEALING_MAX_STEPS", 20 * 36 * 4)
+        for params, status in [({"inner": "0"}, 0), ({"inner": "1"}, 0),
+                               ({"inner": "4"}, 0), ({"inner": "5"}, 2),
+                               ({"inner": "1", "runs": "21"}, 2)]:
+            spec = ExperimentSpec("annealing", dict(params, bits="4"), 1,
+                                  str(tmp_path))
+            assert run(spec) == status, params
+
+    def test_cost_table_rows_times_grid_refused_before_the_scan(
+            self, tmp_path, monkeypatch, capsys):
+        cost_model = experiments.subset.cost_model
+        calls = []
+
+        def counted(k, mus, variant):
+            calls.append(len(mus))
+            return cost_model(k, mus, variant)
+
+        monkeypatch.setattr(experiments.subset, "cost_model", counted)
+        schema = experiments.catalog()["cost-table"].schema
+        # the 12 rows of the default k_max at the largest grid fill it
+        assert (12 * schema["grid"].hi
+                == experiments.COST_TABLE_MAX_POINTS)
+        # k_max = 100 has 100 + 99 + 98 rows: 40,404 points fit, 40,405 not
+        for params in [{"k_max": "100", "grid": "1000000"},
+                       {"k_max": "100", "grid": "40405"},
+                       {"k_max": "6", "grid": "1000000"}]:
+            spec = ExperimentSpec("cost-table", params, None, str(tmp_path))
+            assert run(spec) == 2, params
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {3 * int(params['k_max']) - 3} "
+                                  f"rows of {params['grid']} grid points")
+            assert err.count("\n") == 1 and "Traceback" not in err
+        assert not calls and not list(tmp_path.iterdir())
+        for params, rows in [({}, 12), ({"grid": "20001"}, 12),
+                             ({"k_max": "1"}, 1), ({"k_max": "2"}, 3)]:
+            calls.clear()
+            spec = ExperimentSpec("cost-table", params, None, str(tmp_path))
+            assert run(spec) == 0, params
+            assert len(calls) == rows, params
+        # both sides of a limit lowered to the default request: k_max = 4
+        # has 4 + 3 + 2 rows, so 9 x 2668 points fit and 9 x 2669 do not
+        monkeypatch.setattr(experiments, "COST_TABLE_MAX_POINTS", 12 * 2001)
+        for params, status in [({}, 0), ({"grid": "2002"}, 2),
+                               ({"k_max": "6", "grid": "2"}, 0),
+                               ({"k_max": "6", "grid": "2001"}, 2),
+                               ({"k_max": "4", "grid": "2668"}, 0),
+                               ({"k_max": "4", "grid": "2669"}, 2)]:
+            spec = ExperimentSpec("cost-table", params, None, str(tmp_path))
+            assert run(spec) == status, params
+
     def test_oversized_glued_trees_table_refused_before_it_is_built(
             self, tmp_path, monkeypatch, capsys):
         evolve_many = experiments.linalg.evolve_many
@@ -676,6 +760,20 @@ class TestWalkExperiments:
         last = rows[-1]
         classical, quantum, bound = last[1], last[2], last[4]
         assert classical < quantum <= bound + 1e-12
+
+    @pytest.mark.parametrize("m_max", [0, 1, 2, 7, 100, 400])
+    def test_entropy_series_equals_full_array_entropies(self, m_max):
+        exp = experiments.catalog()["entropy-series"]
+        _, (steps, s_cl, s_q, _, _), _ = exp.func({"m_max": m_max}, None)
+        coined, classical = experiments.coined, experiments.classical
+        entropy = experiments.distributions.entropy
+        op = coined.line_operator(m_max)
+        want_q = [entropy(coined.position_distribution(psi))
+                  for psi in coined.walk_states(op, coined.line_start(op),
+                                                m_max)]
+        want_cl = [entropy(classical.line_walk_binomial(m)[1])
+                   for m in steps]
+        assert s_q == want_q and s_cl == want_cl
 
     def test_decoherence_sweep_endpoints(self, tmp_path):
         _, _, rows = run_ok(tmp_path, "decoherence-sweep",

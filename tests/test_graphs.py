@@ -244,6 +244,48 @@ def test_bipartiteness_detection():
     assert not G.is_bipartite(G.Graph(5, {(0, 1), (2, 3), (3, 4), (2, 4)}))
 
 
+def test_bipartition_sides():
+    assert G.bipartition(G.cycle(6)).tolist() == [0, 1, 0, 1, 0, 1]
+    popcount = [bin(v).count("1") % 2 for v in range(8)]
+    assert G.bipartition(G.hypercube(3)).tolist() == popcount
+    for g in (G.cycle(5), G.complete(3), G.complete(2, loops=True),
+              G.Graph(4, {(0, 1), (2, 3)}, {3})):
+        assert G.bipartition(g) is None
+
+
+def every_family():
+    """One or more graphs of each family these tests build, and
+    hand-made graphs with several components."""
+    yield from (G.line(n) for n in (1, 2, 6))
+    yield from (G.cycle(n) for n in (3, 4, 5, 6, 9))
+    yield from (G.complete(n, loops) for n in (1, 2, 3, 7)
+                for loops in (False, True))
+    yield from (G.complete_bipartite(*sizes) for sizes in ((1, 1), (2, 3)))
+    yield from (G.m_partite(*shape) for shape in ((2, 2), (3, 2), (4, 2)))
+    yield from (G.hypercube(dim) for dim in (1, 3, 4))
+    yield from (G.star_extra_edge(arms) for arms in (2, 5))
+    yield from (G.glued_trees(n) for n in (2, 3, 4))
+    yield from (G.glued_trees_cycle(n, seed) for n, seed in ((2, 0), (4, 9)))
+    yield from (G.subset_bipartite(n, q) for n, q in ((4, 1), (5, 2)))
+    yield G.Graph(5, {(0, 1), (2, 3), (3, 4)})
+    yield G.Graph(5, {(0, 1), (2, 3), (3, 4), (2, 4)})
+    yield G.Graph(3, ())
+
+
+def test_bipartition_agrees_with_is_bipartite_on_every_family():
+    for g in every_family():
+        side = G.bipartition(g)
+        assert G.is_bipartite(g) == (side is not None), (g.family, g.params)
+        if side is None:
+            continue
+        # a proper two-coloring with the first vertex of each component
+        # on side 0
+        u, v = g.pairs.T
+        assert side.shape == (g.n,) and set(side.tolist()) <= {0, 1}
+        assert np.all(side[u] != side[v])
+        assert side[:1].tolist() in ([], [0])
+
+
 def test_graph_validation():
     with pytest.raises(ValueError):
         G.Graph(2, frozenset({(0, 5)}))

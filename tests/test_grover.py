@@ -15,6 +15,13 @@ class TestOracle:
         out = o.reflect(np.array([1.0, 2.0, 3.0, 4.0]))
         assert np.allclose(out, [1.0, -2.0, 3.0, -4.0])
 
+    def test_reflect_flips_in_place_and_counts_one_query(self):
+        o = gr.Oracle(5, {0, 3})
+        state = np.array([1.0, 2.0, -3.0, 4.0, 5.0])
+        assert o.reflect(state) is state
+        assert state.tolist() == [-1.0, 2.0, -3.0, -4.0, 5.0]
+        assert o.queries == 1
+
     def test_ledger_counts_every_application(self):
         o = gr.Oracle(8, {0})
         st = np.ones(8) / math.sqrt(8)
