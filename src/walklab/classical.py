@@ -128,18 +128,39 @@ def first_hit_distribution(chain, start, target, horizon):
     """Probability of arriving at ``target`` for the first time at each step.
 
     Returns an array f[1..horizon] (index 0 unused) computed by absorbing
-    the target column.
+    the target column.  On a bipartite graph the walker is on the side of
+    ``start`` after an even number of steps and on the other side after an
+    odd number, so each step multiplies only the rows of the side it fills
+    plus the target's row, which holds the absorbed mass; every other entry
+    stays +0.0, as the whole product leaves it.  Each row still runs over
+    every column, so the sums are the whole product's.  On any other graph,
+    one with loops, or a matrix that steps between two vertices of one
+    side, every row is filled at every step.
     """
     n = chain.matrix.shape[0]
     absorbed = chain.matrix.copy()
     absorbed[:, target] = 0.0
     absorbed[target, target] = 1.0
+    label = _graphs.bipartition(chain.graph)
+    if label is None or chain.matrix[label[:, None] == label].any():
+        # not bipartite, or a matrix that also steps within a side
+        rows = (slice(None),) * 2
+    else:
+        # step m fills rows[m % 2]
+        here = label == label[start]
+        rows = []
+        for side in (here, ~here):
+            side[target] = True
+            rows.append(np.flatnonzero(side))
+    blocks = [absorbed[r] for r in rows]
+    filled = (np.zeros(n), np.zeros(n))
     p = np.zeros(n)
     p[start] = 1.0
     f = np.zeros(horizon + 1)
     for m in range(1, horizon + 1):
         seen = p[target]
-        p = absorbed @ p
+        p, prev = filled[m % 2], p
+        p[rows[m % 2]] = blocks[m % 2] @ prev
         f[m] = p[target] - seen
     return f
 

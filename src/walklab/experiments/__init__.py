@@ -85,20 +85,29 @@ GLUED_TREES_MAX_BYTES = 2 ** 26
 
 # Most operator applications fixed-point accepts at its deepest level, which
 # applies the oracle and the uniform-state phase (3^levels - 1)/2 times each.
-# At n = 8 one costs about 7.6 us (level 9 in 0.15 s), so the deepest accepted
-# level, 12 = floor(log3 of the budget), takes about 4 s and a whole run about
-# 6 s.
+# At n = 8 one costs about 2.9 us (level 9 in 0.029 s), so the deepest
+# accepted level, 12 = floor(log3 of the budget), takes about 0.76 s.  Every
+# level comes from one recursion, so a whole run costs about its deepest
+# level: levels = 12 takes 0.88 s at n = 8 and 1.13 s at n = 1024, where one
+# level-12 run takes 1.05 s (one BLAS thread).
 FIXED_POINT_MAX_APPLICATIONS = 3 ** 12
 _FIXED_POINT_MAX_LEVELS = len(np.base_repr(FIXED_POINT_MAX_APPLICATIONS, 3)) - 1
 
-# Most Metropolis steps annealing accepts, runs x levels x max(inner, 4): the
+# Most Metropolis steps annealing accepts, runs x levels x (inner + 2): the
 # largest request the caps accept at the default temperatures, 1000 runs of
-# 36 levels at 2000 steps, which takes 16.6 s at bits 16 and one BLAS thread.
-# A level costs Python besides its moves: at bits 8 one at inner 1 took
-# 0.70 us against 0.21 us a move at inner 2000, so a level counts as at
-# least 4 steps.  The dearest request accepted is then 1000 runs of 18,000
-# levels at inner 4, about 27 s at bits 8 (15 s at inner 2000).
-ANNEALING_MAX_STEPS = 1000 * 36 * 2000
+# 36 levels at 2000 steps, which takes about 15 s at bits 8 (16.5 s at bits
+# 16) and one BLAS thread.  A level costs Python besides its moves, about two
+# moves' worth: at bits 8, 10 runs of 36,036 levels at inner 0 took 0.17 s
+# and 10 runs of 18,000 levels at inner 4 took 0.24 s.  So a level counts as
+# inner + 2 steps, and the dearest request accepted, 1000 runs of 36,036
+# levels at inner 0, takes about 17 s.
+ANNEALING_MAX_STEPS = 1000 * 36 * (2000 + 2)
+
+# Most samples mcmc-partition draws, levels x samples, each after ten
+# Metropolis moves: the levels cap at the default samples, 1000 x 200, which
+# takes 0.51 s at bits 6 and 0.53 s at bits 20 with one BLAS thread, as do
+# 20 levels at the 10^4-sample cap.  Both caps at once took about 27 s.
+MCMC_PARTITION_MAX_SAMPLES = 1000 * 200
 
 # Most points cost-table scans, rows x grid, with one row per (variant, k):
 # the 12 rows of the default k_max at the largest grid, 10^6, which take
@@ -456,7 +465,7 @@ def _grover(p, seed):
     "cubing law at every recursion level.",
     {"levels": Param("int", 3, "deepest recursion level",
                      lo=0, hi=_FIXED_POINT_MAX_LEVELS),
-     # level 10 takes 0.41 s at n = 8, 0.59 s at n = 1024 and 1.68 s at
+     # level 10 takes 0.085 s at n = 8, 0.12 s at n = 1024 and 0.32 s at
      # n = 8192, so the cap keeps the deepest run near the n = 8 budget
      "n": Param("int", 8, "list size", lo=2, hi=1024),
      "k": Param("int", 1, "number of marked items", lo=1),
@@ -464,8 +473,8 @@ def _grover(p, seed):
 )
 def _fixed_point(p, seed):
     levels = range(p["levels"] + 1)
-    runs = [grover.fixed_point_run(level, p["n"], range(p["k"]), p["base"])
-            for level in levels]
+    runs = grover.fixed_point_levels(p["levels"], p["n"], range(p["k"]),
+                                     p["base"])
     f0 = runs[0].failure
     failure = [res.failure for res in runs]
     predicted = [f0 ** (3 ** level) for level in levels]
@@ -759,7 +768,8 @@ def _nand(p, seed):
     "Telescoping partition-function estimate for independent spins, "
     "against the exact product form.",
     {"bits": Param("int", 6, "number of spins", lo=1, hi=20),
-     # at bits 6, 1000 levels take 0.55 s and 10^4 samples 0.22 s
+     # at bits 6, 1000 levels take 0.51 s and 10^4 samples 0.22 s; levels
+     # x samples is bounded by MCMC_PARTITION_MAX_SAMPLES
      "levels": Param("int", 8, "temperature levels", lo=1, hi=1000),
      "samples": Param("int", 200, "samples per level", lo=1, hi=10 ** 4),
      "beta_max": Param("float", 2.0, "final inverse temperature")},
@@ -767,6 +777,9 @@ def _nand(p, seed):
 )
 def _mcmc_partition(p, seed):
     # ungated: stochastic, from a warm-started chain, not independent Gibbs draws
+    if p["levels"] * p["samples"] > MCMC_PARTITION_MAX_SAMPLES:
+        raise ValueError(f"{p['levels']} levels of {p['samples']} samples "
+                         f"pass the {MCMC_PARTITION_MAX_SAMPLES}-sample limit")
     bits = p["bits"]
     model = classical.EnergyModel.bit_flip(bits, int.bit_count)
     betas = np.linspace(0.0, p["beta_max"], p["levels"] + 1)
@@ -807,10 +820,11 @@ def _annealing(p, seed):
     # the temperatures t0 mu^j >= tmin
     levels = math.floor((math.log(p["tmin"]) - math.log(p["t0"]))
                         / math.log(p["mu"])) + 1
-    if p["runs"] * levels * max(p["inner"], 4) > ANNEALING_MAX_STEPS:
+    if p["runs"] * levels * (p["inner"] + 2) > ANNEALING_MAX_STEPS:
         raise ValueError(f"{p['runs']} runs of {levels} temperature levels "
-                         f"at {p['inner']} steps, each level counted as at "
-                         f"least 4, pass the {ANNEALING_MAX_STEPS}-step limit")
+                         f"at {p['inner']} steps, each level counted as "
+                         f"{p['inner']} + 2, pass the {ANNEALING_MAX_STEPS}"
+                         "-step limit")
     bits = p["bits"]
     rng = np.random.default_rng(seed)
     energies = rng.normal(size=2 ** bits)
@@ -863,7 +877,7 @@ def _mixing(p, seed):
     "Corner-to-corner hitting on the hypercube: classical first arrival "
     "against one-shot and monitored quantum arrival.",
     {"dim": Param("int", 4, "hypercube dimension", lo=2, hi=8),
-     # horizon 10^5 takes 1.2 s at dim 8
+     # horizon 10^5 takes 1.0 s at dim 8
      "horizon": Param("int", 100, "largest step count", lo=2, hi=10 ** 5)},
 )
 def _hitting(p, seed):

@@ -22,8 +22,8 @@ Canonical orders:
   before (q+1)-element ones.
 """
 
+import math
 from dataclasses import dataclass, field
-from itertools import combinations
 
 import numpy as np
 
@@ -262,27 +262,35 @@ def subset_bipartite(n_items, q):
 
     Sets are adjacent when they differ in exactly one element, i.e. the
     smaller is contained in the larger.  Labels carry the subsets themselves.
+    Each side lists its sets in colex order, which is ascending order of
+    their bitmasks, and q-set i is joined to the (q+1)-set whose mask is
+    mask_i | 2^x for each element x it lacks.
     """
-    if not 0 <= q < n_items:
-        raise ValueError("need 0 <= q < number of items")
-    left = _colex_subsets(n_items, q)
-    right = _colex_subsets(n_items, q + 1)
-    right_index = {s: len(left) + i for i, s in enumerate(right)}
-    pairs = []
-    for i, s in enumerate(left):
-        rest = set(range(n_items)) - set(s)
-        for x in rest:
-            t = tuple(sorted(s + (x,)))
-            pairs.append((i, right_index[t]))
-    labels = tuple(frozenset(s) for s in left + right)
-    return Graph(len(left) + len(right), pairs, labels=labels,
+    if not 0 <= q < n_items <= 63:
+        raise ValueError("need 0 <= q < number of items <= 63, the bits of "
+                         "an int64 set mask")
+    left = _colex_masks(n_items, q)
+    right = _colex_masks(n_items, q + 1)
+    bits = np.arange(n_items)
+    i, x = np.nonzero((left[:, None] >> bits & 1) == 0)
+    pairs = np.stack([i, left.size + np.searchsorted(right, left[i] | 1 << x)],
+                     axis=1)
+    labels = []
+    for k, masks in ((q, left), (q + 1, right)):
+        members = np.nonzero(masks[:, None] >> bits & 1)[1]
+        labels += map(frozenset, members.reshape(masks.size, k).tolist())
+    return Graph(left.size + right.size, pairs, labels=tuple(labels),
                  family="subset_bipartite", params=(n_items, q))
 
 
-def _colex_subsets(n_items, k):
-    subs = list(combinations(range(n_items), k))
-    subs.sort(key=lambda s: tuple(reversed(s)))
-    return subs
+def _colex_masks(n_items, k):
+    # the k-sets whose largest element is m follow every k-set below m, in
+    # the order of the (k-1)-sets of range(m), which open the colex list
+    masks = np.zeros(1, dtype=np.int64)
+    for j in range(1, k + 1):
+        masks = np.concatenate([masks[: math.comb(m, j - 1)] | 1 << m
+                                for m in range(j - 1, n_items)])
+    return masks
 
 
 def arcs(g):

@@ -17,6 +17,7 @@ __all__ = [
     "GroverResult",
     "grover_run",
     "FixedPointResult",
+    "fixed_point_levels",
     "fixed_point_run",
 ]
 
@@ -136,14 +137,19 @@ def grover_run(n, marked, steps="auto"):
 FixedPointResult = namedtuple("FixedPointResult", "failure queries")
 
 
-def fixed_point_run(levels, n, marked, base="identity"):
-    """Recursively composed phase-pi/3 search.
+def fixed_point_levels(levels, n, marked, base="identity"):
+    """Recursively composed phase-pi/3 search, every level from one run.
 
     Each level wraps the previous algorithm A as
     A' = A . Rs(pi/3) . inverse(A) . Rmarked(pi/3) . A, driving the
     failure probability f to f^3 while tripling the query cost plus one.
     The base algorithm is either the identity or one plain Grover
     iteration written as Rs(pi) after Rmarked(pi).
+
+    Returns a FixedPointResult for each level 0, 1, ..., ``levels``.  Level
+    l applies A_{l-1} . Rs(pi/3) . inverse(A_{l-1}) . Rmarked(pi/3) to the
+    output of level l - 1, which is the output of A_{l-1}, so each level's
+    state and query count are those of a fresh level-l run.
     """
     if levels < 0:
         raise ValueError("levels must be nonnegative")
@@ -165,16 +171,25 @@ def fixed_point_run(levels, n, marked, base="identity"):
     else:
         raise ValueError(f"unknown base algorithm {base!r}")
 
-    for _ in range(levels):
-        prev_f, prev_i = fwd, inv
-
-        def fwd(st, f=prev_f, i=prev_i):
-            return f(_uniform_phase(third, i(oracle.phase(third, f(st)))))
-
-        def inv(st, f=prev_f, i=prev_i):
-            return i(oracle.phase(-third, f(_uniform_phase(-third, i(st)))))
-
     out = fwd(np.full(n, 1.0 / math.sqrt(n), dtype=complex))
-    # the unmarked weight itself: 1 - success cancels below about 1e-13
-    failure = float(np.sum(np.abs(out[~oracle._mask]) ** 2))
-    return FixedPointResult(failure, oracle.queries)
+    results = []
+    for level in range(levels + 1):
+        if level:
+            out = fwd(_uniform_phase(third, inv(oracle.phase(third, out))))
+            prev_f, prev_i = fwd, inv
+
+            def fwd(st, f=prev_f, i=prev_i):
+                return f(_uniform_phase(third, i(oracle.phase(third, f(st)))))
+
+            def inv(st, f=prev_f, i=prev_i):
+                return i(oracle.phase(-third, f(_uniform_phase(-third, i(st)))))
+        # the unmarked weight itself: 1 - success cancels below about 1e-13
+        failure = float(np.sum(np.abs(out[~oracle._mask]) ** 2))
+        results.append(FixedPointResult(failure, oracle.queries))
+    return results
+
+
+def fixed_point_run(levels, n, marked, base="identity"):
+    """The last result of ``fixed_point_levels``: the failure probability
+    and query count of the level-``levels`` search."""
+    return fixed_point_levels(levels, n, marked, base)[-1]

@@ -40,6 +40,13 @@ class SubsetWalk:
     colex order.  ``queries`` counts the oracle calls of the last run.
     ``runs`` yields every prefix of one schedule's trajectory, so a scan
     over the outer count steps each state once.
+
+    The graph is bipartite, so after an even number of shifts the state
+    is on the left arcs and after an odd number on the right, and the two
+    sides are equally long, C(n, q)(n - q) = C(n, q + 1)(q + 1).  ``coin``,
+    ``shift`` and ``phase`` act on the vector of the side the state is
+    on, side 0 the left and 1 the right; ``runs`` yields whole states,
+    +0.0 on the right arcs.
     """
 
     def __init__(self, n, q, f, prop, k):
@@ -58,6 +65,11 @@ class SubsetWalk:
         self.left_dim = int(np.searchsorted(arcs[:, 0], n_left))
         self.dim = len(arcs)
         self.right_dim = self.dim - self.left_dim
+        # a shift from side s gathers the arcs of side 1 - s, whose
+        # reversals all lie on side s, numbered within it
+        self._gathers = (self._reverse[self.left_dim:],
+                         self._reverse[: self.left_dim] - self.left_dim)
+        self._widths = (n - q, q + 1)
         self.values = {x: f(x) for x in range(n)}
         # prop once per k-subset of the ground set; a q-set is good when
         # one of its k-subsets is
@@ -75,22 +87,22 @@ class SubsetWalk:
         self.queries = self.q  # loading the data register starts the ledger
         return state
 
-    def coin(self, state):
-        n, q = self.n, self.q
-        out = state.copy()
-        left = out[: self.left_dim].reshape(-1, n - q)
-        left[:] = 2.0 / (n - q) * left.sum(axis=1, keepdims=True) - left
-        right = out[self.left_dim :].reshape(-1, q + 1)
-        right[:] = 2.0 / (q + 1) * right.sum(axis=1, keepdims=True) - right
-        return out
+    def coin(self, state, side):
+        """Grover coin on each pointer block of the arcs of ``side``."""
+        width = self._widths[side]
+        blocks = state.reshape(-1, width)
+        return (2.0 / width * blocks.sum(axis=1, keepdims=True)
+                - blocks).ravel()
 
-    def shift(self, state):
+    def shift(self, state, side):
+        """Reverse each arc of ``side``, onto the other side, at one query."""
         self.queries += 1
-        return state[self._reverse]
+        return state[self._gathers[side]]
 
     def phase(self, state):
+        """Flip the arcs of the good q-sets on the left."""
         out = state.copy()
-        out[: self.left_dim][self._flips] *= -1
+        out[self._flips] *= -1
         return out
 
     def success(self, state):
@@ -105,10 +117,13 @@ class SubsetWalk:
         ones, one at a time, each with ``queries`` as ``run`` leaves it."""
         state = self.initial_state()
         yield state
+        left = state[: self.left_dim]
         for _ in range(tau2):
-            state = self.phase(state)
-            for _ in range(2 * tau1):
-                state = self.shift(self.coin(state))
+            left = self.phase(left)
+            for step in range(2 * tau1):
+                left = self.shift(self.coin(left, step % 2), step % 2)
+            state = np.zeros(self.dim)
+            state[: self.left_dim] = left
             yield state
 
     def run(self, tau1, tau2):

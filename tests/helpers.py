@@ -1,11 +1,16 @@
 """Helpers shared by the tests: random matrices, a CSV reader for the
 package's own output files, a probability-vector check, an arc lookup, a
 Metropolis chain that records every state it visits, and reference forms of
-the coined hitting series and the binomial row."""
+the coined hitting series, the binomial row, the classical first-hit series,
+the subset walk on its whole state, the subset graph and the fixed-point
+search."""
+
+import math
+from itertools import combinations
 
 import numpy as np
 
-from walklab import classical
+from walklab import classical, graphs, grover
 
 
 def random_hermitian(n, rng, scale=1.0):
@@ -116,3 +121,104 @@ def multiplicative_binomial(m):
         probs[2 * k] = c / scale
         c = c * (m - k) // (k + 1)
     return probs
+
+
+def whole_matrix_first_hit(chain, start, target, horizon):
+    """First-hit series from the whole absorbed matrix applied to the whole
+    distribution at every step: the reference for a scan that fills only
+    the rows a step can reach."""
+    absorbed = chain.matrix.copy()
+    absorbed[:, target] = 0.0
+    absorbed[target, target] = 1.0
+    p = np.zeros(absorbed.shape[0])
+    p[start] = 1.0
+    f = np.zeros(horizon + 1)
+    for m in range(1, horizon + 1):
+        seen = p[target]
+        p = absorbed @ p
+        f[m] = p[target] - seen
+    return f
+
+
+def whole_state_coin(walk, state):
+    """Grover coin of a ``subset.SubsetWalk`` on every pointer block of both
+    sides of a whole arc state."""
+    n, q = walk.n, walk.q
+    out = state.copy()
+    left = out[: walk.left_dim].reshape(-1, n - q)
+    left[:] = 2.0 / (n - q) * left.sum(axis=1, keepdims=True) - left
+    right = out[walk.left_dim:].reshape(-1, q + 1)
+    right[:] = 2.0 / (q + 1) * right.sum(axis=1, keepdims=True) - right
+    return out
+
+
+def whole_state_shift(walk, state):
+    """Reverse every arc of a whole arc state, at one query on the walk's
+    ledger."""
+    walk.queries += 1
+    return state[walk._reverse]
+
+
+def whole_state_phase(walk, state):
+    """Flip the good q-sets' left arcs of a whole arc state."""
+    out = state.copy()
+    out[: walk.left_dim][walk._flips] *= -1
+    return out
+
+
+def whole_state_runs(walk, tau1, tau2):
+    """The states and ledgers ``walk.runs(tau1, tau2)`` yields, from the
+    whole arc state coined and shifted on both sides at every half-step:
+    the reference for a walk that steps only the side it is on."""
+    state = walk.initial_state()
+    yield state, walk.queries
+    for _ in range(tau2):
+        state = whole_state_phase(walk, state)
+        for _ in range(2 * tau1):
+            state = whole_state_shift(walk, whole_state_coin(walk, state))
+        yield state, walk.queries
+
+
+def sorted_tuple_subset_bipartite(n_items, q):
+    """``graphs.subset_bipartite`` built from the subsets as sorted tuples
+    in colex order, each q-set joined to the (q+1)-set of each element it
+    lacks through a dictionary."""
+    def colex(k):
+        return sorted(combinations(range(n_items), k),
+                      key=lambda s: tuple(reversed(s)))
+    left, right = colex(q), colex(q + 1)
+    right_index = {s: len(left) + i for i, s in enumerate(right)}
+    pairs = [(i, right_index[tuple(sorted(s + (x,)))])
+             for i, s in enumerate(left)
+             for x in set(range(n_items)) - set(s)]
+    labels = tuple(frozenset(s) for s in left + right)
+    return graphs.Graph(len(left) + len(right), pairs, labels=labels,
+                        family="subset_bipartite", params=(n_items, q))
+
+
+def composed_fixed_point(levels, n, marked, base="identity"):
+    """Failure and query count of a fresh level-``levels`` fixed-point
+    search, its algorithm composed as closures level by level and run once
+    from the uniform state."""
+    oracle = grover.Oracle(n, marked)
+    third = math.pi / 3.0
+    phase = grover._uniform_phase
+    if base == "identity":
+        fwd = inv = lambda st: st
+    else:
+        def fwd(st):
+            return phase(math.pi, oracle.phase(math.pi, st))
+
+        def inv(st):
+            return oracle.phase(-math.pi, phase(-math.pi, st))
+    for _ in range(levels):
+        prev_f, prev_i = fwd, inv
+
+        def fwd(st, f=prev_f, i=prev_i):
+            return f(phase(third, i(oracle.phase(third, f(st)))))
+
+        def inv(st, f=prev_f, i=prev_i):
+            return i(oracle.phase(-third, f(phase(-third, i(st)))))
+    out = fwd(np.full(n, 1.0 / math.sqrt(n), dtype=complex))
+    failure = float(np.sum(np.abs(out[~oracle._mask]) ** 2))
+    return grover.FixedPointResult(failure, oracle.queries)

@@ -7,7 +7,8 @@ import types
 
 import numpy as np
 import pytest
-from helpers import metropolis_chain, multiplicative_binomial
+from helpers import (metropolis_chain, multiplicative_binomial,
+                     whole_matrix_first_hit)
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -208,6 +209,91 @@ def test_hitting_time_returns_its_first_hit_distribution():
     assert np.array_equal(res.first_hit, f)
     assert res.mean_truncated == pytest.approx(float(np.arange(201) @ f),
                                                abs=1e-12)
+
+
+def _looped_two_state_chain():
+    return cl.MarkovChain(np.array([[0.75, 0.0], [0.25, 1.0]]),
+                          graphs.complete(2, loops=True))
+
+
+def _lazy_cycle_chain():
+    # a matrix that holds still half the time on a loopless bipartite graph
+    chain = cl.unbiased_chain(graphs.cycle(6))
+    return cl.MarkovChain(0.5 * chain.matrix + 0.5 * np.eye(6), chain.graph)
+
+
+# d-cubes from corner 0 to the far corner, to 1 on the odd side and to 3 on
+# the even side; then bipartite graphs that are not cubes, two that are
+# not bipartite, a looped chain and a lazy one on a loopless bipartite
+# graph, which fill every row on both parities
+_FIRST_HIT_CASES = (
+    [pytest.param(lambda d=d: cl.unbiased_chain(graphs.hypercube(d)), 0, t,
+                  id=f"cube{d}-to{t}")
+     for d in range(2, 11) for t in sorted({2 ** d - 1, 1, 3})]
+    + [pytest.param(lambda: cl.unbiased_chain(graphs.line(80)), 1, 0,
+                    id="line80-1to0"),
+       pytest.param(lambda: cl.unbiased_chain(graphs.line(80)), 40, 79,
+                    id="line80-40to79"),
+       pytest.param(lambda: cl.unbiased_chain(graphs.cycle(8)), 0, 3,
+                    id="cycle8-0to3"),
+       pytest.param(lambda: cl.unbiased_chain(graphs.cycle(8)), 5, 4,
+                    id="cycle8-5to4"),
+       pytest.param(lambda: cl.unbiased_chain(graphs.cycle(7)), 0, 3,
+                    id="cycle7-0to3"),
+       pytest.param(lambda: cl.unbiased_chain(graphs.complete(5)), 0, 2,
+                    id="complete5-0to2"),
+       pytest.param(_looped_two_state_chain, 0, 1, id="looped-0to1"),
+       pytest.param(_lazy_cycle_chain, 0, 3, id="lazy-cycle6-0to3")])
+
+
+@pytest.mark.parametrize("make, start, target", _FIRST_HIT_CASES)
+def test_first_hit_keeps_every_byte_of_the_whole_matrix_scan(make, start,
+                                                             target):
+    chain = make()
+    horizon = 200 if chain.matrix.shape[0] > 256 else 400
+    got = cl.first_hit_distribution(chain, start, target, horizon)
+    want = whole_matrix_first_hit(chain, start, target, horizon)
+    assert got.tobytes() == want.tobytes()
+
+
+class _RowSpy(np.ndarray):
+    """A matrix that records the shape of every 2-d piece read from it."""
+
+    seen = []
+
+    def __getitem__(self, key):
+        out = super().__getitem__(key)
+        if np.ndim(out) == 2:
+            _RowSpy.seen.append(out.shape)
+        return out
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_first_hit_multiplies_one_side_and_the_target_row(d):
+    # a step onto the target's side fills that side; a step onto the other
+    # fills it and the target's row
+    g = graphs.hypercube(d)
+    n, half = 2 ** d, 2 ** (d - 1)
+    chain = cl.unbiased_chain(g)
+    _RowSpy.seen = []
+    spied = cl.MarkovChain(chain.matrix.view(_RowSpy), g)
+    for target in (n - 1, 1):
+        _RowSpy.seen.clear()
+        f = cl.first_hit_distribution(spied, 0, target, 60)
+        assert sorted(_RowSpy.seen) == [(half, n), (half + 1, n)]
+        assert np.asarray(f).tobytes() == whole_matrix_first_hit(
+            chain, 0, target, 60).tobytes()
+
+
+def test_first_hit_fills_every_row_off_a_bipartite_graph():
+    # or where the matrix steps within a side
+    for chain in (cl.unbiased_chain(graphs.cycle(7)),
+                  _looped_two_state_chain(), _lazy_cycle_chain()):
+        n = chain.matrix.shape[0]
+        _RowSpy.seen = []
+        spied = cl.MarkovChain(chain.matrix.view(_RowSpy), chain.graph)
+        cl.first_hit_distribution(spied, 0, 1, 10)
+        assert _RowSpy.seen == [(n, n), (n, n)]
 
 
 def test_hitting_start_equals_target():

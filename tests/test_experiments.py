@@ -202,7 +202,12 @@ class TestExitCodes:
                                                      monkeypatch):
         def refuse(*args):
             raise AssertionError("search run")
+        monkeypatch.setattr(experiments.grover, "fixed_point_levels", refuse)
         monkeypatch.setattr(experiments.grover, "fixed_point_run", refuse)
+        # the patch reaches the search an accepted request runs
+        with pytest.raises(AssertionError, match="search run"):
+            run(ExperimentSpec("fixed-point", {"levels": "1"}, None,
+                               str(tmp_path)))
         levels = 0
         while 3 ** levels <= experiments.FIXED_POINT_MAX_APPLICATIONS:
             levels += 1
@@ -236,7 +241,7 @@ class TestExitCodes:
         while t >= schema["tmin"].default:
             levels, t = levels + 1, t * schema["mu"].default
         assert levels == 36
-        assert (schema["runs"].hi * levels * schema["inner"].hi
+        assert (schema["runs"].hi * levels * (schema["inner"].hi + 2)
                 == experiments.ANNEALING_MAX_STEPS)
         # both sides of a limit lowered to the default request, which
         # visits levels temperatures in each of its runs
@@ -250,7 +255,7 @@ class TestExitCodes:
         monkeypatch.setattr(experiments.classical, "_metropolis", counted)
         monkeypatch.setattr(experiments, "ANNEALING_MAX_STEPS",
                             schema["runs"].default * levels
-                            * schema["inner"].default)
+                            * (schema["inner"].default + 2))
         # tmin 0.045 sits just below t0 mu^36 = 0.04506, a 37th level
         for params, status, runs in [({}, 0, 20), ({"runs": "21"}, 2, 0),
                                      ({"inner": "61"}, 2, 0),
@@ -263,19 +268,24 @@ class TestExitCodes:
             assert run(spec) == status, params
             assert len(calls) == runs * levels, params
 
-    def test_annealing_counts_a_short_level_as_four_steps(
-            self, tmp_path, monkeypatch, capsys):
+    # 1000 runs of 72,000 levels at inner 1 once took 50.9 s; 18,000 levels
+    # at inner 4 fit when a level counted as 4 steps, and would take 24 s
+    @pytest.mark.parametrize("mu, levels, inner", [
+        ("0.9999487665198197", 72000, 1), ("0.9997950775591482", 18000, 4)],
+        ids=["inner1", "inner4"])
+    def test_annealing_counts_a_level_as_inner_plus_two_steps(
+            self, tmp_path, monkeypatch, capsys, mu, levels, inner):
         def refuse(*args):
             raise AssertionError("random draw")
 
-        # 72,000 levels at inner 1 once took 50.9 s
         monkeypatch.setattr(experiments.np.random, "default_rng", refuse)
-        params = {"runs": "1000", "inner": "1", "mu": "0.9999487665198197"}
+        params = {"runs": "1000", "inner": str(inner), "mu": mu}
         spec = ExperimentSpec("annealing", params, 1, str(tmp_path))
         assert run(spec) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: 1000 runs of 72000 temperature levels "
-                              "at 1 steps, each level counted as at least 4")
+        assert err.startswith(f"error: 1000 runs of {levels} temperature "
+                              f"levels at {inner} steps, each level counted "
+                              f"as {inner} + 2, pass the")
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not list(tmp_path.iterdir())
 
@@ -296,14 +306,66 @@ class TestExitCodes:
                                   str(tmp_path))
             assert run(spec) == 0, params
             assert inner == [int(params.get("inner", 60))] * runs
-        # both sides of a limit lowered to 20 runs of 36 levels at 4 steps
-        monkeypatch.setattr(experiments, "ANNEALING_MAX_STEPS", 20 * 36 * 4)
+        # both sides of a limit lowered to 20 runs of 36 levels at 4 steps,
+        # each level counted as 4 + 2
+        monkeypatch.setattr(experiments, "ANNEALING_MAX_STEPS",
+                            20 * 36 * (4 + 2))
         for params, status in [({"inner": "0"}, 0), ({"inner": "1"}, 0),
                                ({"inner": "4"}, 0), ({"inner": "5"}, 2),
-                               ({"inner": "1", "runs": "21"}, 2)]:
+                               ({"inner": "4", "runs": "21"}, 2),
+                               ({"inner": "0", "runs": "60"}, 0),
+                               ({"inner": "0", "runs": "61"}, 2)]:
             spec = ExperimentSpec("annealing", dict(params, bits="4"), 1,
                                   str(tmp_path))
             assert run(spec) == status, params
+
+    def test_mcmc_partition_levels_times_samples_refused_before_any_draw(
+            self, tmp_path, monkeypatch, capsys):
+        schema = experiments.catalog()["mcmc-partition"].schema
+        # the levels cap at the default samples fills the limit
+        assert (schema["levels"].hi * schema["samples"].default
+                == experiments.MCMC_PARTITION_MAX_SAMPLES)
+
+        def refuse(*args):
+            raise AssertionError("random draw")
+
+        monkeypatch.setattr(experiments.np.random, "default_rng", refuse)
+        # both caps at once, 10^8 moves, once took about 27 s
+        for levels, samples in [(1000, 201), (21, 10 ** 4), (201, 1000),
+                                (1000, 10 ** 4)]:
+            spec = ExperimentSpec("mcmc-partition",
+                                  {"levels": str(levels),
+                                   "samples": str(samples)},
+                                  1, str(tmp_path))
+            assert run(spec) == 2, (levels, samples)
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {levels} levels of {samples} "
+                                  "samples pass the 200000-sample limit")
+            assert err.count("\n") == 1 and "Traceback" not in err
+        assert not list(tmp_path.iterdir())
+
+    def test_mcmc_partition_default_and_limit_requests_still_run(
+            self, tmp_path, monkeypatch):
+        calls = []
+
+        def stub(model, betas, samples, rng):
+            calls.append((len(betas) - 1, samples))
+            return experiments.classical.TelescopingResult(
+                1.0, [1.0] * (len(betas) - 1), 1.0)
+
+        monkeypatch.setattr(experiments.classical,
+                            "telescoping_partition_estimate", stub)
+        for params, want in [({}, (8, 200)),
+                             ({"bits": "10", "samples": "2000"}, (8, 2000)),
+                             ({"levels": "1000"}, (1000, 200)),
+                             ({"levels": "20", "samples": "10000"},
+                              (20, 10 ** 4)),
+                             ({"levels": "200", "samples": "1000"},
+                              (200, 1000))]:
+            calls.clear()
+            spec = ExperimentSpec("mcmc-partition", params, 1, str(tmp_path))
+            assert run(spec) == 0, params
+            assert calls == [want]
 
     def test_cost_table_rows_times_grid_refused_before_the_scan(
             self, tmp_path, monkeypatch, capsys):
@@ -562,12 +624,14 @@ class TestExitCodes:
         assert "pure walk at unitarity 1 off by" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
-    # the shift's query left off the ledger, and a coin that leaks norm
+    # the shift's query left off the ledger, and a coin that leaks norm,
+    # each on the side the state is on
     @pytest.mark.parametrize("method, off, label", [
-        ("shift", lambda shift: lambda self, state: state[self._reverse],
+        ("shift",
+         lambda shift: lambda self, state, side: state[self._gathers[side]],
          "query ledger q + 2 tau1 t2"),
-        ("coin", lambda coin: lambda self, state: coin(self, state) * (1 + 1e-9),
-         "norm drift"),
+        ("coin", lambda coin: lambda self, state, side: coin(
+            self, state, side) * (1 + 1e-9), "norm drift"),
     ], ids=["ledger", "drift"])
     def test_subset_find_gates_exit_3(self, tmp_path, monkeypatch, capsys,
                                       method, off, label):

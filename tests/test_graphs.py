@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from helpers import sorted_tuple_subset_bipartite
 
 from walklab import graphs as G
 
@@ -108,6 +109,24 @@ def test_glued_trees_cycle_deterministic_per_seed():
     c = G.glued_trees_cycle(5, seed=8)
     assert np.array_equal(a.pairs, b.pairs)
     assert not np.array_equal(a.pairs, c.pairs)
+
+
+@pytest.mark.parametrize("n", range(1, 15))
+def test_subset_bipartite_from_bitmasks_equals_the_sorted_tuple_build(n):
+    for q in range(n):
+        got, want = G.subset_bipartite(n, q), sorted_tuple_subset_bipartite(
+            n, q)
+        assert got == want and got.labels == want.labels, q
+        assert got.pairs.tobytes() == want.pairs.tobytes(), q
+        assert (got.family, got.params) == (want.family, want.params)
+
+
+def test_subset_bipartite_takes_sets_of_up_to_63_items():
+    g = G.subset_bipartite(63, 0)
+    assert g.n == 64 and g.labels[-1] == frozenset({62})
+    for n, q in [(64, 0), (5, 5), (5, -1)]:
+        with pytest.raises(ValueError, match="number of items"):
+            G.subset_bipartite(n, q)
 
 
 def test_subset_bipartite_structure():

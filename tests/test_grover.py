@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from helpers import composed_fixed_point
 
 from walklab import grover as gr
 
@@ -193,11 +194,28 @@ class TestFixedPoint:
                 got = gr._uniform_phase(angle, state)
                 assert got.tobytes() == want.tobytes(), (n, angle)
 
+    @pytest.mark.parametrize("base", ["identity", "grover-iterate"])
+    @pytest.mark.parametrize("n, k", [(8, 1), (64, 1), (16, 2), (100, 7),
+                                      (1024, 3), (33, 32)])
+    def test_levels_are_fresh_runs_of_each_level(self, n, k, base):
+        got = gr.fixed_point_levels(7, n, range(k), base)
+        assert len(got) == 8
+        for level, res in enumerate(got):
+            fresh = gr.fixed_point_run(level, n, range(k), base)
+            composed = composed_fixed_point(level, n, range(k), base)
+            assert (res.failure.hex() == fresh.failure.hex()
+                    == composed.failure.hex()), level
+            assert res.queries == fresh.queries == composed.queries, level
+            if level:
+                assert res.queries == 3 * got[level - 1].queries + 1
+
     def test_validation(self):
         with pytest.raises(ValueError, match="levels"):
             gr.fixed_point_run(-1, 8, {0})
         with pytest.raises(ValueError, match="unknown base"):
             gr.fixed_point_run(1, 8, {0}, base="magic")
+        with pytest.raises(ValueError, match="levels"):
+            gr.fixed_point_levels(-1, 8, {0})
 
 
 class TestRandomizedProperties:

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from helpers import (whole_state_coin, whole_state_phase, whole_state_runs,
+                     whole_state_shift)
 
 from walklab import scattering as sc
 from walklab import subset as sb
@@ -122,7 +124,8 @@ class TestEvolutionStructure:
     def test_odd_translation_count_sits_on_far_side(self):
         f, prop = singleton_marked(1)
         walk = sb.SubsetWalk(7, 2, f, prop, 1)
-        state = walk.shift(walk.coin(walk.initial_state()))
+        state = whole_state_shift(walk, whole_state_coin(
+            walk, walk.initial_state()))
         assert np.allclose(state[: walk.left_dim], 0.0)
         assert walk.right_mass(state) == pytest.approx(1.0, abs=1e-12)
 
@@ -133,9 +136,9 @@ class TestEvolutionStructure:
         for i in range(walk.dim):
             e = np.zeros(walk.dim)
             e[i] = 1.0
-            s = walk.phase(e)
+            s = whole_state_phase(walk, e)
             for _ in range(2):
-                s = walk.shift(walk.coin(s))
+                s = whole_state_shift(walk, whole_state_coin(walk, s))
             cols.append(s)
         u = np.column_stack(cols)
         assert np.max(np.abs(u.T @ u - np.eye(walk.dim))) < 1e-8
@@ -145,9 +148,9 @@ class TestEvolutionStructure:
         prop = lambda pairs: False
         walk = sb.SubsetWalk(9, 3, f, prop, 2)
         state = walk.initial_state()
-        out = walk.run(1, 3) if False else state.copy()
+        out = state.copy()
         for _ in range(4):
-            out = walk.shift(walk.coin(out))
+            out = whole_state_shift(walk, whole_state_coin(walk, out))
         assert np.max(np.abs(out - state)) < 1e-12
 
     def test_norm_preserved_through_run(self):
@@ -155,6 +158,55 @@ class TestEvolutionStructure:
         walk = sb.SubsetWalk(10, 5, f, prop, 2)
         state = walk.run(2, 3)
         assert np.linalg.norm(state) == pytest.approx(1.0, abs=1e-10)
+
+
+# q from 1 to n - 1 at every n up to 9, then the ends and the middle of
+# n = 12 and n = 14; k = 1 and k = q
+_SIDE_CASES = ([(n, q, k) for n in range(2, 10) for q in range(1, n)
+                for k in sorted({1, q})]
+               + [(n, q, k) for n in (12, 14) for q in (1, n // 2, n - 1)
+                  for k in sorted({1, min(q, 3)})])
+
+
+class TestOneSideAtATime:
+    """The walk steps only the side its amplitudes are on; the whole arc
+    state, coined and shifted on both sides, is the reference."""
+
+    @pytest.mark.parametrize("n, q, k", _SIDE_CASES)
+    def test_runs_keep_every_byte_of_the_whole_state_walk(self, n, q, k):
+        f = lambda x: x % 3
+        prop = lambda pairs: len({v for _, v in pairs}) == 1
+        walk = sb.SubsetWalk(n, q, f, prop, k)
+        for tau1, tau2 in [(1, 3), (2, 2)]:
+            got = [(state.tobytes(), walk.queries)
+                   for state in walk.runs(tau1, tau2)]
+            want = [(state.tobytes(), queries)
+                    for state, queries in whole_state_runs(walk, tau1, tau2)]
+            assert got == want
+
+    @pytest.mark.parametrize("n, q", [(5, 1), (7, 3), (8, 6), (9, 8)])
+    def test_side_methods_are_the_whole_state_ones_on_one_side(self, n, q):
+        f, prop = singleton_marked(0)
+        walk = sb.SubsetWalk(n, q, f, prop, 1)
+        rng = np.random.default_rng(n * 10 + q)
+        half = walk.left_dim
+        for side, here, there in [(0, slice(None, half), slice(half, None)),
+                                  (1, slice(half, None), slice(None, half))]:
+            v = rng.normal(size=half)
+            whole = np.zeros(walk.dim)
+            whole[here] = v
+            coined = whole_state_coin(walk, whole)
+            assert walk.coin(v, side).tobytes() == coined[here].tobytes()
+            walk.queries = 0
+            moved = walk.shift(v, side)
+            assert walk.queries == 1
+            shifted = whole_state_shift(walk, whole)
+            assert moved.tobytes() == shifted[there].tobytes()
+            assert not shifted[here].any()
+        v = rng.normal(size=half)
+        whole = np.concatenate([v, np.zeros(half)])
+        assert (walk.phase(v).tobytes()
+                == whole_state_phase(walk, whole)[:half].tobytes())
 
 
 class TestGroverByWalkReduction:
