@@ -70,6 +70,10 @@ def evolve(chain, p0, m):
 
 StationaryResult = namedtuple("StationaryResult", "pi spectrum bipartite")
 
+# Largest difference stationary_and_limit allows between an entry of a
+# chain's matrix and the same entry of its graph's unbiased walk.
+_WALK_TOL = 1e-12
+
 
 def stationary_and_limit(chain):
     """Stationary distribution d/2|E| plus the symmetrized spectrum.
@@ -78,12 +82,24 @@ def stationary_and_limit(chain):
     transition matrix and symmetric, so its eigenvalues are real and lie in
     [-1, 1]; they are returned in descending order.  Bipartite graphs never
     converge pointwise (the -1 eigenvalue keeps oscillating) and are flagged.
+
+    All three describe the unbiased walk on ``chain.graph``, so a chain
+    whose matrix differs from that walk by more than 1e-12 in any entry,
+    or holds a NaN, is refused with ValueError; ``mixing_time`` inherits
+    the check.
     """
     g = chain.graph
     deg = _graphs.degrees(g).astype(float)
+    a = _graphs.adjacency(g)
+    # a NaN difference is within no tolerance
+    if (chain.matrix.shape != a.shape
+            or not np.all(np.abs(chain.matrix - a / deg) <= _WALK_TOL)):
+        raise ValueError("the chain's matrix is not the unbiased walk on its "
+                         f"graph to within {_WALK_TOL}, and the "
+                         "stationary law and spectrum are that walk's")
     pi = deg / deg.sum()
     inv_sqrt = 1.0 / np.sqrt(deg)
-    q = _graphs.adjacency(g) * np.outer(inv_sqrt, inv_sqrt)
+    q = a * np.outer(inv_sqrt, inv_sqrt)
     values = np.linalg.eigvalsh(q)[::-1]
     return StationaryResult(pi, values, _graphs.is_bipartite(g) and not g.loops)
 
@@ -354,10 +370,14 @@ class _Draws:
     def flip_moves(self, bits, energy, beta, steps, samples, state, e_here):
         """``_metropolis`` for ``EnergyModel.bit_flip(bits, energy)``: each
         move is the draw loop of ``integers(bits)``, the flip, and for an
-        uphill or NaN ``de`` a ``random()``, with ``energy`` the only call."""
+        uphill or NaN ``de`` a ``random()``, with ``energy`` the only call.
+        The acceptance weight exp(-beta de) is recomputed only when ``de``
+        differs from the last uphill one, as it rarely does for an integer
+        energy; a NaN never equals it, so it is recomputed and rejected."""
         _, low, high, uniform, n = self._decode(bits)
         (i, j, has), exp, wide = self._cursor, math.exp, bits > 1
         b = accepted = 0  # integers(1) draws nothing and returns 0
+        last = weight = None  # the last uphill de and its exp(-beta de)
         energies = []
         try:
             for _ in range(samples):
@@ -382,7 +402,9 @@ class _Draws:
                             _, low, high, uniform, n = self._decode(bits, j)
                             i, j = 0, n
                         i += 1
-                        if not uniform[i - 1] < exp(-beta * de):
+                        if de != last:
+                            last, weight = de, exp(-beta * de)
+                        if not uniform[i - 1] < weight:
                             continue
                     state, e_here = candidate, e_there
                     accepted += 1

@@ -196,10 +196,14 @@ class CoinedWalkOperator:
         out[..., -1, down] = mixed[..., 0, down]
         return out
 
-    def _coin(self, part):
+    def _coin(self, part, out=None):
         """The coin on the rows of ``part``, of shape (..., k, d): the shared
-        coin on any k rows, or one coin per vertex on all k = n of them."""
+        coin on any k rows, or one coin per vertex on all k = n of them.
+        A (k, d) ``part`` under the shared coin is one product, written into
+        ``out`` when given, a (k, d) array of the result's dtype."""
         if self._coin_t is not None:
+            if part.ndim == 2:
+                return np.matmul(part, self._coin_t, out=out)
             return (part.reshape(-1, self.d) @ self._coin_t).reshape(part.shape)
         return np.einsum("vcd,...vd->...vc", self._coins, part)
 
@@ -532,13 +536,14 @@ def absorbing_line_quantum(m_max):
     only on the sites of parity par = (1 + t) mod 2, and only those are
     stored: row j of an (m_max // 2 + 3) x 2 array holds site 2j + par,
     and the rows [0, k) are the ones that can be nonzero.  A step is
-    ``_coin`` on those k rows, then a shift of one color by one row while
-    the other stays put.  From par = 1 the rightward color moves one row
-    down and row 0 becomes the wall, site 0, which is read and emptied;
-    from par = 0 the leftward color moves one row up, and the wall's own
-    row, empty, leaves the array.  So the wall is read after odd steps
-    only; after even steps nothing can have reached it.  After each step
-    the far edge of the rows zeroes two kinds of row:
+    ``_coin`` on those k rows, into the first k rows of one buffer reused
+    every step, then a shift of one color by one row while the other stays
+    put.  From par = 1 the rightward color moves one row down and row 0
+    becomes the wall, site 0, which is read and emptied; from par = 0 the
+    leftward color moves one row up, and the wall's own row, empty, leaves
+    the array.  So the wall is read after odd steps only; after even steps
+    nothing can have reached it.  After each step the far edge of the rows
+    zeroes two kinds of row:
 
     - rows outside the wall's backward light cone.  A walker at site x
       after step t first reaches the wall at step t + x, so no site beyond
@@ -567,25 +572,30 @@ def absorbing_line_quantum(m_max):
     left = 1 - right
     psi = np.zeros((m_max // 2 + 3, 2))
     psi[0, 0] = 1.0
+    # the coin writes its first k rows, and each color's column of it and
+    # of psi is bound once
+    mixed = np.empty_like(psi)
+    psi_right, psi_left = psi[:, right], psi[:, left]
+    mixed_right, mixed_left = mixed[:, right], mixed[:, left]
     per_step = np.zeros(m_max + 1)
     amplitudes = np.zeros(m_max + 1, dtype=complex)
     remaining = 0.0
     par, k = 1, 1
     for step in range(1, m_max + 1):
-        mixed = op._coin(psi[:k])
+        op._coin(psi[:k], mixed[:k])
         if par:
-            psi[1:k + 1, right] = mixed[:, right]
-            psi[:k, left] = mixed[:, left]
+            psi_right[1:k + 1] = mixed_right[:k]
+            psi_left[:k] = mixed_left[:k]
             # the rightward color has left the wall row: what arrived there
             # came moving left, and the stale entry beside it is emptied
-            amplitudes[step] = psi[0, left]
-            per_step[step] = abs(psi[0, left]) ** 2
+            amplitudes[step] = psi_left[0]
+            per_step[step] = abs(psi_left[0]) ** 2
             psi[0] = 0.0
             k += 1
         else:
-            psi[:k - 1, left] = mixed[1:, left]
-            psi[k - 1, left] = 0.0
-            psi[:k, right] = mixed[:, right]
+            psi_left[:k - 1] = mixed_left[1:k]
+            psi_left[k - 1] = 0.0
+            psi_right[:k] = mixed_right[:k]
         par = 1 - par
         cone = (m_max - step - par) // 2 + 1
         if k > cone:

@@ -259,12 +259,6 @@ def _check_nand_tree(tree):
         raise ValueError("leaves must carry bit 0 or 1")
 
 
-def _boolean_nand(tree):
-    if not isinstance(tree, tuple):
-        return tree
-    return 1 - (_boolean_nand(tree[0]) & _boolean_nand(tree[1]))
-
-
 def nand_eval(tree):
     """Evaluate a NAND tree by the zero-energy amplitude-ratio recursion.
 
@@ -274,22 +268,25 @@ def nand_eval(tree):
     leaf carries one pendant vertex, one recursion step past the
     sentinel.  Large ratios then mean subtree value 0 and small ratios
     value 1, with any threshold between the two scales; 1 is used.  The
-    boolean evaluation is returned alongside for comparison, with the
-    ratio trace in leaf-to-root order.
+    boolean evaluation is returned alongside for comparison, taken in the
+    same walk down the tree, with the ratio trace in leaf-to-root order.
     """
     _check_nand_tree(tree)
     trace = []
 
     def ratio(node):
+        # the pair (ratio, boolean value) of the subtree at node
         if not isinstance(node, tuple):
+            value = node
             x = NAND_SENTINEL if node == 0 else -1.0 / NAND_SENTINEL
         else:
-            x = -1.0 / (ratio(node[0]) + ratio(node[1]))
+            (x0, v0), (x1, v1) = ratio(node[0]), ratio(node[1])
+            x, value = -1.0 / (x0 + x1), 1 - (v0 & v1)
         trace.append(x)
-        return x
+        return x, value
 
-    root = ratio(tree)
-    return NandResult(0 if abs(root) >= 1.0 else 1, _boolean_nand(tree), trace)
+    root, value = ratio(tree)
+    return NandResult(0 if abs(root) >= 1.0 else 1, value, trace)
 
 
 def hard_nand_instance(depth, rng, value=None):
@@ -300,7 +297,9 @@ def hard_nand_instance(depth, rng, value=None):
     node is forced to children (1, 1).  On balanced trees these
     instances drive the randomized evaluator to its N^0.753 scaling.
     ``rng`` may be any object with a numpy-style scalar ``integers``
-    method; only ``integers(2)`` is called.
+    method; only ``integers(2)`` is called, a node's own draws before
+    either child's, and the first child is drawn in full before the
+    second.
     """
     if depth < 0:
         raise ValueError("tree depth must be nonnegative")
@@ -309,12 +308,11 @@ def hard_nand_instance(depth, rng, value=None):
     if depth == 0:
         return value
     if value == 0:
-        kids = [1, 1]
+        kids = 1, 1
     else:
-        kids = [0, 1]
-        if rng.integers(2):
-            kids.reverse()
-    return tuple(hard_nand_instance(depth - 1, rng, v) for v in kids)
+        kids = (1, 0) if rng.integers(2) else (0, 1)
+    first = hard_nand_instance(depth - 1, rng, kids[0])
+    return first, hard_nand_instance(depth - 1, rng, kids[1])
 
 
 def classical_nand_cost(tree, rng, trials):

@@ -105,9 +105,17 @@ ANNEALING_MAX_STEPS = 1000 * 36 * (2000 + 2)
 
 # Most samples mcmc-partition draws, levels x samples, each after ten
 # Metropolis moves: the levels cap at the default samples, 1000 x 200, which
-# takes 0.51 s at bits 6 and 0.53 s at bits 20 with one BLAS thread, as do
-# 20 levels at the 10^4-sample cap.  Both caps at once took about 27 s.
+# takes 0.39 s at bits 6 and 0.42 s at bits 20 with one BLAS thread, as do
+# 20 levels at the 10^4-sample cap.  Both caps at once take about 19 s.
 MCMC_PARTITION_MAX_SAMPLES = 1000 * 200
+
+# Most leaves nand visits, instances x (trials + 1) x 2^depth: a tree is
+# drawn and evaluated over its 2^depth leaves, and a classical trial visits
+# at most all of them.  The limit is depth 16 at the default 20 instances
+# and 4 trials, 1.4 s with one BLAS thread.  A trial visits about
+# 1.686^depth leaves, so the dearest requests accepted have one trial:
+# 50 trees at depth 16 take 3.2 s, 6,400 at depth 9 3.1 s.
+NAND_MAX_LEAVES = 20 * (4 + 1) * 2 ** 16
 
 # Most points cost-table scans, rows x grid, with one row per (variant, k):
 # the 12 rows of the default k_max at the largest grid, 10^6, which take
@@ -362,7 +370,7 @@ def _decoherence_sweep(p, seed):
     "absorbing-boundary",
     "Hadamard walker beside an absorbing wall: per-step and cumulative "
     "absorption, whose limit is 2/pi.",
-    # m_max = 20,000 takes 0.25 s; the library's 10^5 steps take 2.8 s
+    # m_max = 20,000 takes 0.14 s; the library's 10^5 steps take 1.8 s
     {"m_max": Param("int", 4000, "number of steps", lo=1, hi=20000)},
 )
 def _absorbing_boundary(p, seed):
@@ -433,7 +441,7 @@ def _star_search(p, seed):
     "grover",
     "Grover iteration over an unstructured list, tracked in the plane of "
     "the marked and unmarked superpositions.",
-    # n = 2^20 takes 2.2 s at one BLAS thread
+    # n = 2^20 takes 1.9 s at one BLAS thread
     {"n": Param("int", 1024, "list size", lo=2, hi=2 ** 20),
      "k": Param("int", 1, "number of marked items", lo=1)},
 )
@@ -736,7 +744,8 @@ def _analog_search(p, seed):
     "NAND trees from the adversarial distribution: ratio evaluation "
     "against boolean truth, with randomized classical query costs.",
     {"depth": Param("int", 5, "tree depth", lo=0, hi=16),
-     # at depth 5, 10^4 instances take 4.2 s and 10^3 trials 1.1 s
+     # at depth 5, 10^4 instances take 0.58 s and 10^3 trials 0.13 s;
+     # instances x (trials + 1) x 2^depth is bounded by NAND_MAX_LEAVES
      "instances": Param("int", 20, "how many trees to draw",
                         lo=1, hi=10 ** 4),
      "trials": Param("int", 4, "classical evaluations per tree",
@@ -744,6 +753,11 @@ def _analog_search(p, seed):
     needs_seed=True,
 )
 def _nand(p, seed):
+    if p["instances"] * (p["trials"] + 1) * 2 ** p["depth"] > NAND_MAX_LEAVES:
+        raise ValueError(f"{p['instances']} trees of depth {p['depth']} at "
+                         f"{p['trials']} trials, each tree counted "
+                         f"{p['trials']} + 1 times, pass the "
+                         f"{NAND_MAX_LEAVES}-leaf limit")
     truth, bits, roots, costs = [], [], [], []
     # both draw only integers(2), which the PCG64 replay serves
     with classical._draws(np.random.default_rng(seed)) as rng:
@@ -768,7 +782,7 @@ def _nand(p, seed):
     "Telescoping partition-function estimate for independent spins, "
     "against the exact product form.",
     {"bits": Param("int", 6, "number of spins", lo=1, hi=20),
-     # at bits 6, 1000 levels take 0.51 s and 10^4 samples 0.22 s; levels
+     # at bits 6, 1000 levels take 0.39 s and 10^4 samples 0.15 s; levels
      # x samples is bounded by MCMC_PARTITION_MAX_SAMPLES
      "levels": Param("int", 8, "temperature levels", lo=1, hi=1000),
      "samples": Param("int", 200, "samples per level", lo=1, hi=10 ** 4),

@@ -111,20 +111,20 @@ def grover_run(n, marked, steps="auto"):
     index = oracle._index
     t = np.zeros(n)
     t[index] = 1.0 / math.sqrt(k)
+    u = 1.0 / math.sqrt(n - k)
     nv = np.zeros(n)
-    nv[~oracle._mask] = 1.0 / math.sqrt(n - k)
+    nv[~oracle._mask] = u
     state = np.full(n, 1.0 / math.sqrt(n))
     comps = np.empty((m + 1, 2))
     leakage = 0.0
-    # t and nv have disjoint supports, so c0 t + c1 nv is c1 nv with the
-    # marked entries set to c0 t: the residual it leaves differs from
-    # state - c0 t - c1 nv at most in the sign of a zero
+    # t and nv have disjoint supports, and nv is u wherever t is 0, so the
+    # residual state - c0 t - c1 nv is state - u c1 with the marked entries
+    # set to state - c0 t; it differs at most in the sign of a zero
     plane = np.empty(n)
     for j in range(m + 1):
         c0, c1 = comps[j] = (t @ state, nv @ state)
-        np.multiply(nv, c1, out=plane)
-        plane[index] = c0 * t[index]
-        np.subtract(state, plane, out=plane)
+        np.subtract(state, u * c1, out=plane)
+        plane[index] = state[index] - c0 * t[index]
         leakage = max(leakage, float(np.linalg.norm(plane)))
         if j < m:
             # the oracle, then the diffusion 2 mean - s, both in place

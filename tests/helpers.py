@@ -2,15 +2,15 @@
 package's own output files, a probability-vector check, an arc lookup, a
 Metropolis chain that records every state it visits, and reference forms of
 the coined hitting series, the binomial row, the classical first-hit series,
-the subset walk on its whole state, the subset graph and the fixed-point
-search."""
+the subset walk on its whole state, the subset graph, the fixed-point search,
+the Grover run and the NAND-tree evaluation and draw."""
 
 import math
 from itertools import combinations
 
 import numpy as np
 
-from walklab import classical, graphs, grover
+from walklab import classical, ctqw, graphs, grover
 
 
 def random_hermitian(n, rng, scale=1.0):
@@ -222,3 +222,73 @@ def composed_fixed_point(levels, n, marked, base="identity"):
     out = fwd(np.full(n, 1.0 / math.sqrt(n), dtype=complex))
     failure = float(np.sum(np.abs(out[~oracle._mask]) ** 2))
     return grover.FixedPointResult(failure, oracle.queries)
+
+
+def multiplied_plane_grover_run(n, marked, steps="auto"):
+    """``grover.grover_run`` with the plane component c0 t + c1 nv built
+    in full, c1 nv first, before it is taken from the state: the reference
+    for a run that subtracts the scalar u c1 from every entry instead."""
+    oracle = grover.Oracle(n, marked)
+    k = len(oracle.marked)
+    m = grover._auto_steps(n, k) if steps == "auto" else int(steps)
+    index = oracle._index
+    t = np.zeros(n)
+    t[index] = 1.0 / math.sqrt(k)
+    nv = np.zeros(n)
+    nv[~oracle._mask] = 1.0 / math.sqrt(n - k)
+    state = np.full(n, 1.0 / math.sqrt(n))
+    comps = np.empty((m + 1, 2))
+    leakage = 0.0
+    plane = np.empty(n)
+    for j in range(m + 1):
+        c0, c1 = comps[j] = (t @ state, nv @ state)
+        np.multiply(nv, c1, out=plane)
+        plane[index] = c0 * t[index]
+        np.subtract(state, plane, out=plane)
+        leakage = max(leakage, float(np.linalg.norm(plane)))
+        if j < m:
+            oracle.reflect(state)
+            np.subtract(2.0 * state.mean(), state, out=state)
+    return grover.GroverResult(state, oracle.success(state), oracle.queries,
+                               comps, leakage)
+
+
+def boolean_nand(tree):
+    """The boolean value of a NAND tree, by its own recursion."""
+    if not isinstance(tree, tuple):
+        return tree
+    return 1 - (boolean_nand(tree[0]) & boolean_nand(tree[1]))
+
+
+def two_pass_nand_eval(tree):
+    """``ctqw.nand_eval`` as two walks down the tree, the ratio recursion
+    and then ``boolean_nand``: the reference for the one-walk evaluation."""
+    trace = []
+
+    def ratio(node):
+        if not isinstance(node, tuple):
+            x = ctqw.NAND_SENTINEL if node == 0 else -1.0 / ctqw.NAND_SENTINEL
+        else:
+            x = -1.0 / (ratio(node[0]) + ratio(node[1]))
+        trace.append(x)
+        return x
+
+    root = ratio(tree)
+    return ctqw.NandResult(0 if abs(root) >= 1.0 else 1, boolean_nand(tree),
+                           trace)
+
+
+def listed_hard_nand_instance(depth, rng, value=None):
+    """``ctqw.hard_nand_instance`` with the children's values in a list,
+    reversed on a draw of 1, and the children built by a generator."""
+    if value is None:
+        value = int(rng.integers(2))
+    if depth == 0:
+        return value
+    if value == 0:
+        kids = [1, 1]
+    else:
+        kids = [0, 1]
+        if rng.integers(2):
+            kids.reverse()
+    return tuple(listed_hard_nand_instance(depth - 1, rng, v) for v in kids)

@@ -128,6 +128,40 @@ def test_spectrum_range_and_bipartite_flag():
         assert res.bipartite == (abs(res.spectrum[-1] + 1.0) < 1e-12)
 
 
+def test_stationary_refuses_a_chain_that_is_not_its_graphs_walk():
+    # the lazy walk's matrix has lambda2 = 0.75 and no -1 eigenvalue, while
+    # the graph's walk answers 0.5 and bipartite
+    lazy = _lazy_cycle_chain()
+    assert np.linalg.eigvalsh(lazy.matrix)[-2] == pytest.approx(0.75)
+    with pytest.raises(ValueError, match="not the unbiased walk"):
+        cl.stationary_and_limit(lazy)
+    with pytest.raises(ValueError, match="not the unbiased walk"):
+        cl.mixing_time(lazy, delta(6, 0), 0.05, t_max=100)
+    walk = cl.unbiased_chain(graphs.cycle(6))
+    for matrix in (np.full((6, 6), np.nan), walk.matrix[:5, :5],
+                   np.where(np.eye(6, k=1) == 1, np.nan, walk.matrix)):
+        with pytest.raises(ValueError, match="not the unbiased walk"):
+            cl.stationary_and_limit(cl.MarkovChain(matrix, walk.graph))
+
+
+@pytest.mark.parametrize("graph", [graphs.cycle(6), graphs.hypercube(3),
+                                   graphs.complete(5, loops=True)],
+                         ids=["cycle6", "cube3", "complete5-looped"])
+def test_stationary_takes_the_walk_within_its_tolerance(graph):
+    # the same answers, byte for byte, for a walk whose entries moved by
+    # up to 1e-12, and a refusal just past it
+    walk = cl.unbiased_chain(graph)
+    want = cl.stationary_and_limit(walk)
+    moved = walk.matrix.copy()
+    moved[walk.matrix > 0] += 1e-12 - 2e-16
+    got = cl.stationary_and_limit(cl.MarkovChain(moved, graph))
+    for name, a, b in zip(want._fields, got, want):
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), name
+    moved[walk.matrix > 0] += 4e-16
+    with pytest.raises(ValueError, match="not the unbiased walk"):
+        cl.stationary_and_limit(cl.MarkovChain(moved, graph))
+
+
 # mixing
 
 
@@ -579,6 +613,12 @@ def plateau_energy(s):
     return float(s.bit_count() // 2)
 
 
+def two_rise_energy(s):
+    """Bit count plus half the low bit: setting bit 0 rises by 1.5 and any
+    other bit by 1, so the uphill rises interleave two values."""
+    return s.bit_count() + (s & 1) / 2
+
+
 def odd_energy(s):
     """Bit counts, with NaN and +inf energies among them."""
     if s % 7 == 3:
@@ -630,7 +670,8 @@ def fast_and_generic(bits, energy, beta, seed, calls, prior=0):
 @pytest.mark.parametrize("bits", [1, 2, 3, 10, 20])
 @pytest.mark.parametrize("beta", [0.0, 0.7, 3.0, math.inf])
 @pytest.mark.parametrize("seed", [0, 1, 2])
-@pytest.mark.parametrize("energy", [rough_energy, plateau_energy])
+@pytest.mark.parametrize("energy", [rough_energy, plateau_energy,
+                                    int.bit_count, two_rise_energy])
 def test_bit_flip_moves_match_the_generic_loop(fast_only, energy, bits, beta,
                                                seed):
     fast, generic, rng, twin = fast_and_generic(
@@ -639,6 +680,28 @@ def test_bit_flip_moves_match_the_generic_loop(fast_only, energy, bits, beta,
     # repr tells floats apart exactly, and NaN from NaN
     assert repr(fast) == repr(generic)
     assert_same_stream(rng, twin)
+
+
+@pytest.mark.parametrize("energy, rises", [(int.bit_count, {1}),
+                                           (plateau_energy, {1}),
+                                           (two_rise_energy, {1, 1.5})])
+def test_bit_flip_moves_weigh_a_repeated_rise_once(fast_only, monkeypatch,
+                                                    energy, rises):
+    # exp(-beta de) runs only when the uphill de differs from the last one:
+    # once for a single rise, and at every change between two
+    exp, calls = math.exp, []
+
+    def counted(x):
+        calls.append(x)
+        return exp(x)
+
+    monkeypatch.setattr(math, "exp", counted)
+    model = cl.EnergyModel.bit_flip(6, energy)
+    with cl._move_source(model, np.random.default_rng(4)) as draws:
+        cl._metropolis(model, 0.8, 500, draws, 0, energy(0))
+    assert set(calls) == {-0.8 * rise for rise in rises}
+    assert all(a != b for a, b in zip(calls, calls[1:]))
+    assert len(calls) == 1 if len(rises) == 1 else len(calls) > 10
 
 
 @pytest.mark.parametrize("start", [0, 1, 3, 6])

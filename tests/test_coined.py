@@ -732,7 +732,7 @@ def test_absorbing_window_stops_at_the_underflowed_front(monkeypatch):
     m_max = 8000
     fronts = []
 
-    def spy(self, part):
+    def spy(self, part, out):
         # before step t + 1 row j holds site 2j + par, par = (1 + t) mod 2,
         # and the coin runs on the rows [0, k) that can be nonzero; a
         # dropped row is zeroed, so nothing is left past them, nor at the
@@ -747,7 +747,7 @@ def test_absorbing_window_stops_at_the_underflowed_front(monkeypatch):
         front = 2 * (k - 1) + par
         assert front <= m_max - t, t
         fronts.append(front)
-        return coin(self, part)
+        return coin(self, part, out)
 
     monkeypatch.setattr(cw.CoinedWalkOperator, "_coin", spy)
     cw.absorbing_line_quantum(m_max)
@@ -757,6 +757,24 @@ def test_absorbing_window_stops_at_the_underflowed_front(monkeypatch):
     assert fronts[2044] < 2045
     # the cone closes on the wall: the last step runs on site 0 alone
     assert fronts[-1] == 0 and len(fronts) == m_max
+
+
+def test_absorbing_walk_coins_into_one_buffer(monkeypatch):
+    coin = cw.CoinedWalkOperator._coin
+    buffers = set()
+
+    def spy(self, part, out):
+        # the first k rows of one buffer, as long as psi, every step
+        assert out.shape == part.shape and out.base.shape == part.base.shape
+        assert out.ctypes.data == out.base.ctypes.data
+        buffers.add(id(out.base))
+        got = coin(self, part, out)
+        assert got is out
+        return got
+
+    monkeypatch.setattr(cw.CoinedWalkOperator, "_coin", spy)
+    cw.absorbing_line_quantum(300)
+    assert len(buffers) == 1
 
 
 def inject_nan(state):
@@ -787,8 +805,9 @@ def test_absorbing_walk_fails_closed(monkeypatch, damage, m_max):
     coin = cw.CoinedWalkOperator._coin
     nans = []
 
-    def damaged(self, part):
-        out = coin(self, part)
+    def damaged(self, part, out):
+        # the walk reads the coined rows from out, the buffer it passed
+        out = coin(self, part, out)
         damage(out)
         nans.append(int(np.isnan(out).sum()))
         return out

@@ -4,6 +4,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from helpers import listed_hard_nand_instance, two_pass_nand_eval
+
 from walklab import ctqw, graphs, linalg
 
 
@@ -341,6 +343,17 @@ def random_tree(rng, depth):
     return (random_tree(rng, depth - 1), random_tree(rng, depth - 1))
 
 
+class Pair(tuple):
+    """A tuple subclass, as a NAND tree's internal node."""
+
+
+def as_pairs(tree):
+    """``tree`` with every internal node a ``Pair``."""
+    if not isinstance(tree, tuple):
+        return tree
+    return Pair(as_pairs(child) for child in tree)
+
+
 class TestNandTrees:
     def test_single_gate(self):
         for a in (0, 1):
@@ -389,6 +402,32 @@ class TestNandTrees:
         assert sorted(bool_nand(c) for c in tree) == [1, 1]
         tree = ctqw.hard_nand_instance(3, rng, value=1)
         assert sorted(bool_nand(c) for c in tree) == [0, 1]
+
+    @pytest.mark.parametrize("depth", range(11))
+    def test_one_walk_keeps_the_two_pass_evaluation(self, depth):
+        # adversarial trees of either value and random trees, some of whose
+        # nodes are a tuple subclass, which _check_nand_tree accepts
+        rng = np.random.default_rng(depth)
+        trees = [ctqw.hard_nand_instance(depth, rng, value)
+                 for value in (0, 1, None, None)]
+        trees += [random_tree(rng, depth) for _ in range(4)]
+        trees += [as_pairs(tree) for tree in trees]
+        for tree in trees:
+            got, want = ctqw.nand_eval(tree), two_pass_nand_eval(tree)
+            # repr tells the trace's floats apart exactly
+            assert repr(got) == repr(want)
+            assert got.oracle_bit == bool_nand(tree)
+
+    @pytest.mark.parametrize("value", [None, 0, 1])
+    @pytest.mark.parametrize("depth", range(11))
+    def test_hard_instance_keeps_the_listed_build(self, depth, value):
+        # the same tree from the same draws, leaving the stream alike
+        rng, twin = np.random.default_rng(depth), np.random.default_rng(depth)
+        for _ in range(5):
+            tree = ctqw.hard_nand_instance(depth, rng, value)
+            want = listed_hard_nand_instance(depth, twin, value)
+            assert tree == want and type(tree) is type(want)
+        assert rng.bit_generator.state == twin.bit_generator.state
 
     def test_classical_cost_short_circuit(self):
         rng = np.random.default_rng(1)

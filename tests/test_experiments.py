@@ -367,6 +367,60 @@ class TestExitCodes:
             assert run(spec) == 0, params
             assert calls == [want]
 
+    def test_nand_leaves_refused_before_any_draw(self, tmp_path,
+                                                 monkeypatch, capsys):
+        schema = experiments.catalog()["nand"].schema
+        # the depth cap at the default instances and trials fills the limit
+        assert (schema["instances"].default * (schema["trials"].default + 1)
+                * 2 ** schema["depth"].hi == experiments.NAND_MAX_LEAVES)
+
+        def refuse(*args):
+            raise AssertionError("random draw")
+
+        monkeypatch.setattr(experiments.np.random, "default_rng", refuse)
+        # one over the limit in each parameter, then all three caps at once,
+        # 10^4 depth-16 trees at 1000 trials, about six hours
+        for depth, instances, trials in [(16, 20, 5), (16, 21, 4),
+                                         (16, 51, 1), (5, 10 ** 4, 20),
+                                         (0, 10 ** 4, 1000),
+                                         (16, 10 ** 4, 1000)]:
+            spec = ExperimentSpec("nand", {"depth": str(depth),
+                                           "instances": str(instances),
+                                           "trials": str(trials)},
+                                  1, str(tmp_path))
+            assert run(spec) == 2, (depth, instances, trials)
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {instances} trees of depth "
+                                  f"{depth} at {trials} trials")
+            assert "6553600-leaf limit" in err
+            assert err.count("\n") == 1 and "Traceback" not in err
+        assert not list(tmp_path.iterdir())
+
+    def test_nand_default_and_limit_requests_still_run(self, tmp_path,
+                                                       monkeypatch):
+        # stubs that draw a leaf per tree, so no request runs at its size
+        calls = []
+
+        def instance(depth, rng):
+            calls.append(depth)
+            return 0
+
+        monkeypatch.setattr(experiments.ctqw, "hard_nand_instance", instance)
+        monkeypatch.setattr(experiments.ctqw, "classical_nand_cost",
+                            lambda tree, rng, trials: float(trials))
+        for params, depth, instances in [
+                ({}, 5, 20), ({"depth": "9"}, 9, 20), ({"depth": "16"}, 16, 20),
+                ({"instances": "10000"}, 5, 10 ** 4),
+                ({"trials": "1000"}, 5, 20),
+                ({"depth": "16", "instances": "50", "trials": "1"}, 16, 50),
+                ({"instances": "10000", "trials": "19"}, 5, 10 ** 4),
+                ({"depth": "0", "instances": "10000", "trials": "654"},
+                 0, 10 ** 4)]:
+            calls.clear()
+            spec = ExperimentSpec("nand", params, 1, str(tmp_path))
+            assert run(spec) == 0, params
+            assert calls == [depth] * instances
+
     def test_cost_table_rows_times_grid_refused_before_the_scan(
             self, tmp_path, monkeypatch, capsys):
         cost_model = experiments.subset.cost_model

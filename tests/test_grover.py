@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from helpers import composed_fixed_point
+from helpers import composed_fixed_point, multiplied_plane_grover_run
 
 from walklab import grover as gr
 
@@ -119,6 +119,25 @@ class TestTrajectory:
         assert res.components.tobytes() == comps.tobytes()
         assert res.leakage == leakage
         assert res.success == float(np.sum(state[mask] ** 2))
+
+    @pytest.mark.parametrize("n, marked, steps", [
+        (2, [0], "auto"), (2, [1], 3), (16, range(15), "auto"),
+        (1000, range(999), 7), (1000, [998, 3, 500, 17], "auto"),
+        (64, range(0, 64, 5), 20), (65536, [0], "auto"),
+        (65536, [7, 40000, 65535], "auto")],
+        ids=["n2", "n2-last-marked", "k15", "k999", "scattered",
+             "every-fifth", "n65536", "n65536-scattered"])
+    def test_run_keeps_every_byte_of_the_multiplied_plane(self, n, marked,
+                                                         steps):
+        # n = 2 marks half the list, k = n - 1 leaves one unmarked entry
+        got = gr.grover_run(n, marked, steps)
+        want = multiplied_plane_grover_run(n, marked, steps)
+        assert got.state.tobytes() == want.state.tobytes()
+        assert got.components.tobytes() == want.components.tobytes()
+        for name in ("leakage", "success"):
+            assert (np.float64(getattr(got, name)).tobytes()
+                    == np.float64(getattr(want, name)).tobytes()), name
+        assert got.queries == want.queries
 
     def test_negative_step_count_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
