@@ -263,7 +263,8 @@ class EnergyModel:
     ``rng.integers(bits)``.  Its ``propose`` carries the width, so the two
     cannot disagree, and on a PCG64 Generator the samplers run its moves in
     ``_Draws.flip_moves``, one inlined loop that draws exactly what
-    ``propose`` and the generic loop would.
+    ``propose`` and the generic loop would.  The width is at most 2^32,
+    the largest bound that loop's 32-bit draw serves.
     """
 
     num_states: int
@@ -274,6 +275,8 @@ class EnergyModel:
     def bit_flip(cls, bits, energy):
         if type(bits) is not int or bits < 1:
             raise ValueError(f"need a positive integer bit count, got {bits!r}")
+        if bits > 1 << 32:
+            raise ValueError(f"a bit-flip model has at most 2^32 bits, got {bits}")
         return cls(2 ** bits, energy, _BitFlip(bits))
 
 
@@ -288,25 +291,27 @@ class _BitFlip:
 
 
 class _Draws:
-    """A PCG64 Generator's draws replayed from its raw 64-bit words, fetched
-    in blocks of 64, 128, ... up to 4,096.  ``integers(k)``, for an int
-    1 <= k <= 2^32, is Lemire's multiply-and-reject (ACM TOMACS 29(1), 2019)
-    on a 32-bit half-word: PCG64 hands out a word's low half and keeps the
-    high half (``has_uint32``/``uinteger``) for the next 32-bit request;
-    k = 1 draws nothing.  ``random()`` is (w >> 11) 2^-53 of a fresh word w.
+    """A PCG64 Generator's draws for ``flip_moves``, replayed from its raw
+    64-bit words, fetched in blocks of 64, 128, ... up to 4,096.  A move's
+    ``integers(bits)`` is Lemire's multiply-and-reject (ACM TOMACS 29(1),
+    2019) on a 32-bit half-word: PCG64 hands out a word's low half and keeps
+    the high half (``has_uint32``/``uinteger``) for the next 32-bit request;
+    bits = 1 draws nothing.  ``random()`` is (w >> 11) 2^-53 of a fresh
+    word w.
 
-    ``_decode(k)`` lays a block out with numpy once per bound k: ``low[i]``
-    and ``high[i]`` are ``integers(k)`` of word i's low and high half, or -1
-    where Lemire rejects the half (the threshold 2^32 mod k is below k, so
-    it alone decides), ``uniform[i]`` is its ``random()``, and ``high[n]``
-    that of ``_half``, the half held when the block was fetched.  Both
-    readers, ``integers`` and ``flip_moves``, share one cursor
-    ``(i, j, has)``: the next word i, and the word j whose high half is
-    buffered, or with ``has`` 0 was last (numpy keeps it in ``uinteger``);
-    j = n is ``_half``.  ``close`` hands the stream back where the same
-    calls on the Generator would have left it.  NEP 19 does not promise
-    these streams across numpy versions; the tests hold the replay against
-    the installed numpy draw for draw.
+    ``_decode`` lays each fetched block out with numpy once, for the width
+    of the first ``flip_moves`` call (a replay serves one model, so every
+    call has that width): ``low[i]`` and ``high[i]`` are ``integers(bits)``
+    of word i's low and high half, or -1 where Lemire rejects the half (the
+    threshold 2^32 mod bits is below bits, so it alone decides),
+    ``uniform[i]`` is its ``random()``, and ``high[n]`` that of ``_half``,
+    the half held when the block was fetched.  The cursor ``(i, j, has)``
+    is the next word i, and the word j whose high half is buffered, or with
+    ``has`` 0 was last (numpy keeps it in ``uinteger``); j = n is
+    ``_half``.  ``close`` hands the stream back where the same calls on the
+    Generator would have left it.  NEP 19 does not promise these streams
+    across numpy versions; the tests hold the replay against the installed
+    numpy draw for draw.
     """
 
     def __init__(self, rng):
@@ -327,45 +332,25 @@ class _Draws:
         bits.state = state
 
     def _decode(self, k, spent=None):
-        """``(k, low, high, uniform, n)``: the block laid out as above for
-        the bound k.  Given ``spent``, the word j when the block ran out, it
-        first holds that word's high half and fetches the next block."""
+        """``(low, high, uniform, n)``: the block laid out as above for
+        the width k, decoded on its first use.  Given ``spent``, the word j
+        when the block ran out, it first holds that word's high half and
+        fetches the next block."""
         if spent is not None:
             if spent < len(self._block):
                 self._half = int(self._block[spent]) >> 32
             size = min(2 * self._fetched or 64, 4096)
             self._fetched += size
             self._block, self._decoded = self._bits.random_raw(size), None
-        if self._decoded is None or self._decoded[0] != k:
+        if self._decoded is None:
             w = self._block
             m = np.concatenate((w & 0xFFFFFFFF, w >> 32,
                                 [np.uint64(self._half)])) * np.uint64(k)
             index = np.where(m & 0xFFFFFFFF >= (1 << 32) % k,
                              (m >> 32).astype(np.int64), -1).tolist()
             uniform = ((w >> 11).astype(float) * 2.0 ** -53).tolist()
-            self._decoded = k, index[:len(w)], index[len(w):], uniform, len(w)
+            self._decoded = index[:len(w)], index[len(w):], uniform, len(w)
         return self._decoded
-
-    def integers(self, k):
-        if type(k) is not int or not 0 < k <= 1 << 32:
-            raise ValueError("the replay draws integers(k) for an int "
-                             f"1 <= k <= 2^32, not {k!r}")
-        _, low, high, _, n = self._decode(k)
-        (i, j, has), b = self._cursor, 0
-        while k > 1:
-            if has:
-                has = 0
-                b = high[j]
-            else:
-                if i == n:
-                    _, low, high, _, n = self._decode(k, j)
-                    i = 0
-                b, j, has = low[i], i, 1
-                i += 1
-            if b >= 0:
-                break
-        self._cursor = i, j, has
-        return b
 
     def flip_moves(self, bits, energy, beta, steps, samples, state, e_here):
         """``_metropolis`` for ``EnergyModel.bit_flip(bits, energy)``: each
@@ -374,7 +359,7 @@ class _Draws:
         The acceptance weight exp(-beta de) is recomputed only when ``de``
         differs from the last uphill one, as it rarely does for an integer
         energy; a NaN never equals it, so it is recomputed and rejected."""
-        _, low, high, uniform, n = self._decode(bits)
+        low, high, uniform, n = self._decode(bits)
         (i, j, has), exp, wide = self._cursor, math.exp, bits > 1
         b = accepted = 0  # integers(1) draws nothing and returns 0
         last = weight = None  # the last uphill de and its exp(-beta de)
@@ -388,7 +373,7 @@ class _Draws:
                             b = high[j]
                         else:
                             if i == n:
-                                _, low, high, uniform, n = self._decode(bits, j)
+                                low, high, uniform, n = self._decode(bits, j)
                                 i = 0
                             b, j, has = low[i], i, 1
                             i += 1
@@ -399,7 +384,7 @@ class _Draws:
                     de = e_there - e_here
                     if not de <= 0.0:
                         if i == n:
-                            _, low, high, uniform, n = self._decode(bits, j)
+                            low, high, uniform, n = self._decode(bits, j)
                             i, j = 0, n
                         i += 1
                         if de != last:
@@ -414,19 +399,13 @@ class _Draws:
         return state, energies, accepted
 
 
-def _draws(rng):
-    """``rng`` as the draw source of one sampling call: a ``_Draws`` for
-    PCG64, closed on every exit, and the Generator itself otherwise."""
-    if type(rng.bit_generator) is np.random.PCG64:
-        return contextlib.closing(_Draws(rng))
-    return contextlib.nullcontext(rng)
-
-
 def _move_source(model, rng):
-    """Where the Metropolis moves of ``model`` draw from: the replay of a
-    PCG64 ``rng`` for a bit-flip model, and ``rng`` itself otherwise."""
-    if type(model.propose) is _BitFlip:
-        return _draws(rng)
+    """Where the Metropolis moves of ``model`` draw from: for a bit-flip
+    model on a PCG64 ``rng``, its replay, closed on every exit, and ``rng``
+    itself otherwise."""
+    if (type(model.propose) is _BitFlip
+            and type(rng.bit_generator) is np.random.PCG64):
+        return contextlib.closing(_Draws(rng))
     return contextlib.nullcontext(rng)
 
 

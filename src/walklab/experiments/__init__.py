@@ -15,6 +15,7 @@ Use ``python -m walklab.experiments list`` for the catalog and
 """
 
 import importlib.util
+import itertools
 import math
 import sys
 import time
@@ -739,6 +740,22 @@ def _analog_search(p, seed):
              "invariance_residual": residual, "krylov_dim": q.shape[1]})
 
 
+class _CoinFlips:
+    """The ``integers(2)`` that nand's trees and trials call, read in order
+    from ``rng.integers(2, size=4096)`` blocks: numpy draws such an int64
+    block from the same half-words as as many scalar calls (an int8, uint8
+    or bool block draws another stream)."""
+
+    def __init__(self, rng):
+        blocks = iter(lambda: rng.integers(2, size=4096).tolist(), None)
+        self._next = itertools.chain.from_iterable(blocks).__next__
+
+    def integers(self, k):
+        if k != 2:
+            raise ValueError(f"nand draws integers(2) only, not integers({k!r})")
+        return self._next()
+
+
 @_register(
     "nand",
     "NAND trees from the adversarial distribution: ratio evaluation "
@@ -759,15 +776,14 @@ def _nand(p, seed):
                          f"{p['trials']} + 1 times, pass the "
                          f"{NAND_MAX_LEAVES}-leaf limit")
     truth, bits, roots, costs = [], [], [], []
-    # both draw only integers(2), which the PCG64 replay serves
-    with classical._draws(np.random.default_rng(seed)) as rng:
-        for _ in range(p["instances"]):
-            tree = ctqw.hard_nand_instance(p["depth"], rng)
-            res = ctqw.nand_eval(tree)
-            truth.append(res.oracle_bit)
-            bits.append(res.bit)
-            roots.append(res.trace[-1])
-            costs.append(ctqw.classical_nand_cost(tree, rng, p["trials"]))
+    rng = _CoinFlips(np.random.default_rng(seed))
+    for _ in range(p["instances"]):
+        tree = ctqw.hard_nand_instance(p["depth"], rng)
+        res = ctqw.nand_eval(tree)
+        truth.append(res.oracle_bit)
+        bits.append(res.bit)
+        roots.append(res.trace[-1])
+        costs.append(ctqw.classical_nand_cost(tree, rng, p["trials"]))
     trace.check("trees where the ratio evaluation disagrees with boolean "
                 "truth", sum(b != t for b, t in zip(bits, truth)), 0)
     return (["instance", "boolean_value", "ratio_value", "root_ratio",

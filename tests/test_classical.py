@@ -2,6 +2,7 @@
 algorithms."""
 
 import dataclasses
+import itertools
 import math
 import types
 
@@ -13,7 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from walklab import classical as cl
-from walklab import graphs
+from walklab import ctqw, experiments, graphs
 from walklab.distributions import dist_stats, tvd
 from walklab.special import catalan
 
@@ -452,20 +453,15 @@ def test_annealing_parameter_validation():
         cl.simulated_annealing(model, 1.0, 0.5, 0.0, 10, 0)
 
 
-# replayed draws: bit-flip moves and nand's coin flips draw through
-# classical._draws, which computes the scalar integers(k) of a PCG64
-# Generator from its raw words
+# replayed draws: a bit-flip model's moves draw through classical._move_source,
+# which replays a PCG64 Generator's integers(bits) and random() from its raw
+# words and hands the stream back where the Generator's own draws would
+# leave it; nand's coin flips read the Generator's integers(2, size=4096)
+# blocks through experiments._CoinFlips.  Both must give the Generator's
+# scalar draws.
 
 REPLAY_BOUNDS = (1, 2, 3, 10, 2 ** 31, 2 ** 31 + 1, 3 * 2 ** 30,
                  2 ** 32 - 1, 2 ** 32)
-
-
-def call_pattern(seed, length=300):
-    """Bounds for integers calls; 2^31 + 1 and 3 * 2^30 reject about half
-    and a quarter of their half-words."""
-    pick = np.random.default_rng([seed, 99])
-    return [REPLAY_BOUNDS[pick.integers(len(REPLAY_BOUNDS))]
-            for _ in range(length)]
 
 
 def assert_same_stream(rng, twin):
@@ -477,41 +473,62 @@ def assert_same_stream(rng, twin):
     assert rng.random(50).tolist() == twin.random(50).tolist()
 
 
+class CountedDraws:
+    """A Generator's ``integers``, counting the calls."""
+
+    def __init__(self, rng):
+        self.rng, self.calls = rng, 0
+
+    def integers(self, k):
+        self.calls += 1
+        return self.rng.integers(k)
+
+
+def nand_draws(rng):
+    """The hard instance of every depth 0-12 and its classical cost over
+    three trials, as ``experiments`` draws them, from ``rng``."""
+    out = []
+    for depth in range(13):
+        tree = ctqw.hard_nand_instance(depth, rng)
+        out.append((tree, ctqw.classical_nand_cost(tree, rng, 3)))
+    return out
+
+
 @pytest.mark.parametrize("seed", range(10))
 @pytest.mark.parametrize("prior", [0, 1])
 def test_replay_matches_generator_draw_for_draw(seed, prior):
     """NEP 19 does not promise numpy's streams across versions, so this
-    pins the replay to the installed numpy, draw for draw.  One prior
-    integers call starts the replay with a half-word buffered."""
+    pins nand's coin flips to the installed numpy: fed the coin-flip source
+    or a twin Generator, the nand functions give the same trees and costs,
+    over more than two 4,096-bit blocks, and then the same next 100 bits.
+    One prior integers(5) call starts with a half-word buffered."""
     rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
     for _ in range(prior):
         rng.integers(5), twin.integers(5)
-    bounds = call_pattern(seed)
-    with cl._draws(rng) as draws:
-        assert isinstance(draws, cl._Draws)
-        got = [draws.integers(k) for k in bounds]
-    want = [twin.integers(k) for k in bounds]
-    assert got == want
-    assert_same_stream(rng, twin)
+    flips, counted = experiments._CoinFlips(rng), CountedDraws(twin)
+    assert nand_draws(flips) == nand_draws(counted)
+    assert counted.calls > 2 * 4096
+    assert ([flips.integers(2) for _ in range(100)]
+            == [int(twin.integers(2)) for _ in range(100)])
 
 
 def test_replay_refuses_other_bounds():
-    """Only an int 1 <= k <= 2^32 is replayed; any other bound raises before
-    it draws, and the stream is handed back where the draws before it left
-    it."""
-    for bound in (0, -1, 2 ** 32 + 1, 3.0, np.int64(7), True):
-        rng, twin = np.random.default_rng(8), np.random.default_rng(8)
-        with pytest.raises(ValueError, match="1 <= k <= 2\\^32"):
-            with cl._draws(rng) as draws:
-                draws.integers(3)
-                draws.integers(bound)
-        twin.integers(3)
-        assert_same_stream(rng, twin)
+    """The coin-flip source serves integers(2) only: any other bound raises
+    and takes no bit from the stream."""
+    for bound in (0, 1, 3, 2 ** 32, 2.5, None):
+        flips = experiments._CoinFlips(np.random.default_rng(8))
+        first = flips.integers(2)
+        with pytest.raises(ValueError, match="integers\\(2\\) only"):
+            flips.integers(bound)
+        rest = [flips.integers(2) for _ in range(50)]
+        assert [first, *rest] == np.random.default_rng(8).integers(
+            2, size=51).tolist()
 
 
 def test_replay_leaves_other_bit_generators_alone():
+    model = cl.EnergyModel.bit_flip(5, rough_energy)
     rng = np.random.Generator(np.random.Philox(3))
-    with cl._draws(rng) as draws:
+    with cl._move_source(model, rng) as draws:
         assert draws is rng
 
 
@@ -641,9 +658,10 @@ def fast_and_generic(bits, energy, beta, seed, calls, prior=0):
     """Run ``calls`` (start, steps) or (start, steps, samples) segments of
     Metropolis on the bit-flip model and on the same model with a plain
     ``propose``, each on a Generator seeded alike after ``prior`` integers
-    draws: the bit-flip one in one replay, the plain one on the Generator's
-    own draws.  A call that is an int k draws ``integers(k)`` from the same
-    source instead.  Returns the two lists of results and the two
+    draws: the bit-flip one replayed, the plain one on the Generator's own
+    draws.  A call that is an int k draws ``integers(k)`` from the Generator
+    between replays; each run of segments between such calls shares one
+    fresh ``_move_source``.  Returns the two lists of results and the two
     Generators."""
     fast = cl.EnergyModel.bit_flip(bits, energy)
     generic = dataclasses.replace(
@@ -654,14 +672,15 @@ def fast_and_generic(bits, energy, beta, seed, calls, prior=0):
         for _ in range(prior):
             rng.integers(5)
         results = []
-        with cl._move_source(model, rng) as draws:
-            for call in calls:
-                if type(call) is int:
-                    results.append(int(draws.integers(call)))
-                    continue
-                start, steps, *samples = call
-                results.append(cl._metropolis(model, beta, steps, draws,
-                                              start, energy(start), *samples))
+        for drawn, run in itertools.groupby(calls, lambda c: type(c) is int):
+            if drawn:
+                results += [int(rng.integers(k)) for k in run]
+                continue
+            with cl._move_source(model, rng) as draws:
+                for start, steps, *samples in run:
+                    results.append(cl._metropolis(model, beta, steps, draws,
+                                                  start, energy(start),
+                                                  *samples))
         out.append((results, rng))
     (fast_results, fast_rng), (generic_results, generic_rng) = out
     return fast_results, generic_results, fast_rng, generic_rng
@@ -779,8 +798,9 @@ def test_replay_matches_the_generic_loop_for_any_segments(
         fast_only, bits, beta, seed, prior, energy, segments):
     """Any width, temperature, seed, half-word buffered or not, and any
     run of segments, 0-step and 0-round ones included, with integers(k)
-    draws on the same replay before each segment: the two read one
-    cursor, and a bound unlike the width decodes the block anew."""
+    draws on the Generator before each segment: a replay starts wherever
+    those left the stream, and segments with none between them share one
+    replay."""
     calls = []
     for bounds, start, steps, samples in segments:
         calls += bounds + [(start % 2 ** bits, steps, samples)]
@@ -932,6 +952,22 @@ def test_bit_flip_on_other_generators_runs_the_generic_loop():
 def test_bit_flip_needs_a_positive_integer_width(bits):
     with pytest.raises(ValueError, match="bit count"):
         cl.EnergyModel.bit_flip(bits, rough_energy)
+
+
+@pytest.mark.parametrize("bits", [2 ** 32 + 1, 2 ** 33, 2 ** 64])
+def test_bit_flip_refuses_widths_past_two_to_the_32(bits):
+    """The replay's 32-bit draw serves widths up to 2^32; past it, 2^32
+    mod bits is 2^32 and every half-word would be rejected.  The check
+    comes before the model's 2^bits state count is built."""
+    with pytest.raises(ValueError, match="at most 2\\^32 bits"):
+        cl.EnergyModel.bit_flip(bits, rough_energy)
+
+
+def test_bit_flip_takes_wide_widths_below_the_bound():
+    # at exactly 2^32 the state count alone is a 512 MiB integer
+    model = cl.EnergyModel.bit_flip(2 ** 24, rough_energy)
+    assert model.propose == cl._BitFlip(2 ** 24)
+    assert model.num_states.bit_length() == 2 ** 24 + 1
 
 
 @pytest.mark.parametrize("name, sampler", [

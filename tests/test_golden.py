@@ -7,9 +7,9 @@ this test loads ``check.py`` and ``workloads.py`` by file path and only reads
 them.  Stochastic experiments run at the seed the benchmark gives them in
 workload seed 0, which the references cover.  The Metropolis experiments
 and ``nand`` also run at every other seed the references hold for them,
-and must repeat those CSVs byte for byte: their samplers and tree draws
-replay numpy's stream from raw words, and any drift from the Generator's
-own draws shows here.
+and must repeat those CSVs byte for byte: the samplers replay numpy's
+stream from raw words and ``nand`` reads its coin flips from numpy's
+vector draws, so any drift from the Generator's scalar draws shows here.
 """
 
 import importlib.util
