@@ -8,8 +8,11 @@ subspace and Krylov evolution, held against dense references.
 
 Submodules
 ----------
-Each is imported on first access (``walklab.grover``, ``from walklab import
-grover``), so ``import walklab`` executes none of them.
+``import walklab`` binds every module below but ``experiments`` as a module
+that executes on its first attribute access.  So ``import walklab`` executes
+none of them, and ``walklab.grover``, ``from walklab import grover`` and
+``import walklab.grover`` give one object.  ``experiments`` is imported as any
+subpackage is, by ``import walklab.experiments``.
 
 trace          the numerical gate: check() and ToleranceError
 special        Catalan numbers and their squared partial sums
@@ -27,7 +30,8 @@ ctqw           continuous-time quantum walks
 experiments    named, reproducible experiment runner (python -m walklab.experiments)
 """
 
-import importlib
+import importlib.util
+import sys
 
 __all__ = [
     "classical",
@@ -46,15 +50,20 @@ __all__ = [
 
 __version__ = "0.1.0"
 
-_SUBMODULES = (*__all__, "experiments", "trace")
+
+def _lazy(name):
+    """walklab.<name>, executed on its first attribute access (the
+    ``importlib.util.LazyLoader`` recipe)."""
+    full = f"{__name__}.{name}"
+    if full in sys.modules:
+        return sys.modules[full]
+    spec = importlib.util.find_spec(full)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = sys.modules[full] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
-def __getattr__(name):
-    # PEP 562: ``walklab.<submodule>`` imports that submodule on first access
-    if name in _SUBMODULES:
-        return importlib.import_module(f"{__name__}.{name}")
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__():
-    return sorted({*globals(), *_SUBMODULES})
+for _name in (*__all__, "trace"):
+    globals()[_name] = _lazy(_name)
+del _name

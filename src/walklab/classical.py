@@ -101,7 +101,7 @@ def stationary_and_limit(chain):
     inv_sqrt = 1.0 / np.sqrt(deg)
     q = a * np.outer(inv_sqrt, inv_sqrt)
     values = np.linalg.eigvalsh(q)[::-1]
-    return StationaryResult(pi, values, _graphs.is_bipartite(g) and not g.loops)
+    return StationaryResult(pi, values, _graphs.is_bipartite(g))
 
 
 MixingResult = namedtuple("MixingResult", "steps spectral_bound distances")

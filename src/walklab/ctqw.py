@@ -271,15 +271,19 @@ def nand_eval(tree):
     boolean evaluation is returned alongside for comparison, taken in the
     same walk down the tree, with the ratio trace in leaf-to-root order.
     """
-    _check_nand_tree(tree)
     trace = []
 
     def ratio(node):
-        # the pair (ratio, boolean value) of the subtree at node
+        # the pair (ratio, boolean value) of the subtree at node, each node
+        # checked before its children, as _check_nand_tree checks it
         if not isinstance(node, tuple):
+            if node not in (0, 1):
+                raise ValueError("leaves must carry bit 0 or 1")
             value = node
             x = NAND_SENTINEL if node == 0 else -1.0 / NAND_SENTINEL
         else:
+            if len(node) != 2:
+                raise ValueError("internal nodes need exactly two children")
             (x0, v0), (x1, v1) = ratio(node[0]), ratio(node[1])
             x, value = -1.0 / (x0 + x1), 1 - (v0 & v1)
         trace.append(x)
@@ -323,7 +327,7 @@ def classical_nand_cost(tree, rng, trials):
     object with a numpy-style scalar ``integers`` method; only
     ``integers(2)`` is called.
     """
-    _check_nand_tree(tree)
+    _check_nand_tree(tree)  # whole: a trial skips the subtrees it need not read
 
     def evaluate(node):
         if not isinstance(node, tuple):

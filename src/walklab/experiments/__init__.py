@@ -14,7 +14,6 @@ Use ``python -m walklab.experiments list`` for the catalog and
 ``python -m walklab.experiments run NAME --param key=value`` to execute one.
 """
 
-import importlib.util
 import itertools
 import math
 import sys
@@ -26,27 +25,10 @@ from pathlib import Path
 import numpy as np
 
 import walklab
-from walklab import datafiles, trace
+from walklab import (classical, coined, ctqw, datafiles, distributions, graphs,
+                     grover, linalg, scattering, subset, szegedy, trace)
 from walklab.trace import ToleranceError
 
-
-def _lazy(name):
-    """walklab.<name>, executed on its first attribute access (the
-    ``importlib.util.LazyLoader`` recipe), so a run loads only what it uses."""
-    full = f"walklab.{name}"
-    if full in sys.modules:
-        return sys.modules[full]
-    spec = importlib.util.find_spec(full)
-    spec.loader = importlib.util.LazyLoader(spec.loader)
-    module = sys.modules[full] = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-(classical, coined, ctqw, distributions, graphs, grover, linalg, scattering,
- subset, szegedy) = map(_lazy, (
-     "classical", "coined", "ctqw", "distributions", "graphs", "grover",
-     "linalg", "scattering", "subset", "szegedy"))
 
 __all__ = [
     "ToleranceError",

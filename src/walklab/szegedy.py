@@ -66,7 +66,11 @@ def from_markov_chain(chain):
 
 
 def discriminant(p):
-    p = _check_row_stochastic(p)
+    return _discriminant(_check_row_stochastic(p))
+
+
+def _discriminant(p):
+    # sqrt(P_xy P_yx) of a row-stochastic P already checked
     return np.sqrt(p * p.T)
 
 
@@ -296,8 +300,7 @@ def marked_phase_gap(p, marked):
     if not unmarked:
         raise ValueError("need at least one unmarked vertex to start from")
     p_prime = mc.p_prime
-    root, q, b, invariance = _invariant_block(p_prime,
-                                              np.sqrt(p_prime * p_prime.T))
+    root, q, b, invariance = _invariant_block(p_prime, _discriminant(p_prime))
     o = np.zeros((p_prime.shape[0], 1))
     o[unmarked] = 1.0 / math.sqrt(len(unmarked))
     start = q.T @ _t_apply(root, o)[:, 0]

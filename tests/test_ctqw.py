@@ -389,6 +389,27 @@ class TestNandTrees:
         with pytest.raises(ValueError, match="bit"):
             ctqw.nand_eval((0, 2))
 
+    @pytest.mark.parametrize("tree, message", [
+        (((0, 2), (1, 1, 1)), "leaves must carry bit 0 or 1"),
+        (((1, 1, 1), (0, 2)), "internal nodes need exactly two children"),
+    ])
+    def test_the_first_defect_in_pre_order_is_reported(self, tree, message):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError) as nand:
+            ctqw.nand_eval(tree)
+        with pytest.raises(ValueError) as cost:
+            ctqw.classical_nand_cost(tree, rng, 1)
+        assert str(nand.value) == str(cost.value) == message
+
+    def test_classical_cost_refuses_a_leaf_its_walk_would_skip(self):
+        class FirstChildFirst:
+            def integers(self, high):
+                return 1  # descend into node[0] first
+
+        # node[0] is 0, so every trial skips the bad leaf
+        with pytest.raises(ValueError, match="bit 0 or 1"):
+            ctqw.classical_nand_cost((0, 2), FirstChildFirst(), 5)
+
     def test_hard_instance_respects_requested_value(self):
         rng = np.random.default_rng(9)
         for value in (0, 1):

@@ -1211,6 +1211,9 @@ assert szegedy is experiments.szegedy
 for name in LAZY:
     assert getattr(walklab, name) is getattr(experiments, name)
     assert getattr(walklab, name) is sys.modules[f"walklab.{name}"]
+assert executed() == {"grover"}, executed()
+for name in LAZY:
+    assert getattr(walklab, name).__all__
 assert executed() == set(LAZY)
 assert set(walklab.__all__) | {"experiments", "trace"} <= set(dir(walklab))
 try:
@@ -1219,7 +1222,37 @@ except AttributeError as err:
     assert "nope" in str(err)
 else:
     raise AssertionError("walklab.nope resolved")
-assert "walklab.special" not in sys.modules
+assert "special" not in executed()
+"""
+
+# Run in a fresh interpreter.  ``import walklab`` binds every library module,
+# none of them executed, and leaves the experiments subpackage alone.
+BARE_IMPORT = """
+import pkgutil
+import sys
+import walklab
+
+found = {m.name for m in pkgutil.iter_modules(walklab.__path__)}
+assert "experiments" in found and "trace" in found, found
+for name in found - {"experiments"}:
+    module = vars(walklab)[name]
+    assert module is sys.modules[f"walklab.{name}"], name
+    assert "__all__" not in object.__getattribute__(module, "__dict__"), name
+assert "experiments" not in vars(walklab)
+assert "walklab.experiments" not in sys.modules
+"""
+
+# Run in a fresh interpreter.  ``import walklab.experiments`` executes the
+# registry itself, so the import's time holds every registration.
+EXPERIMENTS_IMPORT = """
+import sys
+import types
+import walklab.experiments
+
+module = sys.modules["walklab.experiments"]
+assert type(module) is types.ModuleType
+assert len(object.__getattribute__(module, "__dict__")["_REGISTRY"]) == 22
+assert len(walklab.experiments.catalog()) == 22
 """
 
 # Run in a fresh interpreter with the output directory as argv[1].
@@ -1248,6 +1281,16 @@ def test_library_modules_load_on_first_use(tmp_path):
     proc = python_child(["-c", LAZY_MODULES, str(tmp_path)], tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "grover.csv").exists()
+
+
+def test_a_bare_import_binds_every_library_module_unexecuted(tmp_path):
+    proc = python_child(["-c", BARE_IMPORT], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_importing_experiments_executes_its_registry(tmp_path):
+    proc = python_child(["-c", EXPERIMENTS_IMPORT], tmp_path)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_a_patch_before_the_first_run_is_seen_by_it(tmp_path):
