@@ -263,8 +263,8 @@ class EnergyModel:
     ``rng.integers(bits)``.  Its ``propose`` carries the width, so the two
     cannot disagree, and on a PCG64 Generator the samplers run its moves in
     ``_Draws.flip_moves``, one inlined loop that draws exactly what
-    ``propose`` and the generic loop would.  The width is at most 2^32,
-    the largest bound that loop's 32-bit draw serves.
+    ``propose`` and the generic loop would.  The width is at most 63, the
+    widest whose start draw ``rng.integers(2 ** bits)`` numpy serves.
     """
 
     num_states: int
@@ -275,8 +275,8 @@ class EnergyModel:
     def bit_flip(cls, bits, energy):
         if type(bits) is not int or bits < 1:
             raise ValueError(f"need a positive integer bit count, got {bits!r}")
-        if bits > 1 << 32:
-            raise ValueError(f"a bit-flip model has at most 2^32 bits, got {bits}")
+        if bits > 63:
+            raise ValueError(f"a bit-flip model has at most 63 bits, got {bits}")
         return cls(2 ** bits, energy, _BitFlip(bits))
 
 
@@ -440,11 +440,14 @@ def _metropolis(model, beta, steps, draws, state, e_here, samples=1):
 
 def simulated_annealing(model, t0, mu, tmin, inner_steps, rng):
     """Geometric-cooling annealer: run Metropolis at temperature T, cool
-    T <- mu T, stop below ``tmin``, return the final state."""
+    T <- mu T, stop below ``tmin``, return the final state.  ``tmin`` must
+    be normal and ``t0`` finite: mu T < T only while T is normal and finite
+    (2.5e-323 * 0.9 rounds back to 2.5e-323, and inf * mu is inf)."""
     if not 0.0 < mu < 1.0:
         raise ValueError("cooling factor must lie strictly between 0 and 1")
-    if tmin <= 0.0:
-        raise ValueError("final temperature must be positive")
+    if not (tmin >= np.finfo(float).tiny and math.isfinite(t0)):
+        raise ValueError(f"annealing needs a finite t0 and a normal tmin, "
+                         f"got t0={t0} and tmin={tmin}")
     rng = np.random.default_rng(rng)
     state = int(rng.integers(model.num_states))
     e_here = model.energy(state)

@@ -138,10 +138,8 @@ class CoinedWalkOperator:
     may be a single ``Coin`` shared by every vertex or a sequence with one
     ``Coin`` per vertex.  The walk unitary is applied structurally:
     ``step`` runs the coin on every row of a state of shape (..., n, d),
-    leading axes being a batch that steps together, then the shift.  On a
-    cycle each color moves every vertex one site the same way, so the
-    shift is one slice copy per color and one for its wrap row; on any
-    other graph it is one gather through the color permutations.
+    leading axes being a batch that steps together, then the shift, one
+    gather through the color permutations on every graph.
     ``decohere_evolve`` runs the coin on both sides of a density matrix:
     on a cycle with one coin, over the parity sublattice its start occupies
     while that light cone fits the cycle, each color shifting by one row or
@@ -185,16 +183,8 @@ class CoinedWalkOperator:
         """One application of the walk unitary to a state of shape
         (..., n, d); leading axes are a batch that steps independently."""
         mixed = self._coin(state)
-        if self._right is None:
-            flat = mixed.reshape(-1, self.n * self.d)
-            return flat.take(self._source, axis=-1).reshape(mixed.shape)
-        up, down = self._right, 1 - self._right
-        out = np.empty_like(mixed)
-        out[..., 1:, up] = mixed[..., :-1, up]
-        out[..., 0, up] = mixed[..., -1, up]
-        out[..., :-1, down] = mixed[..., 1:, down]
-        out[..., -1, down] = mixed[..., 0, down]
-        return out
+        flat = mixed.reshape(-1, self.n * self.d)
+        return flat.take(self._source, axis=-1).reshape(mixed.shape)
 
     def _coin(self, part, out=None):
         """The coin on the rows of ``part``, of shape (..., k, d): the shared
@@ -226,11 +216,10 @@ class CoinedWalkOperator:
         return state
 
 
-def line_operator(m, kind="hadamard"):
-    """Hadamard-type walk for m steps on the line, realized on a cycle
-    large enough that the walker never feels the wrap."""
-    g = _graphs.cycle(2 * m + 5)
-    return CoinedWalkOperator(g, coin(kind))
+def line_operator(m):
+    """Hadamard walk for m steps on the line, realized on a cycle large
+    enough that the walker never feels the wrap."""
+    return CoinedWalkOperator(_graphs.cycle(2 * m + 5), coin("hadamard"))
 
 
 def line_positions(op):
@@ -365,11 +354,16 @@ def hadamard_asymptotics(x, m, q=1.0, sigma=0.0):
 
     Returns the three oscillatory integrals the exact distribution is
     built from and the resulting probability value (smooth in x; the true
-    walk additionally vanishes on sites of the wrong parity).
+    walk additionally vanishes on sites of the wrong parity).  Left of the
+    origin they come from the mirror image, P(-x; q, sigma) =
+    P(x; 1 - q, pi - sigma), with beta's sign turned.
     """
     if not 0.0 <= q <= 1.0:
         raise ValueError("coin weight q must lie in [0, 1]")
-    lam = abs(x) / m
+    if x < 0:
+        a = hadamard_asymptotics(-x, m, 1.0 - q, math.pi - sigma)
+        return a._replace(beta=-a.beta)
+    lam = x / m
     if lam >= 1.0 / math.sqrt(2.0):
         raise ValueError("position outside the ballistic cone; the "
                          "probability there is exponentially small")
@@ -381,13 +375,10 @@ def hadamard_asymptotics(x, m, q=1.0, sigma=0.0):
     alpha = pref * math.cos(theta)
     beta = lam * pref * math.cos(theta)
     gamma = -math.sqrt(1.0 - 2.0 * lam * lam) * pref * math.sin(theta)
-    sign = 1.0 if x >= 0 else -1.0
     prob = (alpha * alpha + 2.0 * beta * beta + gamma * gamma
-            + sign * (4.0 * q - 2.0) * beta * (alpha + sign * gamma)
-            + sign * 4.0 * math.sqrt(q * (1.0 - q)) * math.cos(sigma)
-            * beta * (alpha - sign * gamma))
-    if x < 0:
-        alpha, beta, gamma = alpha, -beta, gamma
+            + (4.0 * q - 2.0) * beta * (alpha + gamma)
+            + 4.0 * math.sqrt(q * (1.0 - q)) * math.cos(sigma)
+            * beta * (alpha - gamma))
     return Asymptotics(alpha, beta, gamma, prob)
 
 

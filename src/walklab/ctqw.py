@@ -40,6 +40,7 @@ __all__ = [
 
 SYMMETRY_TOL = 1e-12
 NAND_SENTINEL = 1e12
+_LEAF_TYPES = (int, np.integer, np.bool_)  # not float: 1.0 in (0, 1) holds
 
 
 @dataclass(frozen=True)
@@ -255,7 +256,7 @@ def _check_nand_tree(tree):
             raise ValueError("internal nodes need exactly two children")
         for child in tree:
             _check_nand_tree(child)
-    elif tree not in (0, 1):
+    elif not isinstance(tree, _LEAF_TYPES) or tree not in (0, 1):
         raise ValueError("leaves must carry bit 0 or 1")
 
 
@@ -277,7 +278,7 @@ def nand_eval(tree):
         # the pair (ratio, boolean value) of the subtree at node, each node
         # checked before its children, as _check_nand_tree checks it
         if not isinstance(node, tuple):
-            if node not in (0, 1):
+            if not isinstance(node, _LEAF_TYPES) or node not in (0, 1):
                 raise ValueError("leaves must carry bit 0 or 1")
             value = node
             x = NAND_SENTINEL if node == 0 else -1.0 / NAND_SENTINEL

@@ -269,7 +269,7 @@ def _line_walk(p, seed):
 @_register(
     "hadamard-line",
     "Position distribution of the coined Hadamard walk after m steps.",
-    # m = 10^4 takes 1.0 s from a real start and 2.8 s from a complex one
+    # m = 10^4 takes 1.6 s from a real start and 3.0 s from a complex one
     {"m": Param("int", 100, "number of steps", lo=0, hi=10 ** 4),
      "q": Param("float", 1.0, "weight of the up coin component"),
      "sigma": Param("float", 0.0, "relative phase of the down component")},
@@ -430,6 +430,8 @@ def _star_search(p, seed):
 )
 def _grover(p, seed):
     n, k = p["n"], p["k"]
+    if k >= n:  # before the k marked items are built
+        raise ValueError(f"k={k} marks all n={n} items")
     res = grover.grover_run(n, range(k))
     # worst leakage measured at n = 2^20, k from 1 to n - 1: 9.0e-13
     trace.check("plane leakage", res.leakage, 1e-10)
@@ -463,6 +465,8 @@ def _grover(p, seed):
      "base": Param("str", "identity", "identity or grover-iterate")},
 )
 def _fixed_point(p, seed):
+    if p["k"] >= p["n"]:
+        raise ValueError(f"k={p['k']} marks all n={p['n']} items")
     levels = range(p["levels"] + 1)
     runs = grover.fixed_point_levels(p["levels"], p["n"], range(p["k"]),
                                      p["base"])

@@ -4,6 +4,7 @@ algorithms."""
 import dataclasses
 import itertools
 import math
+import sys
 import types
 
 import numpy as np
@@ -451,6 +452,24 @@ def test_annealing_parameter_validation():
         cl.simulated_annealing(model, 1.0, 1.5, 0.1, 10, 0)
     with pytest.raises(ValueError):
         cl.simulated_annealing(model, 1.0, 0.5, 0.0, 10, 0)
+    # schedules that never cool below tmin: 2.5e-323 * 0.9 rounds back to
+    # 2.5e-323, and inf * 0.9 is inf
+    for t0, tmin in [(2.0, math.nan), (math.nan, 0.05), (math.inf, 0.05),
+                     (2.0, 5e-324), (2.0, 2.5e-323),
+                     (2.0, sys.float_info.min / 2)]:
+        with pytest.raises(ValueError, match="finite t0 and a normal tmin"):
+            cl.simulated_annealing(model, t0, 0.9, tmin, 1, 0)
+    # down to the smallest normal double: 6,731 levels from t0 = 2 at
+    # mu = 0.9, each below the last
+    levels = []
+    model = cl.EnergyModel(2, lambda s: float(s),
+                           lambda s, r: levels.append(1) or 1 - s)
+    cl.simulated_annealing(model, 2.0, 0.9, sys.float_info.min, 1, 0)
+    t = 2.0
+    while t >= sys.float_info.min:
+        levels.pop()
+        t *= 0.9
+    assert not levels
 
 
 # replayed draws: a bit-flip model's moves draw through classical._move_source,
@@ -654,6 +673,13 @@ def fast_only(monkeypatch):
     monkeypatch.setattr(cl._BitFlip, "__call__", forbidden)
 
 
+def any_width_bit_flip(bits, energy):
+    """The model ``EnergyModel.bit_flip(bits, energy)`` builds, at any
+    width: the replay serves every width, though ``bit_flip`` stops at 63
+    bits, where the samplers' start draw ``integers(2 ** bits)`` does."""
+    return cl.EnergyModel(2 ** bits, energy, cl._BitFlip(bits))
+
+
 def fast_and_generic(bits, energy, beta, seed, calls, prior=0):
     """Run ``calls`` (start, steps) or (start, steps, samples) segments of
     Metropolis on the bit-flip model and on the same model with a plain
@@ -663,7 +689,7 @@ def fast_and_generic(bits, energy, beta, seed, calls, prior=0):
     between replays; each run of segments between such calls shares one
     fresh ``_move_source``.  Returns the two lists of results and the two
     Generators."""
-    fast = cl.EnergyModel.bit_flip(bits, energy)
+    fast = any_width_bit_flip(bits, energy)
     generic = dataclasses.replace(
         fast, propose=lambda s, r: s ^ (1 << int(r.integers(bits))))
     out = []
@@ -906,7 +932,7 @@ def test_bit_flip_moves_take_lemire_rejections(fast_only, bits, has, half):
         words, has, half, bits, rough_energy, 0.5, 9, 60, 3)
     assert 0 in bad and rejected > 50 and used > 64 + 128 + 384
     bit_generator = CraftedBits(words, has, half)
-    model = cl.EnergyModel.bit_flip(bits, rough_energy)
+    model = any_width_bit_flip(bits, rough_energy)
     draws = cl._Draws(types.SimpleNamespace(bit_generator=bit_generator))
     got = cl._metropolis(model, 0.5, 9, draws, 3, rough_energy(3), 60)
     draws.close()
@@ -954,20 +980,25 @@ def test_bit_flip_needs_a_positive_integer_width(bits):
         cl.EnergyModel.bit_flip(bits, rough_energy)
 
 
-@pytest.mark.parametrize("bits", [2 ** 32 + 1, 2 ** 33, 2 ** 64])
+@pytest.mark.parametrize("bits", [64, 2 ** 32 + 1, 2 ** 33, 2 ** 64])
 def test_bit_flip_refuses_widths_past_two_to_the_32(bits):
-    """The replay's 32-bit draw serves widths up to 2^32; past it, 2^32
-    mod bits is 2^32 and every half-word would be rejected.  The check
-    comes before the model's 2^bits state count is built."""
-    with pytest.raises(ValueError, match="at most 2\\^32 bits"):
+    """Both samplers draw their start as integers(2^bits), which numpy
+    refuses from 64 bits on; past 2^32 the replay's 32-bit draw would also
+    reject every half-word.  The check comes before the model's 2^bits
+    state count is built."""
+    with pytest.raises(ValueError, match="at most 63 bits"):
         cl.EnergyModel.bit_flip(bits, rough_energy)
 
 
 def test_bit_flip_takes_wide_widths_below_the_bound():
-    # at exactly 2^32 the state count alone is a 512 MiB integer
-    model = cl.EnergyModel.bit_flip(2 ** 24, rough_energy)
-    assert model.propose == cl._BitFlip(2 ** 24)
-    assert model.num_states.bit_length() == 2 ** 24 + 1
+    # the widest model both samplers run
+    model = cl.EnergyModel.bit_flip(63, rough_energy)
+    assert model.propose == cl._BitFlip(63)
+    assert model.num_states == 2 ** 63
+    state = cl.simulated_annealing(model, 1.0, 0.5, 0.3, 20, 0)
+    assert 0 <= state < 2 ** 63
+    estimate = cl.telescoping_partition_estimate(model, [0.0, 0.1], 5, 0)
+    assert estimate.z_hat > 0.0
 
 
 @pytest.mark.parametrize("name, sampler", [

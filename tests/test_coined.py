@@ -137,7 +137,8 @@ def gathered(op, psi):
 
 @pytest.mark.parametrize("kind", ["hadamard", "balanced", "per-vertex"])
 def test_windowed_step_equals_full_step(kind):
-    # the cycle's shift by slice copies equals the gather, bit for bit
+    # the step's gather through _source equals a gather read off the
+    # coloring, bit for bit
     rng = np.random.default_rng(11)
     for n in (5, 12, 41):
         if kind == "per-vertex":
@@ -315,14 +316,19 @@ def test_cone_exterior_rejected():
 
 
 def test_asymptotic_probability_matches_exact_walk():
+    # on both sides of the origin, from starts biased either way: left of
+    # the origin the walk mirrors the walk from the opposite bias
     m = 100
     op = cw.line_operator(m)
-    p = cw.position_distribution(cw.walk_run(op, cw.line_start(op), m))
     x = cw.line_positions(op)
-    for k in (0, 10, 30, 50):
-        exact = float(p[x == k][0])
-        approx = cw.hadamard_asymptotics(k, m).probability
-        assert abs(approx - exact) / exact < 0.03
+    for q, sigma in ((1.0, 0.0), (0.0, 0.0), (0.5, 0.0), (0.5, math.pi / 2),
+                     (0.3, 2.0), (0.8, -1.0)):
+        p = cw.position_distribution(
+            cw.walk_run(op, cw.line_start(op, q, sigma), m))
+        for k in (0, 10, 30, 50, -10, -30, -50):
+            exact = float(p[x == k][0])
+            approx = cw.hadamard_asymptotics(k, m, q, sigma).probability
+            assert abs(approx - exact) / exact < 0.03
 
 
 def test_windowed_average_tracks_envelope():

@@ -388,6 +388,20 @@ class TestNandTrees:
             ctqw.nand_eval((0, 1, 1))
         with pytest.raises(ValueError, match="bit"):
             ctqw.nand_eval((0, 2))
+        # 1.0 in (0, 1) holds, so a float leaf once reached the boolean &
+        rng = np.random.default_rng(0)
+        for leaf in (1.0, 0.0, np.float64(1), np.float32(0)):
+            for tree in ((leaf, 1), (1, (0, leaf))):
+                with pytest.raises(ValueError, match="bit 0 or 1"):
+                    ctqw.nand_eval(tree)
+                with pytest.raises(ValueError, match="bit 0 or 1"):
+                    ctqw.classical_nand_cost(tree, rng, 2)
+        # int, bool and numpy integer leaves evaluate as they did
+        want = ctqw.nand_eval(((1, 0), (1, 1)))
+        for tree in (((True, False), (1, True)),
+                     ((np.int64(1), np.uint8(0)), (np.int8(1), 1))):
+            assert ctqw.nand_eval(tree) == want
+            assert ctqw.classical_nand_cost(tree, rng, 3) > 0
 
     @pytest.mark.parametrize("tree, message", [
         (((0, 2), (1, 1, 1)), "leaves must carry bit 0 or 1"),

@@ -1,7 +1,9 @@
+import contextlib
 import dataclasses
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -215,6 +217,19 @@ class TestExitCodes:
             spec = ExperimentSpec("fixed-point", {"levels": str(deep)},
                                   None, str(tmp_path))
             assert run(spec) == 2, deep
+        assert not list(tmp_path.iterdir())
+
+    def test_marked_sets_covering_the_list_refused_before_they_are_built(
+            self, tmp_path, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("marked set built")
+
+        monkeypatch.setattr(experiments.grover, "Oracle", refuse)
+        for name in ("grover", "fixed-point"):
+            n = experiments.catalog()[name].schema["n"].default
+            for k in (n, 2 ** 63):
+                spec = ExperimentSpec(name, {"k": str(k)}, None, str(tmp_path))
+                assert run(spec) == 2, (name, k)
         assert not list(tmp_path.iterdir())
 
     def test_long_annealing_schedule_refused_before_any_draw(
@@ -1106,6 +1121,46 @@ class TestSamplingExperiments:
                                {"bits": 5, "runs": 6}, seed=4)
         assert meta["best_energy"] >= meta["true_minimum"] - 1e-12
         assert 0.0 <= meta["hit_fraction"] <= 1.0
+
+
+class Hung(Exception):
+    pass
+
+
+@contextlib.contextmanager
+def watchdog(seconds):
+    """Raise Hung in the code under test once ``seconds`` have passed."""
+    def expire(signum, frame):
+        raise Hung(f"no return within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_every_float_parameter_at_an_edge_value_keeps_the_exit_codes(
+        tmp_path):
+    """Each float parameter of each experiment at the smallest subnormal and
+    at -0.0, the others at their defaults: the run exits 0, 2 or 3 within
+    10 s, and writes no file unless it exits 0."""
+    for name, exp in sorted(experiments.catalog().items()):
+        seed = 0 if exp.needs_seed else None
+        for key, meta in exp.schema.items():
+            if meta.kind != "float":
+                continue
+            for value in ("5e-324", "-0.0"):
+                outdir = tmp_path / f"{name}-{key}-{value}"
+                outdir.mkdir()
+                spec = ExperimentSpec(name, {key: value}, seed, str(outdir))
+                with watchdog(10):
+                    status = run(spec)
+                assert status in (0, 2, 3), (name, key, value)
+                if status:
+                    assert not list(outdir.iterdir()), (name, key, value)
 
 
 def test_subset_find_builds_at_most_two_walks(tmp_path, monkeypatch):
