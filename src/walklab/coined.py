@@ -80,33 +80,13 @@ class Coin:
         object.__setattr__(self, "matrix", m)
 
 
-def coin(kind, d=2, phase=None):
-    """Build one of the named coins.
-
-    Kinds: ``hadamard`` and ``balanced`` (two-dimensional),
-    ``walsh_hadamard`` (d a power of two), ``dft``, ``grover`` (reflection
-    about the average, transmission 2/d), ``flip_flop`` (even d; the
-    Grover coin composed with the swap that repulses the walker from the
-    edge it came along), and ``reflective`` (transmission zero, reflection
-    with a tunable phase).
+def coin(kind, d=2):
+    """Build one of the named coins: ``hadamard`` (two-dimensional),
+    ``grover`` (reflection about the average, transmission 2/d) or ``dft``.
     """
-    if phase is not None and kind != "reflective":
-        raise ValueError("phase only applies to the reflective coin")
     if kind == "hadamard":
         _need(kind, d == 2)
         m = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
-    elif kind == "balanced":
-        _need(kind, d == 2)
-        m = np.array([[1, 1j], [1j, 1]]) / math.sqrt(2)
-    elif kind == "walsh_hadamard":
-        _need(kind, d >= 2 and d & (d - 1) == 0)
-        k, v = np.meshgrid(np.arange(d), np.arange(d))
-        bits = np.zeros((d, d), dtype=int)
-        x = k & v
-        while np.any(x):
-            bits += x & 1
-            x >>= 1
-        m = (-1.0) ** bits / math.sqrt(d)
     elif kind == "dft":
         _need(kind, d >= 1)
         mu, nu = np.meshgrid(np.arange(d), np.arange(d))
@@ -114,12 +94,6 @@ def coin(kind, d=2, phase=None):
     elif kind == "grover":
         _need(kind, d >= 1)
         m = np.full((d, d), 2.0 / d) - np.eye(d)
-    elif kind == "flip_flop":
-        _need(kind, d >= 2 and d % 2 == 0)
-        swap = np.kron(np.eye(d // 2), np.array([[0.0, 1.0], [1.0, 0.0]]))
-        m = swap @ (np.full((d, d), 2.0 / d) - np.eye(d))
-    elif kind == "reflective":
-        m = cmath.exp(1j * (phase or 0.0)) * np.eye(d)
     else:
         raise ValueError(f"unknown coin kind {kind!r}")
     return Coin(d, m)
@@ -186,14 +160,10 @@ class CoinedWalkOperator:
         flat = mixed.reshape(-1, self.n * self.d)
         return flat.take(self._source, axis=-1).reshape(mixed.shape)
 
-    def _coin(self, part, out=None):
+    def _coin(self, part):
         """The coin on the rows of ``part``, of shape (..., k, d): the shared
-        coin on any k rows, or one coin per vertex on all k = n of them.
-        A (k, d) ``part`` under the shared coin is one product, written into
-        ``out`` when given, a (k, d) array of the result's dtype."""
+        coin on any k rows, or one coin per vertex on all k = n of them."""
         if self._coin_t is not None:
-            if part.ndim == 2:
-                return np.matmul(part, self._coin_t, out=out)
             return (part.reshape(-1, self.d) @ self._coin_t).reshape(part.shape)
         return np.einsum("vcd,...vd->...vc", self._coins, part)
 
@@ -424,12 +394,11 @@ def quantum_mixing_time(op, psi0, eps, t_max):
     acc = np.zeros(op.n)
     distances = np.empty(t_max)
     last_bad = 0
-    for t in range(1, t_max + 1):
-        acc += position_distribution(psi)
+    for t, state in enumerate(walk_states(op, psi, t_max - 1), start=1):
+        acc += position_distribution(state)
         distances[t - 1] = tvd(acc / t, pi)
         if not distances[t - 1] <= eps:
             last_bad = t
-        psi = op.step(psi)
     if last_bad == t_max:
         raise ValueError(f"time average not within {eps} by horizon {t_max}")
     steps = last_bad + 1 if last_bad else 0
@@ -526,15 +495,15 @@ def absorbing_line_quantum(m_max):
     removed.  A walker moves one site per step, so after t steps it sits
     only on the sites of parity par = (1 + t) mod 2, and only those are
     stored: row j of an (m_max // 2 + 3) x 2 array holds site 2j + par,
-    and the rows [0, k) are the ones that can be nonzero.  A step is
-    ``_coin`` on those k rows, into the first k rows of one buffer reused
-    every step, then a shift of one color by one row while the other stays
-    put.  From par = 1 the rightward color moves one row down and row 0
-    becomes the wall, site 0, which is read and emptied; from par = 0 the
-    leftward color moves one row up, and the wall's own row, empty, leaves
-    the array.  So the wall is read after odd steps only; after even steps
-    nothing can have reached it.  After each step the far edge of the rows
-    zeroes two kinds of row:
+    and the rows [0, k) are the ones that can be nonzero.  A step is the
+    Hadamard coin on those k rows, into the first k rows of one buffer
+    reused every step, then a shift of one color by one row while the
+    other stays put.  From par = 1 the rightward color moves one row down
+    and row 0 becomes the wall, site 0, which is read and emptied; from
+    par = 0 the leftward color moves one row up, and the wall's own row,
+    empty, leaves the array.  So the wall is read after odd steps only;
+    after even steps nothing can have reached it.  After each step the far
+    edge of the rows zeroes two kinds of row:
 
     - rows outside the wall's backward light cone.  A walker at site x
       after step t first reaches the wall at step t + x, so no site beyond
@@ -556,24 +525,20 @@ def absorbing_line_quantum(m_max):
     """
     if m_max < 1:
         raise ValueError("need at least one step")
-    # the operator supplies the coin and which color moves a walker left,
-    # toward the wall; the sites themselves live in psi
-    op = CoinedWalkOperator(_graphs.cycle(3), coin("hadamard"))
-    right = op._right
-    left = 1 - right
+    hadamard = coin("hadamard").matrix
     psi = np.zeros((m_max // 2 + 3, 2))
     psi[0, 0] = 1.0
     # the coin writes its first k rows, and each color's column of it and
-    # of psi is bound once
+    # of psi is bound once: column 0 moves right, as in graphs.color_edges
     mixed = np.empty_like(psi)
-    psi_right, psi_left = psi[:, right], psi[:, left]
-    mixed_right, mixed_left = mixed[:, right], mixed[:, left]
+    psi_right, psi_left = psi.T
+    mixed_right, mixed_left = mixed.T
     per_step = np.zeros(m_max + 1)
     amplitudes = np.zeros(m_max + 1, dtype=complex)
     remaining = 0.0
     par, k = 1, 1
     for step in range(1, m_max + 1):
-        op._coin(psi[:k], mixed[:k])
+        np.matmul(psi[:k], hadamard, out=mixed[:k])
         if par:
             psi_right[1:k + 1] = mixed_right[:k]
             psi_left[:k] = mixed_left[:k]

@@ -14,7 +14,7 @@ Canonical orders:
 
 * ``line``/``cycle``: integers 0..n-1 along the path.
 * ``hypercube``: bitstring value of the vertex.
-* ``complete``, ``complete_bipartite``, ``m_partite``: part by part.
+* ``complete``: integers 0..n-1.
 * ``star_extra_edge``: hub is vertex 0, the two connected arm tips are 1, 2.
 * ``glued_trees``/``glued_trees_cycle``: breadth-first from the entrance
   root, column by column, exit root last.
@@ -33,8 +33,6 @@ __all__ = [
     "line",
     "cycle",
     "complete",
-    "complete_bipartite",
-    "m_partite",
     "hypercube",
     "star_extra_edge",
     "glued_trees",
@@ -148,24 +146,6 @@ def complete(n, loops=False):
     return Graph(n, np.stack(np.triu_indices(n, 1), axis=1),
                  range(n) if loops else (), family="complete",
                  params=(n, bool(loops)))
-
-
-def complete_bipartite(n1, n2):
-    if n1 < 1 or n2 < 1:
-        raise ValueError("both parts must be nonempty")
-    i, j = np.divmod(np.arange(n1 * n2), n2)
-    return Graph(n1 + n2, np.stack([i, n1 + j], axis=1),
-                 family="complete_bipartite", params=(n1, n2))
-
-
-def m_partite(m, size):
-    """Complete m-partite graph with ``size`` vertices per part."""
-    if m < 2 or size < 1:
-        raise ValueError("need at least two nonempty parts")
-    u, v = np.triu_indices(m * size, 1)
-    across = u // size != v // size
-    return Graph(m * size, np.stack([u[across], v[across]], axis=1),
-                 family="m_partite", params=(m, size))
 
 
 def hypercube(n):
@@ -387,12 +367,12 @@ def is_bipartite(g):
 
 
 def color_edges(g):
-    """Canonical direction labels for the regular families.
+    """Canonical direction labels for cycles, hypercubes and complete
+    graphs, with or without loops.
 
-    line/cycle use color 0 for the +1 direction and color 1 for -1; the
-    hypercube flips bit j under color j; complete graphs shift by a constant
-    (the loop, when present, is the zero shift); balanced bipartite and
-    multipartite graphs combine a part shift with an offset shift.
+    A cycle uses color 0 for the +1 direction and color 1 for -1; the
+    hypercube flips bit j under color j; a complete graph shifts by a
+    constant, the loop, when present, being the zero shift.
     """
     d = degrees(g)
     if g.n == 0 or np.any(d != d[0]):
@@ -405,15 +385,6 @@ def color_edges(g):
         nxt = v ^ (1 << np.arange(g.params[0]))
     elif g.family == "complete":
         nxt = (v + np.arange(0 if g.loops else 1, g.n)) % g.n
-    elif g.family == "complete_bipartite" and g.params[0] == g.params[1]:
-        half = g.params[0]
-        c = np.arange(half)
-        nxt = np.where(v < half, half + (v + c) % half, (v - half - c) % half)
-    elif g.family == "m_partite":
-        parts, size = g.params
-        p, i = np.divmod(v, size)
-        c = np.arange(degree)
-        nxt = ((p + 1 + c // size) % parts) * size + (i + c % size) % size
     else:
         raise ValueError(f"no canonical coloring for family {g.family!r}")
     _check_coloring(g, nxt)

@@ -156,6 +156,9 @@ class TestExitCodes:
                 ("entropy-series", {"m_max": "1024"}, None),
                 ("complete-graph-search", {"n": str(10 ** 5)}, None),
                 ("star-search", {"n": str(10 ** 18)}, None),
+                # an optimum of 2.2 million steps, and of 2.1 billion
+                ("star-search", {"r0": repr(1 - 1e-10)}, None),
+                ("star-search", {"r0": repr(math.nextafter(1.0, 0.0))}, None),
                 ("cost-table", {"k_max": str(10 ** 9)}, None)]:
             spec = ExperimentSpec(name, params, seed, str(tmp_path))
             assert run(spec) == 2, (name, params)
@@ -1144,15 +1147,16 @@ def watchdog(seconds):
 
 def test_every_float_parameter_at_an_edge_value_keeps_the_exit_codes(
         tmp_path):
-    """Each float parameter of each experiment at the smallest subnormal and
-    at -0.0, the others at their defaults: the run exits 0, 2 or 3 within
-    10 s, and writes no file unless it exits 0."""
+    """Each float parameter of each experiment at the smallest subnormal,
+    at -0.0 and at the largest double below 1, the others at their
+    defaults: the run exits 0, 2 or 3 within 10 s, and writes no file
+    unless it exits 0."""
     for name, exp in sorted(experiments.catalog().items()):
         seed = 0 if exp.needs_seed else None
         for key, meta in exp.schema.items():
             if meta.kind != "float":
                 continue
-            for value in ("5e-324", "-0.0"):
+            for value in ("5e-324", "-0.0", repr(math.nextafter(1.0, 0.0))):
                 outdir = tmp_path / f"{name}-{key}-{value}"
                 outdir.mkdir()
                 spec = ExperimentSpec(name, {key: value}, seed, str(outdir))

@@ -26,14 +26,6 @@ def test_line_and_cycle_shapes():
         G.cycle(2)
 
 
-def test_m_partite_counts():
-    g = G.m_partite(3, 2)
-    assert g.n == 6
-    # three pairs of parts, 2*2 edges each
-    assert len(g.pairs) == 12
-    assert np.all(G.degrees(g) == 4)
-
-
 def test_star_extra_edge_structure():
     g = G.star_extra_edge(5)
     assert g.n == 6
@@ -209,9 +201,6 @@ def test_colorings_are_permutations():
         G.hypercube(4),
         G.complete(6),
         G.complete(5, loops=True),
-        G.complete_bipartite(4, 4),
-        G.m_partite(3, 3),
-        G.m_partite(4, 2),
     ]
     for g in cases:
         col = G.color_edges(g)
@@ -232,8 +221,8 @@ def test_coloring_check_catches_a_shift_off_the_edges():
 
 @pytest.mark.parametrize("family, args", [
     ("line", (6,)), ("cycle", (7,)), ("complete", (5,)),
-    ("complete", (5, True)), ("complete_bipartite", (2, 3)),
-    ("m_partite", (3, 2)), ("hypercube", (4,)), ("star_extra_edge", (5,)),
+    ("complete", (5, True)), ("line", (2,)), ("complete", (1,)),
+    ("hypercube", (4,)), ("star_extra_edge", (5,)),
     ("glued_trees", (3,)), ("glued_trees_cycle", (3, 1)),
     ("subset_bipartite", (5, 2))])
 def test_arc_reversal_pairs_each_arc_with_its_reverse(family, args):
@@ -279,8 +268,6 @@ def every_family():
     yield from (G.cycle(n) for n in (3, 4, 5, 6, 9))
     yield from (G.complete(n, loops) for n in (1, 2, 3, 7)
                 for loops in (False, True))
-    yield from (G.complete_bipartite(*sizes) for sizes in ((1, 1), (2, 3)))
-    yield from (G.m_partite(*shape) for shape in ((2, 2), (3, 2), (4, 2)))
     yield from (G.hypercube(dim) for dim in (1, 3, 4))
     yield from (G.star_extra_edge(arms) for arms in (2, 5))
     yield from (G.glued_trees(n) for n in (2, 3, 4))
@@ -362,14 +349,6 @@ def test_families_match_closed_rules():
             x = u ^ v
             return sum((x >> j) & 1 for j in range(dim)) == 1
         _matches_rule(G.hypercube(dim), one_bit)
-    for n1 in range(1, 5):
-        for n2 in range(1, 5):
-            _matches_rule(G.complete_bipartite(n1, n2),
-                          lambda u, v: (u < n1) != (v < n1))
-    for m in range(2, 5):
-        for size in range(1, 4):
-            _matches_rule(G.m_partite(m, size),
-                          lambda u, v: u // size != v // size)
 
 
 def _tree_rule(columns):

@@ -11,6 +11,12 @@ from helpers import arc_index
 from walklab import coined, graphs, scattering as sc
 
 
+def complete_bipartite(n1, n2):
+    """Each of the first n1 vertices joined to each of the next n2."""
+    return graphs.Graph(n1 + n2,
+                        [(i, n1 + j) for i in range(n1) for j in range(n2)])
+
+
 def complete_coins(n, k, phase):
     coins = {v: sc.reflective_coin(phase) for v in range(k)}
     for v in range(k, n):
@@ -80,7 +86,7 @@ class TestBuild:
 
     def test_scattering_stays_at_the_vertex(self):
         # everything arriving at a vertex leaves through that same vertex
-        op = sc.sqw_build(graphs.complete_bipartite(3, 4), sc.grover_coin())
+        op = sc.sqw_build(complete_bipartite(3, 4), sc.grover_coin())
         u = op.dense()
         arcs = op.arcs.tolist()
         for i, (ak, al) in enumerate(arcs):
@@ -314,6 +320,13 @@ class TestStarSearch:
             want = int(math.floor(math.pi / delta * math.sqrt(n / 8) + 0.5))
             assert sc.star_graph_search(n, r0).opt_steps == want
 
+    def test_step_cap_keeps_every_r0_up_to_zero(self):
+        # the optimum grows with n and r0: star-search accepts n <= 10^9,
+        # where r0 = 0 needs 43,018 steps; near r0 = 1 it grows without bound
+        assert sc.star_graph_search(10 ** 9, 0.0).opt_steps == 43018
+        with pytest.raises(ValueError, match="2221441 steps"):
+            sc.star_graph_search(400, 1 - 1e-10)
+
     def test_sealed_spikes_rejected(self):
         with pytest.raises(ValueError, match="invisible"):
             sc.star_graph_search(50, 1.0)
@@ -385,8 +398,8 @@ class TestRandomizedProperties:
         builders = [
             lambda r: graphs.cycle(int(r.integers(3, 9))),
             lambda r: graphs.complete(int(r.integers(3, 7))),
-            lambda r: graphs.complete_bipartite(int(r.integers(2, 4)),
-                                                int(r.integers(2, 4))),
+            lambda r: complete_bipartite(int(r.integers(2, 4)),
+                                         int(r.integers(2, 4))),
             lambda r: graphs.star_extra_edge(int(r.integers(3, 7))),
             lambda r: graphs.hypercube(int(r.integers(2, 4))),
         ]
